@@ -6,6 +6,17 @@ rate.  Training is bit-for-bit deterministic for a given seed: candidate
 splits are reduced in a fixed order (lowest feature index, then lowest
 threshold, wins ties) and the row/column subsampler consumes the seeded
 generator in a fixed depth-first order.
+
+Split search uses presorted column blocks (XGBoost's exact greedy layout,
+Chen & Guestrin 2016, arXiv:1603.02754, section 4.1): each column is sorted
+once per fit, and each node's per-column lists are split by a stable
+partition instead of being sorted again.  A node's row ids stay ascending and
+its per-column lists stay in (value, row id) order, which is exactly the
+order a stable sort of the node's own rows gives.  So every prefix sum, gain,
+threshold and leaf weight adds the same floats in the same order as sorting
+each node afresh, and serialized models are unchanged.  Histogram binning was
+not used because bin sums add the gradients in a different order; the last
+bits of the gains change, and with them the serialized model.
 """
 
 from __future__ import annotations
@@ -127,28 +138,33 @@ def leaf_weight(G: float, H: float, l2_lambda: float) -> float:
     return -G / (H + l2_lambda)
 
 
-def _best_split(X: np.ndarray, g: np.ndarray, h: np.ndarray,
-                cols: np.ndarray, params: BoostParams):
+def _best_split(XT: np.ndarray, g: np.ndarray, h: np.ndarray,
+                S: np.ndarray, cols: np.ndarray, G: float, H: float,
+                params: BoostParams):
     """Exact greedy search over the given columns; returns the winning split.
 
+    ``XT`` is the training matrix transposed (one row per feature), ``g`` and
+    ``h`` are indexed by row id, and row ``j`` of ``S`` lists the node's row
+    ids sorted by (``XT[j]``, row id).  ``G`` and ``H`` are the node's
+    gradient and hessian totals, summed in ascending row-id order.  Because
+    the order within ``S`` matches a stable sort of the node's own rows, the
+    prefix sums, gains and thresholds are bit-for-bit those of sorting the
+    node afresh.
+
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values.  Gains for all candidates of all columns are evaluated in one
-    2-D pass; the flattened argmax in column-major order implements the
+    values.  Only those boundary positions are scored, flattened one column
+    after another; the first maximum implements the
     lowest-feature-then-lowest-threshold tie break.
     """
-    n = X.shape[0]
-    if n < 2:
+    Sc = S[cols]
+    xs = XT[cols[:, None], Sc]
+    col_pos, pos = np.nonzero(xs[:, :-1] < xs[:, 1:])
+    if pos.size == 0:
         return None
-    Xs = X[:, cols].astype(float, copy=False)
-    order = np.argsort(Xs, axis=0, kind="stable")
-    xs = np.take_along_axis(Xs, order, axis=0)
-    gs = g[order]
-    hs = h[order]
-    GL = np.cumsum(gs, axis=0)[:-1]
-    HL = np.cumsum(hs, axis=0)[:-1]
-    Gtot, Htot = g.sum(), h.sum()
-    GR = Gtot - GL
-    HR = Htot - HL
+    GL = np.cumsum(g[Sc], axis=1)[col_pos, pos]
+    HL = np.cumsum(h[Sc], axis=1)[col_pos, pos]
+    GR = G - GL
+    HR = H - HL
     lam = params.l2_lambda
 
     def score(G, H):
@@ -156,28 +172,30 @@ def _best_split(X: np.ndarray, g: np.ndarray, h: np.ndarray,
         return np.divide(G * G, denom, out=np.zeros_like(G),
                          where=denom > 0)
 
-    parent = score(np.array(Gtot), np.array(Htot))
+    parent = score(np.array(G), np.array(H))
     gains = 0.5 * (score(GL, HL) + score(GR, HR) - parent) \
         - params.min_split_gain
-    valid = (xs[:-1] < xs[1:]) \
-        & (HL >= params.min_child_weight) \
-        & (HR >= params.min_child_weight)
+    valid = (HL >= params.min_child_weight) & (HR >= params.min_child_weight)
     gains = np.where(valid, gains, -np.inf)
-    flat = gains.ravel(order="F")
-    best = int(np.argmax(flat))
-    best_gain = float(flat[best])
+    best = int(np.argmax(gains))
+    best_gain = float(gains[best])
     if not np.isfinite(best_gain) or best_gain <= 0.0:
         return None
-    col_pos, row = divmod(best, gains.shape[0])
-    feature = int(cols[col_pos])
-    threshold = float(xs[row, col_pos] + xs[row + 1, col_pos]) / 2.0
+    c, i = col_pos[best], pos[best]
+    feature = int(cols[c])
+    threshold = float(xs[c, i] + xs[c, i + 1]) / 2.0
     return feature, threshold, best_gain
 
 
-def _build_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
-                idx: np.ndarray, depth: int, params: BoostParams,
-                rng: np.random.Generator,
+def _build_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray,
+                idx: np.ndarray, S: np.ndarray, depth: int,
+                params: BoostParams, rng: np.random.Generator,
                 gain_log: list[tuple[int, float]]) -> TreeNode:
+    """Grow a subtree over the ascending row ids ``idx``.
+
+    ``S`` holds the same rows once per feature, sorted by (value, row id);
+    splitting it with a stable mask keeps both children's lists sorted.
+    """
     G = float(g[idx].sum())
     H = float(h[idx].sum())
 
@@ -187,21 +205,25 @@ def _build_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
 
     if depth >= params.max_depth or len(idx) < 2:
         return leaf()
-    n_features = X.shape[1]
+    n_features = XT.shape[0]
     if params.col_subsample_per_node < 1.0:
         m = max(1, math.ceil(params.col_subsample_per_node * n_features))
         cols = np.sort(rng.choice(n_features, size=m, replace=False))
     else:
         cols = np.arange(n_features)
-    found = _best_split(X[idx], g[idx], h[idx], cols, params)
+    found = _best_split(XT, g, h, S, cols, G, H, params)
     if found is None:
         return leaf()
     feature, threshold, gain = found
     gain_log.append((feature, gain))
-    go_left = X[idx, feature] < threshold
-    left = _build_tree(X, g, h, idx[go_left], depth + 1, params, rng, gain_log)
-    right = _build_tree(X, g, h, idx[~go_left], depth + 1, params, rng,
-                        gain_log)
+    go_left = XT[feature] < threshold
+    in_left = go_left[S]
+    left = _build_tree(XT, g, h, idx[go_left[idx]],
+                       S[in_left].reshape(n_features, -1), depth + 1,
+                       params, rng, gain_log)
+    right = _build_tree(XT, g, h, idx[~go_left[idx]],
+                        S[~in_left].reshape(n_features, -1), depth + 1,
+                        params, rng, gain_log)
     return TreeNode(feature=feature, threshold=threshold,
                     left=left, right=right, gain=gain)
 
@@ -233,6 +255,8 @@ def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
     if not np.all((y == 0) | (y == 1)):
         raise BoostError("labels must be 0 or 1")
     n = X.shape[0]
+    XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1, kind="stable")
     rng = np.random.default_rng(params.seed)
     base_margin = logit(params.base_score)
     margins = np.full(n, base_margin)
@@ -245,9 +269,14 @@ def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
         if params.row_subsample < 1.0:
             m = max(1, int(math.floor(params.row_subsample * n)))
             idx = np.sort(rng.choice(n, size=m, replace=False))
+            keep = np.zeros(n, dtype=bool)
+            keep[idx] = True
+            S = order[keep[order]].reshape(X.shape[1], m)
         else:
             idx = np.arange(n)
-        tree = _build_tree(X, g, h, idx, 0, params, rng, model.split_gain_log)
+            S = order
+        tree = _build_tree(XT, g, h, idx, S, 0, params, rng,
+                           model.split_gain_log)
         model.trees.append(tree)
         margins += _tree_output(tree, X)
         p = np.clip(sigmoid(margins), 1e-15, 1.0 - 1e-15)

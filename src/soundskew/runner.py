@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from soundskew import boost, corpus as corpus_mod, labeling, metrics, stats
-from soundskew.boost import BoostParams
+from soundskew.boost import BoostError, BoostParams
 from soundskew.corpus import ATTRIBUTE_NAMES, NameEntry, TokenInventory
 from soundskew.labeling import BinaryLabeledSet, subseed
 from soundskew.metrics import ConfusionMatrix, IterationRecord
@@ -51,6 +51,16 @@ class ExperimentConfig:
     formats: tuple[str, ...] = ("tsv", "json", "md")
 
     def __post_init__(self):
+        for key in ("k", "seed"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        for key in ("variables", "combat_set", "size_set"):
+            unknown = set(getattr(self, key)) - set(ATTRIBUTE_NAMES)
+            if unknown:
+                raise ConfigError(
+                    f"{key}: unknown attributes {sorted(unknown)}; "
+                    f"expected a subset of {list(ATTRIBUTE_NAMES)}")
         if self.k < 2:
             raise ConfigError("k must be >= 2")
         if set(self.combat_set) & set(self.size_set):
@@ -85,7 +95,11 @@ class ExperimentConfig:
             if key in kwargs and kwargs[key] is not None:
                 kwargs[key] = tuple(kwargs[key])
         if "boost_params" in kwargs:
-            kwargs["boost_params"] = BoostParams(**kwargs["boost_params"])
+            try:
+                kwargs["boost_params"] = BoostParams(**kwargs["boost_params"])
+            except (TypeError, BoostError) as exc:
+                raise ConfigError(
+                    f"{path}: invalid boost_params: {exc}") from exc
         # Config paths are relative to the config file's directory.
         base = os.path.dirname(os.path.abspath(path))
         for key in ("corpus_path", "inventory_path"):

@@ -350,5 +350,19 @@ class TestCli:
         doc = json.loads((alt / "report.json").read_text())
         assert doc["config"]["seed"] == 7
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"boost_params": {"roundz": 3}}, "'roundz'"),
+        ({"boost_params": {"rounds": 0}}, "rounds must be >= 1"),
+        ({"k": "3"}, "k must be an integer"),
+        ({"variables": ["Speed"]}, "variables: unknown attributes"),
+    ], ids=["roundz", "rounds", "k", "variables"])
+    def test_config_mistake_exits_1_naming_key(self, tmp_path, capsys,
+                                               overrides, message):
+        config = self.write_config(tmp_path, **overrides)
+        assert cli_main(["run", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+
     def test_missing_file_exits_1(self, capsys):
         assert cli_main(["validate", "--config", "/nonexistent.json"]) == 1

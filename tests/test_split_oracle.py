@@ -1,0 +1,163 @@
+"""The presorted split search against a per-node-sort reference oracle.
+
+``oracle_best_split`` and ``oracle_train`` are the earlier implementation,
+which sorts every node's rows afresh.  They live here only as references:
+the presorted column blocks in ``soundskew.boost`` must give the same split,
+gain and serialized model bit for bit, not merely approximately.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from soundskew.boost import (
+    BoostModel,
+    BoostParams,
+    TreeNode,
+    _best_split,
+    _tree_output,
+    leaf_weight,
+    logit,
+    model_to_json,
+    sigmoid,
+    train,
+)
+
+
+def oracle_best_split(X, g, h, cols, params):
+    """Exact greedy search on the node's own rows, sorted per call."""
+    n = X.shape[0]
+    if n < 2:
+        return None
+    Xs = X[:, cols].astype(float, copy=False)
+    order = np.argsort(Xs, axis=0, kind="stable")
+    xs = np.take_along_axis(Xs, order, axis=0)
+    gs = g[order]
+    hs = h[order]
+    GL = np.cumsum(gs, axis=0)[:-1]
+    HL = np.cumsum(hs, axis=0)[:-1]
+    Gtot, Htot = g.sum(), h.sum()
+    GR = Gtot - GL
+    HR = Htot - HL
+    lam = params.l2_lambda
+
+    def score(G, H):
+        denom = H + lam
+        return np.divide(G * G, denom, out=np.zeros_like(G),
+                         where=denom > 0)
+
+    parent = score(np.array(Gtot), np.array(Htot))
+    gains = 0.5 * (score(GL, HL) + score(GR, HR) - parent) \
+        - params.min_split_gain
+    valid = (xs[:-1] < xs[1:]) \
+        & (HL >= params.min_child_weight) \
+        & (HR >= params.min_child_weight)
+    gains = np.where(valid, gains, -np.inf)
+    flat = gains.ravel(order="F")
+    best = int(np.argmax(flat))
+    best_gain = float(flat[best])
+    if not np.isfinite(best_gain) or best_gain <= 0.0:
+        return None
+    col_pos, row = divmod(best, gains.shape[0])
+    feature = int(cols[col_pos])
+    threshold = float(xs[row, col_pos] + xs[row + 1, col_pos]) / 2.0
+    return feature, threshold, best_gain
+
+
+def oracle_build_tree(X, g, h, idx, depth, params, rng, gain_log):
+    G = float(g[idx].sum())
+    H = float(h[idx].sum())
+
+    def leaf():
+        return TreeNode(weight=params.learning_rate
+                        * leaf_weight(G, H, params.l2_lambda))
+
+    if depth >= params.max_depth or len(idx) < 2:
+        return leaf()
+    n_features = X.shape[1]
+    if params.col_subsample_per_node < 1.0:
+        m = max(1, math.ceil(params.col_subsample_per_node * n_features))
+        cols = np.sort(rng.choice(n_features, size=m, replace=False))
+    else:
+        cols = np.arange(n_features)
+    found = oracle_best_split(X[idx], g[idx], h[idx], cols, params)
+    if found is None:
+        return leaf()
+    feature, threshold, gain = found
+    gain_log.append((feature, gain))
+    go_left = X[idx, feature] < threshold
+    left = oracle_build_tree(X, g, h, idx[go_left], depth + 1, params, rng,
+                             gain_log)
+    right = oracle_build_tree(X, g, h, idx[~go_left], depth + 1, params,
+                              rng, gain_log)
+    return TreeNode(feature=feature, threshold=threshold,
+                    left=left, right=right, gain=gain)
+
+
+def oracle_train(X, y, params):
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = X.shape[0]
+    rng = np.random.default_rng(params.seed)
+    base_margin = logit(params.base_score)
+    margins = np.full(n, base_margin)
+    model = BoostModel(trees=[], params=params, n_features=X.shape[1],
+                       base_margin=base_margin)
+    for _ in range(params.rounds):
+        p = sigmoid(margins)
+        g = p - y
+        h = p * (1.0 - p)
+        if params.row_subsample < 1.0:
+            m = max(1, int(math.floor(params.row_subsample * n)))
+            idx = np.sort(rng.choice(n, size=m, replace=False))
+        else:
+            idx = np.arange(n)
+        tree = oracle_build_tree(X, g, h, idx, 0, params, rng,
+                                 model.split_gain_log)
+        model.trees.append(tree)
+        margins += _tree_output(tree, X)
+    return model
+
+
+@st.composite
+def split_problems(draw):
+    n = draw(st.integers(2, 60))
+    f = draw(st.integers(1, 8))
+    X = draw(arrays(np.int64, (n, f), elements=st.integers(0, 4)))
+    g = draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    # Zero hessians reach the denom == 0 branch at l2_lambda=0; tiny ones
+    # would only overflow both searches alike.
+    h = draw(arrays(float, n, elements=st.one_of(
+        st.just(0.0), st.floats(1e-6, 0.25))))
+    in_node = draw(arrays(bool, n, elements=st.booleans()))
+    cols = sorted(draw(st.sets(st.integers(0, f - 1), min_size=1)))
+    params = BoostParams(
+        l2_lambda=draw(st.sampled_from([0.0, 1.0])),
+        min_child_weight=draw(st.sampled_from([0.0, 1.0, 5.0])))
+    return X.astype(float), g, h, in_node, np.array(cols), params
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_problems())
+def test_presorted_search_equals_per_node_sort(problem):
+    X, g, h, in_node, cols, params = problem
+    idx = np.flatnonzero(in_node)
+    order = np.argsort(X.T, axis=1, kind="stable")
+    S = order[in_node[order]].reshape(X.shape[1], len(idx))
+    found = _best_split(np.ascontiguousarray(X.T), g, h, S, cols,
+                        float(g[idx].sum()), float(h[idx].sum()), params)
+    assert found == oracle_best_split(X[idx], g[idx], h[idx], cols, params)
+
+
+def test_subsampled_training_serializes_like_oracle():
+    rng = np.random.default_rng(7)
+    X = rng.integers(0, 5, size=(150, 12)).astype(float)
+    y = (X[:, 0] + X[:, 3] + rng.integers(0, 3, size=150) > 5).astype(float)
+    params = BoostParams(rounds=15, row_subsample=0.8,
+                         col_subsample_per_node=0.8, seed=3)
+    model = train(X, y, params)
+    reference = oracle_train(X, y, params)
+    assert model_to_json(model) == model_to_json(reference)
+    assert model.split_gain_log == reference.split_gain_log
