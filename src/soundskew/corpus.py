@@ -9,6 +9,7 @@ lengths fall out of the same representation for every language.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +68,7 @@ class NameEntry:
         for key, value in self.attributes.items():
             if value is None:
                 continue
-            if not np.isfinite(value) or value < 0:
+            if not math.isfinite(value) or value < 0:
                 raise CorpusError(
                     f"entry {self.id!r}: attribute {key} = {value!r} "
                     "must be finite and non-negative")

@@ -1,11 +1,15 @@
 """Experiment orchestration: languages x variables x folds, tests, reports.
 
-Each (language, variable) group runs median_split -> balance -> make_folds,
-then trains and evaluates one boosted model per fold.  Hypothesis tests run
-on the per-iteration skew-adjusted FP rates; name-length regressions run on
-the full corpus (no median or balance filtering).  Everything downstream of
-the config is deterministic; sub-seeds are derived per group so removing a
-language never perturbs the others.
+Entries are bucketed by language in one pass, in corpus-file order, and
+each language is featurized once into a count matrix that all of its
+variables share.  Each (language, variable) group runs median_split ->
+balance -> make_folds on rows of that matrix, then trains and evaluates one
+boosted model per fold.  Hypothesis tests run on the per-iteration
+skew-adjusted FP rates; name-length regressions run on the full corpus (no
+median or balance filtering), with each name's length computed once and
+reused by every variable and scope.  Everything downstream of the config is
+deterministic; sub-seeds are derived per group so removing a language never
+perturbs the others.
 """
 
 from __future__ import annotations
@@ -176,20 +180,20 @@ def _resolve_languages(config: ExperimentConfig,
     return tuple(seen)
 
 
-def _run_group(entries: list[NameEntry], inventory: TokenInventory,
+def _run_group(entries: list[NameEntry], features: np.ndarray,
                language: str, variable: str, config: ExperimentConfig
                ) -> list[IterationRecord]:
-    values = [(e.id, e.attributes[variable]) for e in entries
-              if e.language == language and e.attributes[variable] is not None]
-    if not values:
+    """Run one group on a language's entries and their feature rows."""
+    rows = [i for i, e in enumerate(entries)
+            if e.attributes[variable] is not None]
+    if not rows:
         raise labeling.LabelingError(
             f"no values for {variable} in {language}")
+    values = [(entries[i].id, entries[i].attributes[variable]) for i in rows]
     split = labeling.median_split(values)
-    by_id = {e.id: e for e in entries}
-    samples = tuple(
-        (sid, corpus_mod.featurize(by_id[sid], inventory), label)
-        for sid, label in ((sid, split[sid]) for sid, _ in values)
-        if label != labeling.OMITTED)
+    samples = tuple((sid, features[i], split[sid])
+                    for i, (sid, _) in zip(rows, values)
+                    if split[sid] != labeling.OMITTED)
     threat = config.threat_class(variable)
     labeled = BinaryLabeledSet(variable=variable, language=language,
                                samples=samples, threat_class=threat,
@@ -301,33 +305,38 @@ def length_regression(entries: list[NameEntry],
     Runs per language and pooled over all configured languages, on every
     sample with the attribute present (no median or balance filtering).
     """
+    in_scope = set(languages)
+    measured = [(e, corpus_mod.name_length(e, inventories[e.language]))
+                for e in entries if e.language in in_scope]
+    blocks: dict[str, list[tuple[NameEntry, int]]] = {
+        lang: [] for lang in languages}
+    for pair in measured:
+        blocks[pair[0].language].append(pair)
+    # The combined scope pools in corpus-file order, not block by block, so
+    # the OLS sums add the same floats in the same order.
+    scopes = [(lang, blocks[lang]) for lang in languages]
+    scopes.append(("combined", measured))
     out = []
-    scopes = [(lang, (lang,)) for lang in languages]
-    scopes.append(("combined", languages))
-    for scope_name, scope_langs in scopes:
-        pool_entries = [e for e in entries if e.language in scope_langs]
+    for scope_name, pool in scopes:
         for variable in config.variables:
-            pairs = [(corpus_mod.name_length(e, inventories[e.language]),
-                      e.attributes[variable])
-                     for e in pool_entries
-                     if e.attributes[variable] is not None]
-            if len(pairs) < 3:
+            x = [n for e, n in pool if e.attributes[variable] is not None]
+            y = [e.attributes[variable] for e, _ in pool
+                 if e.attributes[variable] is not None]
+            if len(x) < 3:
                 out.append(LengthRegressionEntry(
-                    language=scope_name, variable=variable, n=len(pairs),
+                    language=scope_name, variable=variable, n=len(x),
                     result=None,
                     untestable_reason="fewer than 3 samples"))
                 continue
-            x = [p[0] for p in pairs]
-            y = [p[1] for p in pairs]
             try:
                 result = stats.simple_ols(x, y)
             except stats.StatsError as exc:
                 out.append(LengthRegressionEntry(
-                    language=scope_name, variable=variable, n=len(pairs),
+                    language=scope_name, variable=variable, n=len(x),
                     result=None, untestable_reason=str(exc)))
                 continue
             out.append(LengthRegressionEntry(
-                language=scope_name, variable=variable, n=len(pairs),
+                language=scope_name, variable=variable, n=len(x),
                 result=result))
     return out
 
@@ -340,14 +349,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for lang in languages:
         if lang not in inventories:
             raise ConfigError(f"no inventory for configured language {lang!r}")
+    blocks: dict[str, list[NameEntry]] = {lang: [] for lang in languages}
+    for e in entries:
+        if e.language in blocks:
+            blocks[e.language].append(e)
     records: list[IterationRecord] = []
     failures: list[GroupFailure] = []
     for language in languages:
+        block, inventory = blocks[language], inventories[language]
+        features = np.array([corpus_mod.featurize(e, inventory)
+                             for e in block], dtype=float)
         for variable in config.variables:
             try:
                 records.extend(_run_group(
-                    entries, inventories[language], language, variable,
-                    config))
+                    block, features, language, variable, config))
             except (labeling.LabelingError, boost.BoostError,
                     metrics.MetricsError, corpus_mod.CorpusError) as exc:
                 failures.append(GroupFailure(
@@ -413,32 +428,15 @@ def parse_records_tsv(path: str) -> list[IterationRecord]:
     return records
 
 
-def _ttest_dict(r: stats.TTestResult | None):
-    if r is None:
-        return None
-    return {"estimate": r.estimate, "t": r.t, "df": r.df, "p": r.p}
-
-
-def _summary_dict(s: stats.GroupSummary | None):
-    if s is None:
-        return None
-    return {"mean": s.mean, "sd": s.sd, "n": s.n}
-
-
-def _ols_dict(r: stats.OlsResult | None):
-    if r is None:
-        return None
-    return {"slope": r.slope, "intercept": r.intercept, "F": r.F,
-            "df1": r.df1, "df2": r.df2, "p": r.p, "r2": r.r2}
+def _asdict(obj):
+    return None if obj is None else dataclasses.asdict(obj)
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
-    config = dataclasses.asdict(report.config)
-    config["boost_params"] = dataclasses.asdict(report.config.boost_params)
     return {
         "version": report.version,
         "timestamp": report.timestamp,
-        "config": config,
+        "config": dataclasses.asdict(report.config),
         "languages": list(report.languages),
         "records": [
             {"language": r.language, "variable": r.variable, "fold": r.fold,
@@ -447,22 +445,15 @@ def report_to_dict(report: ExperimentReport) -> dict:
             for r in report.records],
         "failures": [dataclasses.asdict(f) for f in report.failures],
         "aggregates": [dataclasses.asdict(a) for a in report.aggregates],
-        "h1": [
-            {"group": e.group, "n": e.n, "n_excluded": e.n_excluded,
-             "result": _ttest_dict(e.result),
-             "untestable_reason": e.untestable_reason}
-            for e in report.h1],
+        "h1": [dataclasses.asdict(e) for e in report.h1],
         "h2": {
-            "result": _ttest_dict(report.h2_result),
-            "combat": _summary_dict(report.h2_combat),
-            "size": _summary_dict(report.h2_size),
+            "result": _asdict(report.h2_result),
+            "combat": _asdict(report.h2_combat),
+            "size": _asdict(report.h2_size),
             "untestable_reason": report.h2_untestable_reason,
         },
         "length_regressions": [
-            {"language": e.language, "variable": e.variable, "n": e.n,
-             "result": _ols_dict(e.result),
-             "untestable_reason": e.untestable_reason}
-            for e in report.length_regressions],
+            dataclasses.asdict(e) for e in report.length_regressions],
     }
 
 

@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from soundskew import runner
+from soundskew import corpus, runner, stats
 from soundskew.boost import BoostParams
 from soundskew.cli import main as cli_main
 from soundskew.metrics import ConfusionMatrix, IterationRecord
@@ -141,6 +142,51 @@ class TestRunExperiment:
     def test_unknown_configured_language_rejected(self):
         with pytest.raises(ConfigError):
             run_experiment(fast_config(languages=("nope",)))
+
+    def test_each_entry_featurized_and_measured_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("featurize", "name_length"):
+            def counting(*args, _name=name, _real=getattr(corpus, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(corpus, name, counting)
+        run_experiment(fast_config(boost_params=BoostParams(rounds=1)))
+        # 900 entries in the 3 configured languages, shared by 4 variables
+        # and by the per-language and combined regression scopes
+        assert calls == {"featurize": 900, "name_length": 900}
+
+    def test_interleaved_corpus_keeps_file_order(self, tmp_path):
+        with open(CORPUS_CSV, encoding="utf-8") as fh:
+            header, *rows = fh.read().splitlines()
+        by_lang = {}
+        for row in rows:
+            by_lang.setdefault(row.split(",")[1], []).append(row)
+        interleaved = [row for group in zip(*by_lang.values())
+                       for row in group]
+        assert sorted(interleaved) == sorted(rows) != interleaved
+        path = tmp_path / "corpus.csv"
+        path.write_text("\n".join([header, *interleaved]) + "\n",
+                        encoding="utf-8")
+        languages = tuple(reversed(by_lang))
+        params = BoostParams(rounds=2, max_depth=2)
+        report = run_experiment(fast_config(
+            corpus_path=str(path), languages=languages,
+            boost_params=params))
+
+        entries, inventories = corpus.load_corpus(str(path), INVENTORY_CSV)
+        combined = {e.variable: e.result for e in report.length_regressions
+                    if e.language == "combined"}
+        for variable in report.config.variables:
+            pairs = [(corpus.name_length(e, inventories[e.language]),
+                      e.attributes[variable]) for e in entries
+                     if e.attributes[variable] is not None]
+            assert combined[variable] == stats.simple_ols(
+                [x for x, _ in pairs], [y for _, y in pairs])
+
+        blocked = run_experiment(fast_config(
+            languages=languages, boost_params=params))
+        assert [dataclasses.astuple(r) for r in report.records] \
+            == [dataclasses.astuple(r) for r in blocked.records]
 
 
 class TestHypotheses:
