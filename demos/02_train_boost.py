@@ -1,9 +1,10 @@
 """Train one boosted model by hand and inspect it.
 
-Builds the Attack classifier for the Japanese fixture names: median split,
-balance, stratified folds, then a second-order boosted tree ensemble on the
-count features.  Prints the loss curve, the confusion matrix of one fold,
-and the highest-gain features.
+Builds the Attack classifier for the Japanese fixture names: one count
+matrix for the language, median split and balance over its rows, stratified
+folds, then a second-order boosted tree ensemble on the count features.
+Prints the loss curve, the confusion matrix of one fold, and the
+highest-gain features.
 """
 
 import os
@@ -16,13 +17,13 @@ from soundskew import (
     ConfusionMatrix,
     accuracy,
     balance,
+    classify,
     feature_importance,
     featurize,
     fp_rate_skew_adjusted,
     load_corpus,
     make_folds,
     median_split,
-    predict_prob,
     subseed,
     train,
 )
@@ -34,27 +35,26 @@ entries, inventories = load_corpus(
     os.path.join(DATA, "corpus.csv"), os.path.join(DATA, "inventory.csv"))
 inventory = inventories["jpn"]
 jpn = [e for e in entries if e.language == "jpn"]
+features = np.array([featurize(e, inventory) for e in jpn], dtype=float)
 
-split = median_split([(e.id, e.attributes["Attack"]) for e in jpn])
-samples = tuple((e.id, featurize(e, inventory), split[e.id])
-                for e in jpn if split[e.id] != "omitted")
-labeled = BinaryLabeledSet(variable="Attack", language="jpn",
-                           samples=samples)
-labeled = balance(labeled, subseed(SEED, "jpn", "Attack", "balance"))
+split = median_split([(i, e.attributes["Attack"]) for i, e in enumerate(jpn)])
+samples = tuple((i, lab) for i, lab in split.items() if lab != "omitted")
+labeled = balance(BinaryLabeledSet(variable="Attack", language="jpn",
+                                   samples=samples),
+                  subseed(SEED, "jpn", "Attack", "balance"))
 folds = make_folds(labeled, 3, subseed(SEED, "jpn", "Attack", "folds"))
 print(f"{len(jpn)} names -> {len(labeled.samples)} after split+balance")
 
-X = np.array([f for _, f, _ in labeled.samples], dtype=float)
-y = np.array([1 if lab == "high" else 0 for _, _, lab in labeled.samples])
-in_test = np.array([folds.assignment[sid] == 0
-                    for sid, _, _ in labeled.samples])
+X = features[[i for i, _ in labeled.samples]]
+y = np.array([lab == "high" for _, lab in labeled.samples])
+in_test = folds == 0
 
 model = train(X[~in_test], y[~in_test], BoostParams(seed=SEED))
 print(f"trained {len(model.trees)} trees; "
       f"loss {model.train_loss[0]:.4f} -> {model.train_loss[-1]:.4f}")
 
-pred = predict_prob(model, X[in_test]) >= 0.5
-truth = y[in_test] == 1
+pred = classify(model, X[in_test])
+truth = y[in_test]
 cm = ConfusionMatrix(tp=int((pred & truth).sum()),
                      fp=int((pred & ~truth).sum()),
                      fn=int((~pred & truth).sum()),

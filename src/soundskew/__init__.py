@@ -17,7 +17,6 @@ from soundskew.corpus import (
 )
 from soundskew.labeling import (
     BinaryLabeledSet,
-    FoldAssignment,
     balance,
     make_folds,
     median_split,
@@ -27,6 +26,7 @@ from soundskew.boost import (
     BoostModel,
     BoostParams,
     TreeNode,
+    classify,
     feature_importance,
     grad_hess,
     leaf_weight,

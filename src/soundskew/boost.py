@@ -115,18 +115,23 @@ def grad_hess(label: int, prob: float) -> tuple[float, float]:
     return prob - label, prob * (1.0 - prob)
 
 
+def _score(G, H, l2_lambda: float):
+    """Structure score G^2 / (H + lambda); 0 where H + lambda <= 0."""
+    denom = H + l2_lambda
+    return np.divide(G * G, denom, out=np.zeros_like(G), where=denom > 0)
+
+
 def split_gain(GL: float, HL: float, GR: float, HR: float,
                l2_lambda: float, min_split_gain: float = 0.0) -> float:
     """Gain of splitting a node with child stats (GL, HL) and (GR, HR)."""
     if HL < 0 or HR < 0:
         raise BoostError("hessian sums must be >= 0")
-
-    def score(G, H):
-        denom = H + l2_lambda
-        return 0.0 if denom == 0.0 else G * G / denom
-
-    return 0.5 * (score(GL, HL) + score(GR, HR)
-                  - score(GL + GR, HL + HR)) - min_split_gain
+    if l2_lambda < 0:
+        raise BoostError("l2_lambda must be >= 0")
+    left, right, parent = _score(np.array([GL, GR, GL + GR], dtype=float),
+                                 np.array([HL, HR, HL + HR], dtype=float),
+                                 l2_lambda)
+    return float(0.5 * (left + right - parent) - min_split_gain)
 
 
 def leaf_weight(G: float, H: float, l2_lambda: float) -> float:
@@ -166,14 +171,8 @@ def _best_split(XT: np.ndarray, g: np.ndarray, h: np.ndarray,
     GR = G - GL
     HR = H - HL
     lam = params.l2_lambda
-
-    def score(G, H):
-        denom = H + lam
-        return np.divide(G * G, denom, out=np.zeros_like(G),
-                         where=denom > 0)
-
-    parent = score(np.array(G), np.array(H))
-    gains = 0.5 * (score(GL, HL) + score(GR, HR) - parent) \
+    parent = _score(np.array(G), np.array(H), lam)
+    gains = 0.5 * (_score(GL, HL, lam) + _score(GR, HR, lam) - parent) \
         - params.min_split_gain
     valid = (HL >= params.min_child_weight) & (HR >= params.min_child_weight)
     gains = np.where(valid, gains, -np.inf)

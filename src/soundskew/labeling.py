@@ -8,6 +8,7 @@ variable, language, seed and k always produce the same folds.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Hashable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,34 +24,13 @@ class LabelingError(ValueError):
 class BinaryLabeledSet:
     """Balanced binary dataset for one (language, variable) pair.
 
-    ``samples`` holds (entry id, feature vector, label) with label in
-    {"low", "high"}; ``threat_class`` names the positive class for error
-    accounting.
+    ``samples`` holds (row, label) pairs: ``row`` indexes the language's
+    feature matrix and ``label`` is "low" or "high".
     """
 
     variable: str
     language: str
-    samples: tuple[tuple[str, np.ndarray, str], ...]
-    threat_class: str = HIGH
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.threat_class not in (LOW, HIGH):
-            raise LabelingError(f"bad threat_class {self.threat_class!r}")
-
-    def class_ids(self, label: str) -> list[str]:
-        return [sid for sid, _, lab in self.samples if lab == label]
-
-
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Mapping entry id -> fold index in [0, k)."""
-
-    k: int
-    assignment: dict[str, int]
-
-    def fold_ids(self, fold: int) -> list[str]:
-        return [sid for sid, f in self.assignment.items() if f == fold]
+    samples: tuple[tuple[int, str], ...]
 
 
 def subseed(master_seed: int, *parts: str) -> int:
@@ -65,12 +45,13 @@ def subseed(master_seed: int, *parts: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def median_split(values: list[tuple[str, float]]) -> dict[str, str]:
-    """Partition ids around the median of their values.
+def median_split(values: list[tuple[Hashable, float]]) -> dict[Hashable, str]:
+    """Label each key by the side of the median its value falls on.
 
-    The median is the midpoint of the two central order statistics for even
-    counts.  Values strictly below map to "low", strictly above to "high",
-    and exact ties with the median to "omitted".
+    Keys are opaque (the runner passes feature-matrix rows) and the result
+    keeps their input order.  The median is the midpoint of the two central
+    order statistics for even counts.  Values strictly below map to "low",
+    strictly above to "high", and exact ties with the median to "omitted".
     """
     if not values:
         raise LabelingError("median_split: empty input")
@@ -100,8 +81,8 @@ def balance(labeled: BinaryLabeledSet, seed: int) -> BinaryLabeledSet:
     The minority class is untouched and the relative order of retained
     samples is preserved.  An already balanced set is returned unchanged.
     """
-    low_idx = [i for i, (_, _, lab) in enumerate(labeled.samples) if lab == LOW]
-    high_idx = [i for i, (_, _, lab) in enumerate(labeled.samples) if lab == HIGH]
+    low_idx = [i for i, (_, lab) in enumerate(labeled.samples) if lab == LOW]
+    high_idx = [i for i, (_, lab) in enumerate(labeled.samples) if lab == HIGH]
     if not low_idx or not high_idx:
         raise LabelingError(
             f"balance: class with zero samples for "
@@ -117,26 +98,26 @@ def balance(labeled: BinaryLabeledSet, seed: int) -> BinaryLabeledSet:
     dropped = {majority[i] for i in range(len(majority)) if i not in keep}
     samples = tuple(s for i, s in enumerate(labeled.samples)
                     if i not in dropped)
-    return replace(labeled, samples=samples, seed=seed)
+    return replace(labeled, samples=samples)
 
 
-def make_folds(labeled: BinaryLabeledSet, k: int, seed: int) -> FoldAssignment:
+def make_folds(labeled: BinaryLabeledSet, k: int, seed: int) -> np.ndarray:
     """Stratified k-fold assignment via a seeded shuffle within each class.
 
-    Each class is shuffled and dealt round-robin over the k folds, so fold
+    Returns each sample's fold in [0, k), in sample order.  Each class (low,
+    then high) is shuffled and dealt round-robin over the k folds, so fold
     sizes per class differ by at most one.
     """
     if k < 2:
         raise LabelingError(f"make_folds: k must be >= 2, got {k}")
     rng = np.random.default_rng(seed)
-    assignment: dict[str, int] = {}
+    folds = np.empty(len(labeled.samples), dtype=int)
     for label in (LOW, HIGH):
-        ids = labeled.class_ids(label)
-        if len(ids) < k:
+        pos = np.array([i for i, (_, lab) in enumerate(labeled.samples)
+                        if lab == label], dtype=int)
+        if len(pos) < k:
             raise LabelingError(
-                f"make_folds: class {label!r} has {len(ids)} samples, "
+                f"make_folds: class {label!r} has {len(pos)} samples, "
                 f"need at least k={k}")
-        order = rng.permutation(len(ids))
-        for pos, idx in enumerate(order):
-            assignment[ids[idx]] = pos % k
-    return FoldAssignment(k=k, assignment=assignment)
+        folds[pos[rng.permutation(len(pos))]] = np.arange(len(pos)) % k
+    return folds

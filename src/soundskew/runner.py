@@ -189,25 +189,20 @@ def _run_group(entries: list[NameEntry], features: np.ndarray,
     if not rows:
         raise labeling.LabelingError(
             f"no values for {variable} in {language}")
-    values = [(entries[i].id, entries[i].attributes[variable]) for i in rows]
-    split = labeling.median_split(values)
-    samples = tuple((sid, features[i], split[sid])
-                    for i, (sid, _) in zip(rows, values)
-                    if split[sid] != labeling.OMITTED)
-    threat = config.threat_class(variable)
-    labeled = BinaryLabeledSet(variable=variable, language=language,
-                               samples=samples, threat_class=threat,
-                               seed=config.seed)
+    split = labeling.median_split(
+        [(i, entries[i].attributes[variable]) for i in rows])
+    samples = tuple((i, lab) for i, lab in split.items()
+                    if lab != labeling.OMITTED)
     labeled = labeling.balance(
-        labeled, subseed(config.seed, language, variable, "balance"))
-    folds = labeling.make_folds(
+        BinaryLabeledSet(variable=variable, language=language,
+                         samples=samples),
+        subseed(config.seed, language, variable, "balance"))
+    fold_of = labeling.make_folds(
         labeled, config.k, subseed(config.seed, language, variable, "folds"))
 
-    X = np.array([feat for _, feat, _ in labeled.samples], dtype=float)
-    y = np.array([1 if lab == threat else 0
-                  for _, _, lab in labeled.samples])
-    fold_of = np.array([folds.assignment[sid]
-                        for sid, _, _ in labeled.samples])
+    threat = config.threat_class(variable)
+    X = features[[i for i, _ in labeled.samples]]
+    y = np.array([lab == threat for _, lab in labeled.samples])
     records = []
     for fold in range(config.k):
         train_seed = subseed(config.seed, language, variable, "train",
@@ -216,8 +211,8 @@ def _run_group(entries: list[NameEntry], features: np.ndarray,
                                      seed=train_seed & (2 ** 63 - 1))
         in_test = fold_of == fold
         model = boost.train(X[~in_test], y[~in_test], params)
-        pred = boost.predict_prob(model, X[in_test]) >= 0.5
-        truth = y[in_test] == 1
+        pred = boost.classify(model, X[in_test])
+        truth = y[in_test]
         cm = ConfusionMatrix(
             tp=int(np.sum(pred & truth)),
             fp=int(np.sum(pred & ~truth)),

@@ -79,6 +79,10 @@ class TestSplitGain:
         with pytest.raises(BoostError):
             split_gain(1, -1, 1, 1, 1)
 
+    def test_negative_lambda_rejected(self):
+        with pytest.raises(BoostError):
+            split_gain(1, 1, 1, 1, l2_lambda=-0.5)
+
 
 class TestLeafWeight:
     def test_hand_computed(self):

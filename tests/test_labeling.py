@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soundskew.labeling import (
     HIGH,
@@ -14,14 +15,24 @@ from soundskew.labeling import (
 )
 
 
-def make_set(n_low, n_high, threat=HIGH, start=0):
-    samples = []
-    for i in range(n_low):
-        samples.append((f"L{i + start}", np.array([i]), LOW))
-    for i in range(n_high):
-        samples.append((f"H{i + start}", np.array([i]), HIGH))
+def make_set(n_low, n_high):
+    """Rows 0..n_low-1 are low, the next n_high rows are high."""
+    samples = [(i, LOW) for i in range(n_low)]
+    samples += [(n_low + i, HIGH) for i in range(n_high)]
     return BinaryLabeledSet(variable="Attack", language="xx",
-                            samples=tuple(samples), threat_class=threat)
+                            samples=tuple(samples))
+
+
+def oracle_make_folds(labeled, k, seed):
+    """The earlier make_folds, keyed by sample key, kept as a reference."""
+    rng = np.random.default_rng(seed)
+    assignment = {}
+    for label in (LOW, HIGH):
+        ids = [sid for sid, lab in labeled.samples if lab == label]
+        order = rng.permutation(len(ids))
+        for pos, idx in enumerate(order):
+            assignment[ids[idx]] = pos % k
+    return assignment
 
 
 class TestMedianSplit:
@@ -59,11 +70,11 @@ class TestBalance:
     def test_majority_downsampled_minority_untouched(self):
         labeled = make_set(8, 10)
         balanced = balance(labeled, seed=1)
-        lows = [s for s in balanced.samples if s[2] == LOW]
-        highs = [s for s in balanced.samples if s[2] == HIGH]
+        lows = [s for s in balanced.samples if s[1] == LOW]
+        highs = [s for s in balanced.samples if s[1] == HIGH]
         assert len(lows) == len(highs) == 8
         assert [s[0] for s in lows] == [s[0] for s in labeled.samples
-                                        if s[2] == LOW]
+                                        if s[1] == LOW]
 
     def test_already_balanced_unchanged(self):
         labeled = make_set(5, 5)
@@ -77,7 +88,7 @@ class TestBalance:
         assert ids == [i for i in original if i in set(ids)]
 
     def test_empty_class_rejected(self):
-        samples = tuple((f"H{i}", np.array([i]), HIGH) for i in range(4))
+        samples = tuple((i, HIGH) for i in range(4))
         labeled = BinaryLabeledSet("Attack", "xx", samples)
         with pytest.raises(LabelingError):
             balance(labeled, seed=0)
@@ -96,10 +107,10 @@ class TestMakeFolds:
     def test_stratified_sizes(self):
         labeled = make_set(6, 6)
         folds = make_folds(labeled, k=3, seed=0)
+        labels = np.array([lab for _, lab in labeled.samples])
         for fold in range(3):
-            ids = folds.fold_ids(fold)
-            assert len(ids) == 4
-            assert sum(1 for i in ids if i.startswith("H")) == 2
+            assert np.sum(folds == fold) == 4
+            assert np.sum((folds == fold) & (labels == HIGH)) == 2
 
     def test_partition_property(self):
         labeled = make_set(10, 10)
@@ -107,7 +118,8 @@ class TestMakeFolds:
         all_ids = {s[0] for s in labeled.samples}
         union = set()
         for fold in range(3):
-            ids = set(folds.fold_ids(fold))
+            ids = {sid for (sid, _), f in zip(labeled.samples, folds)
+                   if f == fold}
             assert not (union & ids)
             union |= ids
         assert union == all_ids
@@ -115,15 +127,16 @@ class TestMakeFolds:
     def test_fold_sizes_within_one_per_class(self):
         labeled = make_set(10, 10)
         folds = make_folds(labeled, k=3, seed=5)
-        for prefix in ("L", "H"):
-            sizes = [sum(1 for i in folds.fold_ids(f) if i.startswith(prefix))
+        labels = np.array([lab for _, lab in labeled.samples])
+        for label in (LOW, HIGH):
+            sizes = [np.sum((folds == f) & (labels == label))
                      for f in range(3)]
             assert max(sizes) - min(sizes) <= 1
 
     def test_same_seed_identical(self):
         labeled = make_set(9, 9)
-        assert make_folds(labeled, 3, 11).assignment \
-            == make_folds(labeled, 3, 11).assignment
+        assert np.array_equal(make_folds(labeled, 3, 11),
+                              make_folds(labeled, 3, 11))
 
     def test_k_too_large_rejected(self):
         labeled = make_set(2, 5)
@@ -133,6 +146,24 @@ class TestMakeFolds:
     def test_k_below_two_rejected(self):
         with pytest.raises(LabelingError):
             make_folds(make_set(5, 5), k=1, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(2, 6), extra=st.tuples(st.integers(0, 20),
+                                                 st.integers(0, 20)),
+           order_seed=st.integers(0, 2 ** 32 - 1),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_matches_id_dict_oracle(self, k, extra, order_seed, seed):
+        # Classes interleaved in a random order, keyed by arbitrary rows.
+        labels = [LOW] * (k + extra[0]) + [HIGH] * (k + extra[1])
+        rng = np.random.default_rng(order_seed)
+        rng.shuffle(labels)
+        rows = rng.permutation(10 * len(labels))[:len(labels)]
+        labeled = BinaryLabeledSet(
+            "Attack", "xx", tuple(zip(rows.tolist(), labels)))
+        folds = make_folds(labeled, k, seed)
+        oracle = oracle_make_folds(labeled, k, seed)
+        assert [int(f) for f in folds] \
+            == [oracle[row] for row, _ in labeled.samples]
 
 
 class TestSubseed:
