@@ -4,9 +4,11 @@ Builds the Attack classifier for the Japanese fixture names: one count
 matrix for the language, median split and balance over its rows, stratified
 folds, then a second-order boosted tree ensemble on the count features.
 Prints the loss curve, the confusion matrix of one fold, and the
-highest-gain features.
+highest-gain features.  The model keeps only its trees; the training loss
+after round ``r`` is recomputed from the first ``r`` of them.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -24,12 +26,21 @@ from soundskew import (
     load_corpus,
     make_folds,
     median_split,
+    predict_prob,
     subseed,
     train,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 SEED = 20220307
+
+
+def train_loss(model, rounds, X, y):
+    """Log-loss of the first ``rounds`` trees on their training rows."""
+    prefix = dataclasses.replace(model, trees=model.trees[:rounds])
+    p = np.clip(predict_prob(prefix, X), 1e-15, 1.0 - 1e-15)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
 
 entries, inventories = load_corpus(
     os.path.join(DATA, "corpus.csv"), os.path.join(DATA, "inventory.csv"))
@@ -49,9 +60,11 @@ X = features[[i for i, _ in labeled.samples]]
 y = np.array([lab == "high" for _, lab in labeled.samples])
 in_test = folds == 0
 
-model = train(X[~in_test], y[~in_test], BoostParams(seed=SEED))
+X_train, y_train = X[~in_test], y[~in_test]
+model = train(X_train, y_train, BoostParams(seed=SEED))
 print(f"trained {len(model.trees)} trees; "
-      f"loss {model.train_loss[0]:.4f} -> {model.train_loss[-1]:.4f}")
+      f"loss {train_loss(model, 1, X_train, y_train):.4f} -> "
+      f"{train_loss(model, len(model.trees), X_train, y_train):.4f}")
 
 pred = classify(model, X[in_test])
 truth = y[in_test]

@@ -25,14 +25,11 @@ from soundskew.labeling import (
 from soundskew.boost import (
     BoostModel,
     BoostParams,
-    TreeNode,
     classify,
     feature_importance,
-    grad_hess,
     leaf_weight,
     predict_margin,
     predict_prob,
-    split_gain,
     train,
 )
 from soundskew.metrics import (

@@ -17,13 +17,20 @@ threshold and leaf weight adds the same floats in the same order as sorting
 each node afresh, and serialized models are unchanged.  Histogram binning was
 not used because bin sums add the gradients in a different order; the last
 bits of the gains change, and with them the serialized model.
+
+A tree is held in exactly the nested form that ``model_to_json`` writes, the
+node form of an XGBoost JSON dump: a leaf is ``{"weight": w}`` and an
+internal node is ``{"feature": j, "threshold": t, "gain": g, "left": ...,
+"right": ...}``, routing ``x[j] < t`` to the left child.  ``predict_margin``
+on the first ``r`` trees repeats training's margin sums, so training's loss
+curve can be recomputed bit for bit from a model and its training rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -67,35 +74,37 @@ class BoostParams:
 
 
 @dataclass
-class TreeNode:
-    """Internal node (feature/threshold/children) or leaf (weight only).
+class BoostModel:
+    """A fitted ensemble, held as the trees that ``model_to_json`` writes.
 
-    Internal nodes route x[feature] < threshold to the left child.
-    ``gain`` records the realized split gain for feature importance.
+    Each tree is a nested dict: a leaf is ``{"weight": w}`` and a split is
+    ``{"feature", "threshold", "gain", "left", "right"}``.  The margin of
+    ``x`` is ``base_margin`` plus the weight of the leaf that each tree
+    routes ``x`` to; ``n_features`` is the width ``x`` must have.
     """
 
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    weight: float | None = None
-    gain: float | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass
-class BoostModel:
-    trees: list[TreeNode]
+    trees: list[dict]
     params: BoostParams
     n_features: int
     base_margin: float
-    # Audit trails: per-round training loss and every realized split gain in
-    # training order.
-    train_loss: list[float] = field(default_factory=list)
-    split_gain_log: list[tuple[int, float]] = field(default_factory=list)
+
+    @property
+    def split_gain_log(self) -> list[tuple[int, float]]:
+        """(feature, gain) of every split, tree by tree in preorder.
+
+        That is the order in which training made the splits.
+        """
+        log = []
+
+        def walk(node: dict):
+            if "weight" not in node:
+                log.append((node["feature"], node["gain"]))
+                walk(node["left"])
+                walk(node["right"])
+
+        for tree in self.trees:
+            walk(tree)
+        return log
 
 
 def sigmoid(margin):
@@ -106,32 +115,10 @@ def logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-def grad_hess(label: int, prob: float) -> tuple[float, float]:
-    """Gradient and hessian of the logistic loss at probability ``prob``."""
-    if not 0.0 < prob < 1.0:
-        raise BoostError(f"prob must be strictly inside (0, 1), got {prob}")
-    if label not in (0, 1):
-        raise BoostError(f"label must be 0 or 1, got {label!r}")
-    return prob - label, prob * (1.0 - prob)
-
-
 def _score(G, H, l2_lambda: float):
     """Structure score G^2 / (H + lambda); 0 where H + lambda <= 0."""
     denom = H + l2_lambda
     return np.divide(G * G, denom, out=np.zeros_like(G), where=denom > 0)
-
-
-def split_gain(GL: float, HL: float, GR: float, HR: float,
-               l2_lambda: float, min_split_gain: float = 0.0) -> float:
-    """Gain of splitting a node with child stats (GL, HL) and (GR, HR)."""
-    if HL < 0 or HR < 0:
-        raise BoostError("hessian sums must be >= 0")
-    if l2_lambda < 0:
-        raise BoostError("l2_lambda must be >= 0")
-    left, right, parent = _score(np.array([GL, GR, GL + GR], dtype=float),
-                                 np.array([HL, HR, HL + HR], dtype=float),
-                                 l2_lambda)
-    return float(0.5 * (left + right - parent) - min_split_gain)
 
 
 def leaf_weight(G: float, H: float, l2_lambda: float) -> float:
@@ -188,9 +175,8 @@ def _best_split(XT: np.ndarray, g: np.ndarray, h: np.ndarray,
 
 def _build_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray,
                 idx: np.ndarray, S: np.ndarray, depth: int,
-                params: BoostParams, rng: np.random.Generator,
-                gain_log: list[tuple[int, float]]) -> TreeNode:
-    """Grow a subtree over the ascending row ids ``idx``.
+                params: BoostParams, rng: np.random.Generator) -> dict:
+    """Grow a subtree over the ascending row ids ``idx``; returns its node.
 
     ``S`` holds the same rows once per feature, sorted by (value, row id);
     splitting it with a stable mask keeps both children's lists sorted.
@@ -199,8 +185,8 @@ def _build_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray,
     H = float(h[idx].sum())
 
     def leaf():
-        return TreeNode(weight=params.learning_rate
-                        * leaf_weight(G, H, params.l2_lambda))
+        return {"weight": params.learning_rate
+                * leaf_weight(G, H, params.l2_lambda)}
 
     if depth >= params.max_depth or len(idx) < 2:
         return leaf()
@@ -214,30 +200,29 @@ def _build_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray,
     if found is None:
         return leaf()
     feature, threshold, gain = found
-    gain_log.append((feature, gain))
     go_left = XT[feature] < threshold
     in_left = go_left[S]
     left = _build_tree(XT, g, h, idx[go_left[idx]],
                        S[in_left].reshape(n_features, -1), depth + 1,
-                       params, rng, gain_log)
+                       params, rng)
     right = _build_tree(XT, g, h, idx[~go_left[idx]],
                         S[~in_left].reshape(n_features, -1), depth + 1,
-                        params, rng, gain_log)
-    return TreeNode(feature=feature, threshold=threshold,
-                    left=left, right=right, gain=gain)
+                        params, rng)
+    return {"feature": feature, "threshold": threshold, "gain": gain,
+            "left": left, "right": right}
 
 
-def _apply_tree(node: TreeNode, X: np.ndarray, out: np.ndarray,
+def _apply_tree(node: dict, X: np.ndarray, out: np.ndarray,
                 idx: np.ndarray) -> None:
-    if node.is_leaf:
-        out[idx] = node.weight
+    if "weight" in node:
+        out[idx] = node["weight"]
         return
-    go_left = X[idx, node.feature] < node.threshold
-    _apply_tree(node.left, X, out, idx[go_left])
-    _apply_tree(node.right, X, out, idx[~go_left])
+    go_left = X[idx, node["feature"]] < node["threshold"]
+    _apply_tree(node["left"], X, out, idx[go_left])
+    _apply_tree(node["right"], X, out, idx[~go_left])
 
 
-def _tree_output(node: TreeNode, X: np.ndarray) -> np.ndarray:
+def _tree_output(node: dict, X: np.ndarray) -> np.ndarray:
     out = np.empty(X.shape[0], dtype=float)
     _apply_tree(node, X, out, np.arange(X.shape[0]))
     return out
@@ -274,13 +259,9 @@ def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
         else:
             idx = np.arange(n)
             S = order
-        tree = _build_tree(XT, g, h, idx, S, 0, params, rng,
-                           model.split_gain_log)
+        tree = _build_tree(XT, g, h, idx, S, 0, params, rng)
         model.trees.append(tree)
         margins += _tree_output(tree, X)
-        p = np.clip(sigmoid(margins), 1e-15, 1.0 - 1e-15)
-        model.train_loss.append(
-            float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
     return model
 
 
@@ -311,33 +292,9 @@ def classify(model: BoostModel, x: np.ndarray):
 def feature_importance(model: BoostModel) -> dict[int, float]:
     """Total realized split gain per feature; unused features map to 0."""
     totals = {i: 0.0 for i in range(model.n_features)}
-
-    def walk(node: TreeNode):
-        if node.is_leaf:
-            return
-        totals[node.feature] += node.gain
-        walk(node.left)
-        walk(node.right)
-
-    for tree in model.trees:
-        walk(tree)
+    for feature, gain in model.split_gain_log:
+        totals[feature] += gain
     return totals
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"weight": node.weight}
-    return {"feature": node.feature, "threshold": node.threshold,
-            "gain": node.gain, "left": _node_to_dict(node.left),
-            "right": _node_to_dict(node.right)}
-
-
-def _node_from_dict(d: dict) -> TreeNode:
-    if "weight" in d:
-        return TreeNode(weight=d["weight"])
-    return TreeNode(feature=d["feature"], threshold=d["threshold"],
-                    gain=d.get("gain"), left=_node_from_dict(d["left"]),
-                    right=_node_from_dict(d["right"]))
 
 
 def model_to_json(model: BoostModel) -> str:
@@ -347,7 +304,7 @@ def model_to_json(model: BoostModel) -> str:
         "params": asdict(model.params),
         "n_features": model.n_features,
         "base_margin": model.base_margin,
-        "trees": [_node_to_dict(t) for t in model.trees],
+        "trees": model.trees,
     }
     return json.dumps(doc, indent=1, sort_keys=True)
 
@@ -358,7 +315,7 @@ def model_from_json(text: str) -> BoostModel:
         raise BoostError(
             f"unsupported model format {doc.get('format_version')!r}")
     return BoostModel(
-        trees=[_node_from_dict(t) for t in doc["trees"]],
+        trees=doc["trees"],
         params=BoostParams(**doc["params"]),
         n_features=doc["n_features"],
         base_margin=doc["base_margin"])

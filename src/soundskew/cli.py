@@ -4,7 +4,7 @@ Subcommands:
   validate  parse corpus + inventory from a config, print per-language counts
   run       full experiment, write records.tsv / report.json / report.md
   stats     recompute H1/H2 from an existing records.tsv
-  report    re-render a report.json into another format
+  report    render a report.json as markdown
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
@@ -40,9 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="recompute H1/H2 from a record file")
     p.add_argument("--records", required=True)
 
-    p = sub.add_parser("report", help="re-render a JSON report")
+    p = sub.add_parser("report", help="render a JSON report as markdown")
     p.add_argument("--json", dest="json_path", required=True)
-    p.add_argument("--format", choices=("md", "json"), default="md")
     return parser
 
 
@@ -105,11 +104,7 @@ def _cmd_stats(args) -> int:
 def _cmd_report(args) -> int:
     with open(args.json_path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if args.format == "md":
-        sys.stdout.write(runner.report_markdown(doc))
-    else:
-        json.dump(doc, sys.stdout, indent=1, sort_keys=True)
-        sys.stdout.write("\n")
+    sys.stdout.write(runner.report_markdown(doc))
     return 0
 
 

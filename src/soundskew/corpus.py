@@ -74,7 +74,7 @@ class NameEntry:
                     "must be finite and non-negative")
 
 
-def _parse_attribute(cell: str, column: str, row_no: int) -> float | None:
+def _parse_attribute(cell: str, column: str) -> float | None:
     cell = cell.strip()
     if cell == "":
         return None
@@ -82,8 +82,7 @@ def _parse_attribute(cell: str, column: str, row_no: int) -> float | None:
         return float(cell)
     except ValueError:
         raise CorpusError(
-            f"row {row_no}: attribute column {column!r} is not numeric: "
-            f"{cell!r}") from None
+            f"attribute column {column!r} is not numeric: {cell!r}") from None
 
 
 def _check_header(header: list[str] | None, expected: tuple[str, ...],
@@ -117,10 +116,13 @@ def load_inventories(inventory_path) -> dict[str, TokenInventory]:
             per_lang.setdefault(language, []).append((token, tone_flag == "1"))
     inventories = {}
     for language, pairs in per_lang.items():
-        inventories[language] = TokenInventory(
-            language=language,
-            tokens=tuple(t for t, _ in pairs),
-            is_tone=tuple(f for _, f in pairs))
+        try:
+            inventories[language] = TokenInventory(
+                language=language,
+                tokens=tuple(t for t, _ in pairs),
+                is_tone=tuple(f for _, f in pairs))
+        except CorpusError as exc:
+            raise CorpusError(f"{inventory_path}: {exc}") from None
     return inventories
 
 
@@ -130,7 +132,7 @@ def load_corpus(corpus_path, inventory_path
 
     Entry order is preserved from the file.  Every transcription token must
     exist in its language's inventory; duplicate ids, unknown languages, and
-    malformed rows are hard errors that name the offending row.
+    malformed rows are hard errors that name the file and the offending row.
     """
     inventories = load_inventories(inventory_path)
     entries: list[NameEntry] = []
@@ -162,12 +164,16 @@ def load_corpus(corpus_path, inventory_path
                     raise CorpusError(
                         f"{corpus_path}: row {row_no}: token {token!r} not in "
                         f"the {language!r} inventory")
-            attributes = {
-                attr: _parse_attribute(row[4 + i], attr.lower(), row_no)
-                for i, attr in enumerate(ATTRIBUTE_NAMES)}
-            entries.append(NameEntry(
-                id=entry_id, language=language, name=name,
-                transcription=tokens, attributes=attributes))
+            try:
+                attributes = {
+                    attr: _parse_attribute(row[4 + i], attr.lower())
+                    for i, attr in enumerate(ATTRIBUTE_NAMES)}
+                entries.append(NameEntry(
+                    id=entry_id, language=language, name=name,
+                    transcription=tokens, attributes=attributes))
+            except CorpusError as exc:
+                raise CorpusError(
+                    f"{corpus_path}: row {row_no}: {exc}") from None
     return entries, inventories
 
 

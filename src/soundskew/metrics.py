@@ -22,7 +22,6 @@ class ConfusionMatrix:
     fp: int
     fn: int
     tn: int
-    threat_class: str = "high"
 
     def __post_init__(self):
         if min(self.tp, self.fp, self.fn, self.tn) < 0:
@@ -78,16 +77,16 @@ def fp_rate_skew_adjusted(cm: ConfusionMatrix) -> float | None:
 
 
 def pool(matrices) -> ConfusionMatrix:
-    """Elementwise sum of confusion matrices sharing a threat class."""
+    """Elementwise sum of confusion matrices.
+
+    Each matrix counts its own group's threat class as positive, so any
+    matrices can be pooled.
+    """
     matrices = list(matrices)
     if not matrices:
         raise MetricsError("pool of zero matrices")
-    threat = matrices[0].threat_class
-    if any(m.threat_class != threat for m in matrices):
-        raise MetricsError("cannot pool matrices with mixed threat_class")
     return ConfusionMatrix(
         tp=sum(m.tp for m in matrices),
         fp=sum(m.fp for m in matrices),
         fn=sum(m.fn for m in matrices),
-        tn=sum(m.tn for m in matrices),
-        threat_class=threat)
+        tn=sum(m.tn for m in matrices))

@@ -217,8 +217,7 @@ def _run_group(entries: list[NameEntry], features: np.ndarray,
             tp=int(np.sum(pred & truth)),
             fp=int(np.sum(pred & ~truth)),
             fn=int(np.sum(~pred & truth)),
-            tn=int(np.sum(~pred & ~truth)),
-            threat_class=threat)
+            tn=int(np.sum(~pred & ~truth)))
         records.append(IterationRecord(
             language=language, variable=variable, fold=fold,
             seed=params.seed, cm=cm, accuracy=metrics.accuracy(cm),

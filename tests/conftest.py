@@ -1,7 +1,10 @@
+import dataclasses
 import os
 
+import numpy as np
 import pytest
 
+from soundskew.boost import predict_prob
 from soundskew.corpus import load_corpus
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -40,3 +43,20 @@ def write_corpus(tmp_path):
         return str(corpus), str(inventory)
 
     return _write
+
+
+def train_losses(model, X, y) -> list[float]:
+    """Training log-loss after each round, from the model's tree prefixes.
+
+    ``predict_prob`` on the first ``r`` trees adds the same tree outputs in
+    the same order as training did, so this is bit for bit the curve that
+    training would have logged for rows ``X``.
+    """
+    y = np.asarray(y, dtype=float)
+    losses = []
+    for r in range(1, len(model.trees) + 1):
+        prefix = dataclasses.replace(model, trees=model.trees[:r])
+        p = np.clip(predict_prob(prefix, X), 1e-15, 1.0 - 1e-15)
+        losses.append(
+            float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+    return losses

@@ -28,6 +28,7 @@ from tests.conftest import (
     INVENTORY_CSV,
     PAPER_CORPUS_CSV,
     PAPER_INVENTORY_CSV,
+    train_losses,
 )
 from tests.test_stats import beta_quadrature
 
@@ -90,8 +91,8 @@ def test_criterion_3_boost_properties():
     full = BoostParams(rounds=40, row_subsample=1.0,
                        col_subsample_per_node=1.0)
     model = train(X, y, full)
-    assert all(b <= a + 1e-12
-               for a, b in zip(model.train_loss, model.train_loss[1:]))
+    losses = train_losses(model, X, y)
+    assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     # hand-oracle depth-1 leaf weights exact to 1e-12
     Xs = np.array([[0.0]] * 4 + [[1.0]] * 4)
@@ -101,8 +102,8 @@ def test_criterion_3_boost_properties():
         min_child_weight=0.0, row_subsample=1.0,
         col_subsample_per_node=1.0))
     tree = simple.trees[0]
-    assert abs(tree.left.weight - leaf_weight(2.0, 1.0, 1.0)) <= 1e-12
-    assert abs(tree.right.weight - leaf_weight(-2.0, 1.0, 1.0)) <= 1e-12
+    assert abs(tree["left"]["weight"] - leaf_weight(2.0, 1.0, 1.0)) <= 1e-12
+    assert abs(tree["right"]["weight"] - leaf_weight(-2.0, 1.0, 1.0)) <= 1e-12
 
     # bit-identical models across repeated runs
     params = BoostParams(rounds=25, seed=77)

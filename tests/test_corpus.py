@@ -72,6 +72,17 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="not numeric"):
             load_corpus(corpus, inventory)
 
+    @pytest.mark.parametrize("rows, message", [
+        (["xx,a,0", "xx,a,0"], "duplicate tokens"),
+        (["xx,T:1,1"], "no non-tone token"),
+    ], ids=["duplicate", "all-tone"])
+    def test_inventory_error_names_file(self, write_corpus, rows, message):
+        corpus, inventory = write_corpus([], rows)
+        with pytest.raises(CorpusError) as info:
+            load_corpus(corpus, inventory)
+        assert str(info.value).startswith(f"{inventory}: ")
+        assert message in str(info.value)
+
     def test_empty_attribute_cell_is_missing(self, write_corpus):
         corpus, inventory = write_corpus(["n1,xx,ka,k a,,2,3,4"],
                                          TOY_INVENTORY)

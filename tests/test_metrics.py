@@ -90,11 +90,6 @@ class TestPool:
         total = sum(m.total for m in folds)
         assert accuracy(pooled) == pytest.approx(total_correct / total)
 
-    def test_mixed_threat_class_rejected(self):
-        with pytest.raises(MetricsError):
-            pool([ConfusionMatrix(1, 1, 1, 1, threat_class="high"),
-                  ConfusionMatrix(1, 1, 1, 1, threat_class="low")])
-
     def test_negative_counts_rejected(self):
         with pytest.raises(MetricsError):
             ConfusionMatrix(tp=-1, fp=0, fn=0, tn=0)

@@ -383,8 +383,8 @@ class TestCli:
         assert "H1 Attack" in out
         assert "H2" in out
 
-        assert cli_main(["report", "--json", str(out_dir / "report.json"),
-                         "--format", "md"]) == 0
+        assert cli_main(["report", "--json",
+                         str(out_dir / "report.json")]) == 0
         rendered = capsys.readouterr().out
         assert rendered == (out_dir / "report.md").read_text()
 
@@ -409,6 +409,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert message in err
+
+    @pytest.mark.parametrize("column, cell", [
+        (4, "-3"), (4, "inf"), (5, "nan"), (3, ""), (6, "tall"),
+    ], ids=["negative", "inf", "nan", "blank-transcription", "non-numeric"])
+    def test_bad_corpus_row_exits_1_naming_file_and_row(
+            self, tmp_path, capsys, column, cell):
+        with open(CORPUS_CSV, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        cells = lines[5].split(",")  # file row 6, after the header
+        cells[column] = cell
+        lines[5] = ",".join(cells)
+        corpus_path = tmp_path / "corpus.csv"
+        corpus_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = self.write_config(tmp_path, corpus_path=str(corpus_path))
+        assert cli_main(["validate", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus_path}: row 6: ")
 
     def test_missing_file_exits_1(self, capsys):
         assert cli_main(["validate", "--config", "/nonexistent.json"]) == 1

@@ -15,7 +15,6 @@ from hypothesis.extra.numpy import arrays
 from soundskew.boost import (
     BoostModel,
     BoostParams,
-    TreeNode,
     _best_split,
     _tree_output,
     leaf_weight,
@@ -66,13 +65,13 @@ def oracle_best_split(X, g, h, cols, params):
     return feature, threshold, best_gain
 
 
-def oracle_build_tree(X, g, h, idx, depth, params, rng, gain_log):
+def oracle_build_tree(X, g, h, idx, depth, params, rng):
     G = float(g[idx].sum())
     H = float(h[idx].sum())
 
     def leaf():
-        return TreeNode(weight=params.learning_rate
-                        * leaf_weight(G, H, params.l2_lambda))
+        return {"weight": params.learning_rate
+                * leaf_weight(G, H, params.l2_lambda)}
 
     if depth >= params.max_depth or len(idx) < 2:
         return leaf()
@@ -86,14 +85,12 @@ def oracle_build_tree(X, g, h, idx, depth, params, rng, gain_log):
     if found is None:
         return leaf()
     feature, threshold, gain = found
-    gain_log.append((feature, gain))
     go_left = X[idx, feature] < threshold
-    left = oracle_build_tree(X, g, h, idx[go_left], depth + 1, params, rng,
-                             gain_log)
+    left = oracle_build_tree(X, g, h, idx[go_left], depth + 1, params, rng)
     right = oracle_build_tree(X, g, h, idx[~go_left], depth + 1, params,
-                              rng, gain_log)
-    return TreeNode(feature=feature, threshold=threshold,
-                    left=left, right=right, gain=gain)
+                              rng)
+    return {"feature": feature, "threshold": threshold, "gain": gain,
+            "left": left, "right": right}
 
 
 def oracle_train(X, y, params):
@@ -114,8 +111,7 @@ def oracle_train(X, y, params):
             idx = np.sort(rng.choice(n, size=m, replace=False))
         else:
             idx = np.arange(n)
-        tree = oracle_build_tree(X, g, h, idx, 0, params, rng,
-                                 model.split_gain_log)
+        tree = oracle_build_tree(X, g, h, idx, 0, params, rng)
         model.trees.append(tree)
         margins += _tree_output(tree, X)
     return model
