@@ -18,6 +18,15 @@ each node afresh, and serialized models are unchanged.  Histogram binning was
 not used because bin sums add the gradients in a different order; the last
 bits of the gains change, and with them the serialized model.
 
+Each node does its work once.  Gradients and hessians are packed as one
+complex array ``gh = g + 1j*h`` per round, so one gather and one cumsum give
+both prefix sums with the same float adds as two separate cumsums.  The
+node totals stay float sums of ``g`` and ``h``, since numpy sums a complex
+array in another order.  A node whose hessian total cannot leave both
+children ``min_child_weight`` is a leaf without a search, and a node builds
+its per-column lists from its parent's only when it searches.  The margins
+are not updated after the last round, which nothing reads.
+
 A tree is held in exactly the nested form that ``model_to_json`` writes, the
 node form of an XGBoost JSON dump: a leaf is ``{"weight": w}`` and an
 internal node is ``{"feature": j, "threshold": t, "gain": g, "left": ...,
@@ -130,59 +139,79 @@ def leaf_weight(G: float, H: float, l2_lambda: float) -> float:
     return -G / (H + l2_lambda)
 
 
-def _best_split(XT: np.ndarray, g: np.ndarray, h: np.ndarray,
-                S: np.ndarray, cols: np.ndarray, G: float, H: float,
-                params: BoostParams):
+def _best_split(XT: np.ndarray, gh: np.ndarray, S: np.ndarray,
+                cols: np.ndarray, G: float, H: float, params: BoostParams):
     """Exact greedy search over the given columns; returns the winning split.
 
-    ``XT`` is the training matrix transposed (one row per feature), ``g`` and
-    ``h`` are indexed by row id, and row ``j`` of ``S`` lists the node's row
-    ids sorted by (``XT[j]``, row id).  ``G`` and ``H`` are the node's
-    gradient and hessian totals, summed in ascending row-id order.  Because
-    the order within ``S`` matches a stable sort of the node's own rows, the
-    prefix sums, gains and thresholds are bit-for-bit those of sorting the
-    node afresh.
+    ``XT`` is the training matrix transposed (one C-contiguous row per
+    feature), ``gh`` packs each row id's gradient and hessian as
+    ``g + 1j*h``, and row ``j`` of ``S`` lists the node's row ids sorted by
+    (``XT[j]``, row id).  ``G`` and ``H`` are the node's gradient and hessian
+    totals, summed in ascending row-id order.  Because the order within ``S``
+    matches a stable sort of the node's own rows, the prefix sums, gains and
+    thresholds are bit-for-bit those of sorting the node afresh.
+
+    One gather of ``gh`` and one complex cumsum give both prefix sums: a
+    complex add adds the real parts and the imaginary parts separately, so
+    each running sum is the same sequence of float adds as a cumsum of ``g``
+    or ``h`` alone.  The left sums, the right sums and the node's own totals
+    go through one ``_score`` call; the parent score is its last element.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
     values.  Only those boundary positions are scored, flattened one column
     after another; the first maximum implements the
     lowest-feature-then-lowest-threshold tie break.
     """
-    Sc = S[cols]
-    xs = XT[cols[:, None], Sc]
-    col_pos, pos = np.nonzero(xs[:, :-1] < xs[:, 1:])
-    if pos.size == 0:
+    n, m = XT.shape[1], S.shape[1]
+    Sc = S.take(cols, axis=0)
+    xs = XT.ravel().take(Sc + (cols * n)[:, None])
+    bounds = (xs[:, :-1] < xs[:, 1:]).ravel().nonzero()[0]
+    if bounds.size == 0:
         return None
-    GL = np.cumsum(g[Sc], axis=1)[col_pos, pos]
-    HL = np.cumsum(h[Sc], axis=1)[col_pos, pos]
-    GR = G - GL
-    HR = H - HL
-    lam = params.l2_lambda
-    parent = _score(np.array(G), np.array(H), lam)
-    gains = 0.5 * (_score(GL, HL, lam) + _score(GR, HR, lam) - parent) \
-        - params.min_split_gain
-    valid = (HL >= params.min_child_weight) & (HR >= params.min_child_weight)
-    gains = np.where(valid, gains, -np.inf)
-    best = int(np.argmax(gains))
+    at = bounds + bounds // (m - 1)          # flat positions in (cols, m)
+    left = gh.take(Sc).cumsum(axis=1).ravel().take(at)
+    GL, HL = left.real, left.imag
+    k = at.size
+    Gs = np.concatenate((GL, G - GL, [G]))
+    Hs = np.concatenate((HL, H - HL, [H]))
+    s = _score(Gs, Hs, params.l2_lambda)
+    gains = 0.5 * (s[:k] + s[k:-1] - s[-1]) - params.min_split_gain
+    gains = np.where(np.minimum(HL, Hs[k:-1]) >= params.min_child_weight,
+                     gains, -np.inf)
+    best = int(gains.argmax())
     best_gain = float(gains[best])
-    if not np.isfinite(best_gain) or best_gain <= 0.0:
+    if not math.isfinite(best_gain) or best_gain <= 0.0:
         return None
-    c, i = col_pos[best], pos[best]
-    feature = int(cols[c])
-    threshold = float(xs[c, i] + xs[c, i + 1]) / 2.0
+    i = at[best]
+    feature = int(cols[i // m])
+    flat = xs.ravel()
+    threshold = float(flat[i] + flat[i + 1]) / 2.0
     return feature, threshold, best_gain
 
 
-def _build_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray,
-                idx: np.ndarray, S: np.ndarray, depth: int,
+def _build_tree(XT: np.ndarray, gh: np.ndarray, idx: np.ndarray,
+                S: np.ndarray, keep: np.ndarray | None, depth: int,
                 params: BoostParams, rng: np.random.Generator) -> dict:
     """Grow a subtree over the ascending row ids ``idx``; returns its node.
 
-    ``S`` holds the same rows once per feature, sorted by (value, row id);
-    splitting it with a stable mask keeps both children's lists sorted.
+    The node's per-feature lists, its rows once per feature sorted by (value,
+    row id), are ``S[keep].reshape(n_features, -1)``: ``S`` is the parent's
+    lists and ``keep`` the mask of this node's side, or ``None`` when ``S``
+    is already this node's.  A stable mask keeps the lists sorted.  They are
+    built only when the node searches, so a leaf by depth, by size or by the
+    child-weight rule below never partitions.
+
+    The totals ``G`` and ``H`` are float sums of the gathered ``g`` and
+    ``h``, not a sum of ``gh``: numpy sums a float array pairwise and a
+    complex array in another order, and the last bits would differ.
+
+    A node with ``H - min_child_weight < min_child_weight`` is a leaf once
+    its columns are drawn (the draw keeps the generator's stream unchanged):
+    any left sum ``HL >= min_child_weight`` leaves a right sum
+    ``H - HL <= H - min_child_weight`` in floats, so no candidate is valid.
     """
-    G = float(g[idx].sum())
-    H = float(h[idx].sum())
+    G = float(gh.real[idx].sum())
+    H = float(gh.imag[idx].sum())
 
     def leaf():
         return {"weight": params.learning_rate
@@ -196,17 +225,23 @@ def _build_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray,
         cols = np.sort(rng.choice(n_features, size=m, replace=False))
     else:
         cols = np.arange(n_features)
-    found = _best_split(XT, g, h, S, cols, G, H, params)
+    mcw = params.min_child_weight
+    if H - mcw < mcw:
+        return leaf()
+    if keep is not None:
+        S = S.ravel().compress(keep.ravel()).reshape(n_features, -1)
+    found = _best_split(XT, gh, S, cols, G, H, params)
     if found is None:
         return leaf()
     feature, threshold, gain = found
     go_left = XT[feature] < threshold
-    in_left = go_left[S]
-    left = _build_tree(XT, g, h, idx[go_left[idx]],
-                       S[in_left].reshape(n_features, -1), depth + 1,
-                       params, rng)
-    right = _build_tree(XT, g, h, idx[~go_left[idx]],
-                        S[~in_left].reshape(n_features, -1), depth + 1,
+    on_left = go_left[idx]
+    # Children at max_depth are leaves and never read their lists.
+    in_left = go_left.take(S) if depth + 1 < params.max_depth else None
+    left = _build_tree(XT, gh, idx[on_left], S, in_left, depth + 1, params,
+                       rng)
+    right = _build_tree(XT, gh, idx[~on_left], S,
+                        None if in_left is None else ~in_left, depth + 1,
                         params, rng)
     return {"feature": feature, "threshold": threshold, "gain": gain,
             "left": left, "right": right}
@@ -229,8 +264,13 @@ def _tree_output(node: dict, X: np.ndarray) -> np.ndarray:
 
 
 def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
-    """Fit a boosted ensemble; deterministic for fixed (X, y, params)."""
-    X = np.asarray(X, dtype=float)
+    """Fit a boosted ensemble; deterministic for fixed (X, y, params).
+
+    The columns are presorted in ``X``'s own dtype when every value of it
+    converts to float exactly, so the stable order is the float order; for
+    ``int16`` counts numpy's stable argsort is a radix sort.
+    """
+    X = np.asarray(X)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
         raise BoostError("X must be a non-empty 2-D matrix")
@@ -238,30 +278,35 @@ def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
         raise BoostError("y length must match X rows")
     if not np.all((y == 0) | (y == 1)):
         raise BoostError("labels must be 0 or 1")
+    exact = X.dtype.kind in "biuf" and X.dtype.itemsize <= 4
+    order = np.argsort(X.T if exact else X.T.astype(float), axis=1,
+                       kind="stable")
+    X = np.asarray(X, dtype=float)
     n = X.shape[0]
     XT = np.ascontiguousarray(X.T)
-    order = np.argsort(XT, axis=1, kind="stable")
     rng = np.random.default_rng(params.seed)
     base_margin = logit(params.base_score)
     margins = np.full(n, base_margin)
     model = BoostModel(trees=[], params=params, n_features=X.shape[1],
                        base_margin=base_margin)
+    gh = np.empty(n, dtype=complex)
     for _ in range(params.rounds):
         p = sigmoid(margins)
-        g = p - y
-        h = p * (1.0 - p)
+        gh.real = p - y
+        gh.imag = p * (1.0 - p)
         if params.row_subsample < 1.0:
             m = max(1, int(math.floor(params.row_subsample * n)))
             idx = np.sort(rng.choice(n, size=m, replace=False))
             keep = np.zeros(n, dtype=bool)
             keep[idx] = True
-            S = order[keep[order]].reshape(X.shape[1], m)
+            keep = keep.take(order)
         else:
             idx = np.arange(n)
-            S = order
-        tree = _build_tree(XT, g, h, idx, S, 0, params, rng)
+            keep = None
+        tree = _build_tree(XT, gh, idx, order, keep, 0, params, rng)
         model.trees.append(tree)
-        margins += _tree_output(tree, X)
+        if len(model.trees) < params.rounds:   # the last update is unread
+            margins += _tree_output(tree, X)
     return model
 
 

@@ -3,10 +3,10 @@
 Subcommands:
   validate  parse corpus + inventory from a config, print per-language counts
   run       full experiment, write records.tsv / report.json / report.md
-  stats     recompute H1/H2 from an existing records.tsv
+  stats     recompute H1/H2 from a run's report.json, with the run's config
   report    render a report.json as markdown
 
-Exit codes: 0 success, 1 validation error, 2 runtime failure.
+Exit codes: 0 success, 1 validation or usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -18,11 +18,20 @@ import sys
 
 from soundskew import runner, stats as stats_mod
 from soundskew.corpus import CorpusError, load_corpus
+from soundskew.metrics import ConfusionMatrix, IterationRecord, MetricsError
 from soundskew.runner import ConfigError, ExperimentConfig
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input, so it exits 1; 2 is for runtime faults."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="soundskew",
         description="Deterministic FP-skew experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -37,8 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help="override the config's output directory")
 
-    p = sub.add_parser("stats", help="recompute H1/H2 from a record file")
-    p.add_argument("--records", required=True)
+    p = sub.add_parser("stats",
+                       help="recompute H1/H2 from a run's report.json")
+    p.add_argument("--report", required=True)
 
     p = sub.add_parser("report", help="render a JSON report as markdown")
     p.add_argument("--json", dest="json_path", required=True)
@@ -79,10 +89,31 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _load_report(path: str):
+    """The records and the config that a run's report.json holds."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    try:
+        if doc["version"] != runner.REPORT_FORMAT_VERSION:
+            raise ConfigError(
+                f"{path}: unsupported report version {doc['version']!r}")
+        config = ExperimentConfig.from_dict(doc["config"], path)
+        records = [IterationRecord(
+            language=r["language"], variable=r["variable"], fold=r["fold"],
+            seed=r["seed"],
+            cm=ConfusionMatrix(tp=r["tp"], fp=r["fp"], fn=r["fn"],
+                               tn=r["tn"]),
+            accuracy=r["accuracy"], fp_pct=r["fp_pct"])
+            for r in doc["records"]]
+    except (KeyError, TypeError, MetricsError) as exc:
+        raise ConfigError(f"{path}: not a soundskew report: {exc!r}") \
+            from exc
+    return records, config
+
+
 def _cmd_stats(args) -> int:
-    records = runner.parse_records_tsv(args.records)
-    # Variable grouping comes from the default config partition.
-    config = ExperimentConfig(corpus_path="", inventory_path="")
+    # The run's own partition (combat_set, size_set) groups the variables.
+    records, config = _load_report(args.report)
     for entry in runner.hypothesis_h1(records, config):
         if entry.result is None:
             print(f"H1 {entry.group}: untestable "

@@ -85,8 +85,17 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if "corpus_path" not in raw or "inventory_path" not in raw:
+            return cls.from_dict(json.load(fh), path)
+
+    @classmethod
+    def from_dict(cls, raw: dict, path: str) -> "ExperimentConfig":
+        """Build a config from its JSON object, read from the file ``path``.
+
+        Relative corpus and inventory paths are taken from ``path``'s
+        directory.
+        """
+        if not isinstance(raw, dict) or "corpus_path" not in raw \
+                or "inventory_path" not in raw:
             raise ConfigError(
                 "config must set corpus_path and inventory_path")
         known = {f.name for f in dataclasses.fields(cls)}
@@ -351,8 +360,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     failures: list[GroupFailure] = []
     for language in languages:
         block, inventory = blocks[language], inventories[language]
-        features = np.array([corpus_mod.featurize(e, inventory)
-                             for e in block], dtype=float)
+        counts = np.array([corpus_mod.featurize(e, inventory)
+                           for e in block], dtype=np.int64)
+        # int16 presorts by radix in boost.train; a cast would wrap silently.
+        too_big = np.argwhere(counts > np.iinfo(np.int16).max)
+        if too_big.size:
+            raise corpus_mod.CorpusError(
+                f"{config.corpus_path}: entry {block[too_big[0][0]].id!r}: "
+                f"a token occurs {counts[tuple(too_big[0])]} times, more "
+                f"than {np.iinfo(np.int16).max}")
+        features = counts.astype(np.int16)
         for variable in config.variables:
             try:
                 records.extend(_run_group(
@@ -400,26 +417,6 @@ def records_tsv(records: list[IterationRecord]) -> str:
             r.cm.tp, r.cm.fp, r.cm.fn, r.cm.tn,
             f"{r.accuracy:.10g}", fp))))
     return "\n".join(lines) + "\n"
-
-
-def parse_records_tsv(path: str) -> list[IterationRecord]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or tuple(lines[0].split("\t")) != RECORD_COLUMNS:
-        raise ConfigError(f"{path}: bad records header")
-    records = []
-    for ln in lines[1:]:
-        cells = ln.split("\t")
-        if len(cells) != len(RECORD_COLUMNS):
-            raise ConfigError(f"{path}: bad record row {ln!r}")
-        lang, var, fold, seed, tp, fp, fn, tn, acc, fp_pct = cells
-        records.append(IterationRecord(
-            language=lang, variable=var, fold=int(fold), seed=int(seed),
-            cm=ConfusionMatrix(tp=int(tp), fp=int(fp), fn=int(fn),
-                               tn=int(tn)),
-            accuracy=float(acc),
-            fp_pct=None if fp_pct == "NA" else float(fp_pct)))
-    return records
 
 
 def _asdict(obj):

@@ -16,7 +16,6 @@ from soundskew.runner import (
     emit_report,
     hypothesis_h1,
     hypothesis_h2,
-    parse_records_tsv,
     run_experiment,
 )
 from tests.conftest import CORPUS_CSV, INVENTORY_CSV
@@ -324,18 +323,6 @@ class TestEmitReport:
             assert np.mean([r["accuracy"] for r in recs]) \
                 == pytest.approx(agg.mean_accuracy, abs=1e-12)
 
-    def test_tsv_parse_back(self, tmp_path):
-        report = run_experiment(fast_config(languages=("jpn",),
-                                            variables=("Height",)))
-        emit_report(report, ("tsv",), str(tmp_path))
-        loaded = parse_records_tsv(str(tmp_path / "records.tsv"))
-        assert len(loaded) == len(report.records)
-        for a, b in zip(loaded, report.records):
-            assert (a.language, a.variable, a.fold) \
-                == (b.language, b.variable, b.fold)
-            assert a.cm == b.cm
-            assert a.accuracy == pytest.approx(b.accuracy, abs=1e-9)
-
     def test_reports_identical_apart_from_timestamp(self, tmp_path):
         config = fast_config(languages=("jpn",), variables=("Weight",))
         doc_a = runner.report_to_dict(run_experiment(config))
@@ -377,8 +364,8 @@ class TestCli:
         assert (out_dir / "report.md").exists()
         capsys.readouterr()
 
-        assert cli_main(["stats", "--records",
-                         str(out_dir / "records.tsv")]) == 0
+        assert cli_main(["stats", "--report",
+                         str(out_dir / "report.json")]) == 0
         out = capsys.readouterr().out
         assert "H1 Attack" in out
         assert "H2" in out
@@ -387,6 +374,71 @@ class TestCli:
                          str(out_dir / "report.json")]) == 0
         rendered = capsys.readouterr().out
         assert rendered == (out_dir / "report.md").read_text()
+
+    def test_stats_uses_the_runs_partition(self, tmp_path, capsys):
+        # Under the default partition Height would join Weight in "size".
+        config = self.write_config(
+            tmp_path, variables=["Attack", "Height", "Weight"],
+            combat_set=["Attack"], size_set=["Weight"])
+        assert cli_main(["run", "--config", config]) == 0
+        capsys.readouterr()
+        report = tmp_path / "out" / "report.json"
+        assert cli_main(["stats", "--report", str(report)]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(report.read_text())
+        for entry in doc["h1"]:
+            r = entry["result"]
+            assert (f"H1 {entry['group']}: n={entry['n']} "
+                    f"t({r['df']})={r['t']:.3f} ") in out
+        r = doc["h2"]["result"]
+        assert f"t({r['df']})={r['t']:.3f} " in out
+
+    @pytest.mark.parametrize("name, text", [
+        ("list", "[]"),
+        ("no-config", '{"version": 1, "records": []}'),
+        ("version", '{"version": 99}'),
+    ])
+    def test_stats_bad_report_exits_1(self, tmp_path, capsys, name, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        assert cli_main(["stats", "--report", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["frobnicate"],
+        ["run"],
+        ["run", "--config", "c.json", "--bogus"],
+        ["run", "--config", "c.json", "--seed", "seven"],
+        ["stats", "--records", "records.tsv"],
+    ], ids=["no-command", "unknown-command", "run-no-config",
+            "unknown-option", "bad-seed", "stats-records"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 1
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 0
+        assert "usage: soundskew" in capsys.readouterr().out
+
+    def test_count_beyond_int16_exits_1_naming_file(self, tmp_path, capsys):
+        with open(CORPUS_CSV, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        cells = lines[1].split(",")
+        cells[3] = " ".join(["a"] * 32768)
+        lines[1] = ",".join(cells)
+        corpus_path = tmp_path / "corpus.csv"
+        corpus_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = self.write_config(tmp_path, corpus_path=str(corpus_path))
+        assert cli_main(["run", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus_path}: entry '{cells[0]}': ")
+        assert "32768 times" in err
 
     def test_run_seed_and_out_overrides(self, tmp_path, capsys):
         config = self.write_config(tmp_path)

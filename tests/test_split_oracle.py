@@ -1,15 +1,18 @@
 """The presorted split search against a per-node-sort reference oracle.
 
 ``oracle_best_split`` and ``oracle_train`` are the earlier implementation,
-which sorts every node's rows afresh.  They live here only as references:
-the presorted column blocks in ``soundskew.boost`` must give the same split,
-gain and serialized model bit for bit, not merely approximately.
+which sorts every node's rows afresh, sums ``g`` and ``h`` separately and
+searches every node it reaches.  They live here only as references: the
+presorted column blocks, packed gradient pairs, skipped searches and lazy
+partitions in ``soundskew.boost`` must give the same split, gain and
+serialized model bit for bit, not merely approximately.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from soundskew.boost import (
@@ -142,7 +145,7 @@ def test_presorted_search_equals_per_node_sort(problem):
     idx = np.flatnonzero(in_node)
     order = np.argsort(X.T, axis=1, kind="stable")
     S = order[in_node[order]].reshape(X.shape[1], len(idx))
-    found = _best_split(np.ascontiguousarray(X.T), g, h, S, cols,
+    found = _best_split(np.ascontiguousarray(X.T), g + 1j * h, S, cols,
                         float(g[idx].sum()), float(h[idx].sum()), params)
     assert found == oracle_best_split(X[idx], g[idx], h[idx], cols, params)
 
@@ -157,3 +160,54 @@ def test_subsampled_training_serializes_like_oracle():
     reference = oracle_train(X, y, params)
     assert model_to_json(model) == model_to_json(reference)
     assert model.split_gain_log == reference.split_gain_log
+
+
+def oracle_problem():
+    rng = np.random.default_rng(7)
+    X = rng.integers(0, 5, size=(150, 12))
+    y = (X[:, 0] + X[:, 3] + rng.integers(0, 3, size=150) > 5).astype(float)
+    return X, y
+
+
+@pytest.mark.parametrize("overrides", [
+    {"l2_lambda": 0.0},
+    {"min_child_weight": 0.0},
+    {"min_child_weight": 5.0},
+    {"max_depth": 1},
+    {"max_depth": 6},
+    {"rounds": 1},
+    {"row_subsample": 1.0, "col_subsample_per_node": 1.0},
+], ids=["lambda0", "mcw0", "mcw5", "depth1", "depth6", "rounds1",
+        "no-subsample"])
+def test_training_serializes_like_oracle(overrides):
+    X, y = oracle_problem()
+    params = BoostParams(**{"rounds": 10, "seed": 3, **overrides})
+    model = train(X.astype(float), y, params)
+    reference = oracle_train(X, y, params)
+    assert model_to_json(model) == model_to_json(reference)
+    assert model.split_gain_log == reference.split_gain_log
+
+
+def test_int16_and_float_input_give_the_same_model():
+    X, y = oracle_problem()
+    params = BoostParams(rounds=10, seed=3)
+    assert model_to_json(train(X.astype(np.int16), y, params)) \
+        == model_to_json(train(X.astype(float), y, params))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_no_split_when_hessian_total_is_below_twice_min_child_weight(data):
+    n = data.draw(st.integers(2, 30))
+    f = data.draw(st.integers(1, 4))
+    X = data.draw(arrays(np.int64, (n, f), elements=st.integers(0, 4)))
+    g = data.draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    h = data.draw(arrays(float, n, elements=st.one_of(
+        st.just(0.0), st.floats(1e-6, 0.25))))
+    H = h.sum()
+    mcw = data.draw(st.floats(H / 2, 2 * H + 1.0))
+    assume(H - mcw < mcw)
+    params = BoostParams(l2_lambda=data.draw(st.sampled_from([0.0, 1.0])),
+                         min_child_weight=mcw)
+    assert oracle_best_split(X.astype(float), g, h, np.arange(f),
+                             params) is None
