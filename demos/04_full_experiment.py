@@ -33,10 +33,10 @@ for entry in report.h1:
         r = entry.result
         print(f"  {entry.group:7s} t({r.df}) = {r.t:+.2f}, p = {r.p:.3f}")
 
-if report.h2_result is not None:
-    r = report.h2_result
+if report.h2.result is not None:
+    r = report.h2.result
     print(f"\nH2 (combat vs size FP%): t({r.df}) = {r.t:+.2f}, "
           f"p = {r.p:.3g}")
 
-paths = emit_report(report, config.formats, config.out_dir)
+paths = emit_report(report)
 print("\nwrote:", *paths, sep="\n  ")

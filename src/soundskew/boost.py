@@ -352,15 +352,3 @@ def model_to_json(model: BoostModel) -> str:
         "trees": model.trees,
     }
     return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def model_from_json(text: str) -> BoostModel:
-    doc = json.loads(text)
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise BoostError(
-            f"unsupported model format {doc.get('format_version')!r}")
-    return BoostModel(
-        trees=doc["trees"],
-        params=BoostParams(**doc["params"]),
-        n_features=doc["n_features"],
-        base_margin=doc["base_margin"])

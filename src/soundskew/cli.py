@@ -18,7 +18,7 @@ import sys
 
 from soundskew import runner, stats as stats_mod
 from soundskew.corpus import CorpusError, load_corpus
-from soundskew.metrics import ConfusionMatrix, IterationRecord, MetricsError
+from soundskew.metrics import IterationRecord
 from soundskew.runner import ConfigError, ExperimentConfig
 
 
@@ -81,7 +81,7 @@ def _cmd_run(args) -> int:
     if overrides:
         config = dataclasses.replace(config, **overrides)
     report = runner.run_experiment(config)
-    written = runner.emit_report(report, config.formats, config.out_dir)
+    written = runner.emit_report(report)
     print(f"{len(report.records)} iterations, "
           f"{len(report.failures)} failed groups")
     for path in written:
@@ -90,30 +90,30 @@ def _cmd_run(args) -> int:
 
 
 def _load_report(path: str):
-    """The records and the config that a run's report.json holds."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """The records, config and markdown of a run's report.json, checked;
+    rendering the markdown checks the shape of every table in the file."""
     try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
         if doc["version"] != runner.REPORT_FORMAT_VERSION:
             raise ConfigError(
                 f"{path}: unsupported report version {doc['version']!r}")
         config = ExperimentConfig.from_dict(doc["config"], path)
-        records = [IterationRecord(
-            language=r["language"], variable=r["variable"], fold=r["fold"],
-            seed=r["seed"],
-            cm=ConfusionMatrix(tp=r["tp"], fp=r["fp"], fn=r["fn"],
-                               tn=r["tn"]),
-            accuracy=r["accuracy"], fp_pct=r["fp_pct"])
-            for r in doc["records"]]
-    except (KeyError, TypeError, MetricsError) as exc:
+        for r in doc["records"]:
+            runner.check_json_types(IterationRecord, r, f"{path}: records: ")
+        records = [IterationRecord(**r) for r in doc["records"]]
+        markdown = runner.report_markdown(doc)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: not a soundskew report: {exc!r}") \
             from exc
-    return records, config
+    return records, config, markdown
 
 
 def _cmd_stats(args) -> int:
     # The run's own partition (combat_set, size_set) groups the variables.
-    records, config = _load_report(args.report)
+    records, config, _ = _load_report(args.report)
     for entry in runner.hypothesis_h1(records, config):
         if entry.result is None:
             print(f"H1 {entry.group}: untestable "
@@ -122,20 +122,19 @@ def _cmd_stats(args) -> int:
             r = entry.result
             print(f"H1 {entry.group}: n={entry.n} t({r.df})={r.t:.3f} "
                   f"p={r.p:.4g}")
-    result, combat, size, reason = runner.hypothesis_h2(records, config)
-    if result is None:
-        print(f"H2: untestable ({reason})")
+    h2 = runner.hypothesis_h2(records, config)
+    if h2.result is None:
+        print(f"H2: untestable ({h2.untestable_reason})")
     else:
-        print(f"H2: combat M={combat.mean:.4f} SD={combat.sd:.4f} "
-              f"vs size M={size.mean:.4f} SD={size.sd:.4f}; "
-              f"t({result.df})={result.t:.3f} p={result.p:.4g}")
+        print(f"H2: combat M={h2.combat.mean:.4f} SD={h2.combat.sd:.4f} "
+              f"vs size M={h2.size.mean:.4f} SD={h2.size.sd:.4f}; "
+              f"t({h2.result.df})={h2.result.t:.3f} p={h2.result.p:.4g}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    with open(args.json_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    sys.stdout.write(runner.report_markdown(doc))
+    _, _, markdown = _load_report(args.json_path)
+    sys.stdout.write(markdown)
     return 0
 
 
@@ -152,7 +151,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, CorpusError, stats_mod.StatsError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failures exit 2

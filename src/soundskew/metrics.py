@@ -4,7 +4,8 @@ The positive class is the "threat" class (high attribute value by default).
 FP counts non-threat samples classified threat; FN counts threat samples
 classified non-threat.  The skew adjustment works class-conditionally:
 fp_pct = FPR / (FPR + FNR), which is scale-free in the class sizes of the
-test subset.
+test subset.  An ``IterationRecord`` is one fold's test-set confusion matrix
+plus the fields that name its fit, so these functions take records as is.
 """
 
 from __future__ import annotations
@@ -41,14 +42,13 @@ class ConfusionMatrix:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(ConfusionMatrix):
     """Outcome of one (language, variable, fold) train/evaluate cycle."""
 
     language: str
     variable: str
     fold: int
     seed: int
-    cm: ConfusionMatrix
     accuracy: float
     fp_pct: float | None
 

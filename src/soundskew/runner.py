@@ -10,6 +10,10 @@ median or balance filtering), with each name's length computed once and
 reused by every variable and scope.  Everything downstream of the config is
 deterministic; sub-seeds are derived per group so removing a language never
 perturbs the others.
+
+The result dataclasses are the output format: ``report.json`` is
+``dataclasses.asdict(report)`` and ``records.tsv`` has one row per
+``IterationRecord``, its fields in ``RECORD_COLUMNS`` order.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import dataclasses
 import datetime
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +43,41 @@ class ConfigError(ValueError):
     """Raised for invalid experiment configuration."""
 
 
+# The JSON values that each field annotation admits (``X | None``: or null).
+_JSON_TYPES = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a finite number"),
+    "tuple[str, ...]": (list, "a list of strings"),
+    "dict[str, str]": (dict, "an object"),
+    "BoostParams": (dict, "an object"),
+}
+
+
+def check_json_types(cls, raw, where: str) -> None:
+    """Raise ConfigError, ``where`` first, unless ``raw`` is a JSON object
+    whose keys are ``cls`` fields and whose values have their JSON types."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}expected an object, got {raw!r}")
+    unknown = sorted(raw.keys() - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"{where}unknown keys: {unknown}")
+    for f in dataclasses.fields(cls):
+        value = raw.get(f.name)
+        if f.name not in raw or value is None and f.type.endswith(" | None"):
+            continue
+        kinds, expected = _JSON_TYPES[f.type.removesuffix(" | None")]
+        # A bool is not a number, a float is finite (NaN fails every
+        # comparison) and a list holds strings.
+        if isinstance(value, bool) or not isinstance(value, kinds) \
+                or f.type.startswith("float") \
+                and not abs(value) <= sys.float_info.max \
+                or isinstance(value, list) \
+                and not all(isinstance(v, str) for v in value):
+            raise ConfigError(
+                f"{where}{f.name} must be {expected}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     corpus_path: str
@@ -55,10 +95,6 @@ class ExperimentConfig:
     formats: tuple[str, ...] = ("tsv", "json", "md")
 
     def __post_init__(self):
-        for key in ("k", "seed"):
-            value = getattr(self, key)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
         for key in ("variables", "combat_set", "size_set"):
             unknown = set(getattr(self, key)) - set(ATTRIBUTE_NAMES)
             if unknown:
@@ -85,7 +121,11 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh), path)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:   # bad JSON or UTF-8, an overlong int
+                raise ConfigError(f"{path}: {exc}") from None
+        return cls.from_dict(raw, path)
 
     @classmethod
     def from_dict(cls, raw: dict, path: str) -> "ExperimentConfig":
@@ -97,20 +137,17 @@ class ExperimentConfig:
         if not isinstance(raw, dict) or "corpus_path" not in raw \
                 or "inventory_path" not in raw:
             raise ConfigError(
-                "config must set corpus_path and inventory_path")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
-        for key in ("languages", "variables", "combat_set", "size_set",
-                    "formats"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(kwargs[key])
+                f"{path}: config must set corpus_path and inventory_path")
+        check_json_types(cls, raw, f"{path}: ")
+        # Only the tuple fields hold JSON lists (check_json_types).
+        kwargs = {key: tuple(value) if isinstance(value, list) else value
+                  for key, value in raw.items()}
         if "boost_params" in kwargs:
+            check_json_types(BoostParams, kwargs["boost_params"],
+                             f"{path}: boost_params: ")
             try:
                 kwargs["boost_params"] = BoostParams(**kwargs["boost_params"])
-            except (TypeError, BoostError) as exc:
+            except BoostError as exc:
                 raise ConfigError(
                     f"{path}: invalid boost_params: {exc}") from exc
         # Config paths are relative to the config file's directory.
@@ -151,6 +188,14 @@ class HypothesisEntry:
 
 
 @dataclass
+class H2Entry:
+    result: stats.TTestResult | None = None
+    combat: stats.GroupSummary | None = None
+    size: stats.GroupSummary | None = None
+    untestable_reason: str | None = None
+
+
+@dataclass
 class LengthRegressionEntry:
     language: str                   # language code or "combined"
     variable: str
@@ -166,10 +211,7 @@ class ExperimentReport:
     failures: list[GroupFailure]
     aggregates: list[GroupAggregate]
     h1: list[HypothesisEntry]
-    h2_result: stats.TTestResult | None
-    h2_combat: stats.GroupSummary | None
-    h2_size: stats.GroupSummary | None
-    h2_untestable_reason: str | None
+    h2: H2Entry
     length_regressions: list[LengthRegressionEntry]
     languages: tuple[str, ...]
     version: int = REPORT_FORMAT_VERSION
@@ -222,14 +264,14 @@ def _run_group(entries: list[NameEntry], features: np.ndarray,
         model = boost.train(X[~in_test], y[~in_test], params)
         pred = boost.classify(model, X[in_test])
         truth = y[in_test]
-        cm = ConfusionMatrix(
-            tp=int(np.sum(pred & truth)),
-            fp=int(np.sum(pred & ~truth)),
-            fn=int(np.sum(~pred & truth)),
-            tn=int(np.sum(~pred & ~truth)))
+        counts = dict(tp=int(np.sum(pred & truth)),
+                      fp=int(np.sum(pred & ~truth)),
+                      fn=int(np.sum(~pred & truth)),
+                      tn=int(np.sum(~pred & ~truth)))
+        cm = ConfusionMatrix(**counts)
         records.append(IterationRecord(
-            language=language, variable=variable, fold=fold,
-            seed=params.seed, cm=cm, accuracy=metrics.accuracy(cm),
+            **counts, language=language, variable=variable, fold=fold,
+            seed=params.seed, accuracy=metrics.accuracy(cm),
             fp_pct=metrics.fp_rate_skew_adjusted(cm)))
     return records
 
@@ -241,7 +283,7 @@ def _aggregate(records: list[IterationRecord]) -> list[GroupAggregate]:
     out = []
     for (language, variable), recs in sorted(groups.items()):
         defined = [r.fp_pct for r in recs if r.fp_pct is not None]
-        pooled = metrics.pool([r.cm for r in recs])
+        pooled = metrics.pool(recs)
         out.append(GroupAggregate(
             language=language, variable=variable,
             mean_accuracy=float(np.mean([r.accuracy for r in recs])),
@@ -285,17 +327,19 @@ def hypothesis_h1(records: list[IterationRecord],
     return out
 
 
-def hypothesis_h2(records: list[IterationRecord], config: ExperimentConfig):
+def hypothesis_h2(records: list[IterationRecord],
+                  config: ExperimentConfig) -> H2Entry:
     """Pooled two-sample t-test: combat-variable FP% vs size-variable FP%."""
     combat, _ = _fp_values(records, config.combat_set)
     size, _ = _fp_values(records, config.size_set)
     if len(combat) < 2 or len(size) < 2:
-        return None, None, None, "fewer than 2 defined FP values in a group"
+        return H2Entry(
+            untestable_reason="fewer than 2 defined FP values in a group")
     try:
         result, sa, sb = stats.two_sample_pooled_t(combat, size)
     except stats.StatsError as exc:
-        return None, None, None, str(exc)
-    return result, sa, sb, None
+        return H2Entry(untestable_reason=str(exc))
+    return H2Entry(result=result, combat=sa, size=sb)
 
 
 def length_regression(entries: list[NameEntry],
@@ -380,15 +424,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     language=language, variable=variable,
                     stage=type(exc).__name__, reason=str(exc)))
     records.sort(key=lambda r: (r.language, r.variable, r.fold))
-    h2_result, h2_combat, h2_size, h2_reason = hypothesis_h2(records, config)
     return ExperimentReport(
         config=config,
         records=records,
         failures=failures,
         aggregates=_aggregate(records),
         h1=hypothesis_h1(records, config),
-        h2_result=h2_result, h2_combat=h2_combat, h2_size=h2_size,
-        h2_untestable_reason=h2_reason,
+        h2=hypothesis_h2(records, config),
         length_regressions=length_regression(
             entries, inventories, config, languages),
         languages=languages,
@@ -408,44 +450,18 @@ def _fmt_p(p: float) -> str:
     return f"{p:.3g}" if p >= 1e-3 else f"{p:.2e}"
 
 
+def _tsv_cell(value) -> str:
+    if value is None:
+        return "NA"
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
+
+
 def records_tsv(records: list[IterationRecord]) -> str:
     lines = ["\t".join(RECORD_COLUMNS)]
     for r in records:
-        fp = "NA" if r.fp_pct is None else f"{r.fp_pct:.10g}"
-        lines.append("\t".join(map(str, (
-            r.language, r.variable, r.fold, r.seed,
-            r.cm.tp, r.cm.fp, r.cm.fn, r.cm.tn,
-            f"{r.accuracy:.10g}", fp))))
+        lines.append("\t".join(_tsv_cell(getattr(r, c))
+                               for c in RECORD_COLUMNS))
     return "\n".join(lines) + "\n"
-
-
-def _asdict(obj):
-    return None if obj is None else dataclasses.asdict(obj)
-
-
-def report_to_dict(report: ExperimentReport) -> dict:
-    return {
-        "version": report.version,
-        "timestamp": report.timestamp,
-        "config": dataclasses.asdict(report.config),
-        "languages": list(report.languages),
-        "records": [
-            {"language": r.language, "variable": r.variable, "fold": r.fold,
-             "seed": r.seed, "tp": r.cm.tp, "fp": r.cm.fp, "fn": r.cm.fn,
-             "tn": r.cm.tn, "accuracy": r.accuracy, "fp_pct": r.fp_pct}
-            for r in report.records],
-        "failures": [dataclasses.asdict(f) for f in report.failures],
-        "aggregates": [dataclasses.asdict(a) for a in report.aggregates],
-        "h1": [dataclasses.asdict(e) for e in report.h1],
-        "h2": {
-            "result": _asdict(report.h2_result),
-            "combat": _asdict(report.h2_combat),
-            "size": _asdict(report.h2_size),
-            "untestable_reason": report.h2_untestable_reason,
-        },
-        "length_regressions": [
-            dataclasses.asdict(e) for e in report.length_regressions],
-    }
 
 
 def report_markdown(doc: dict) -> str:
@@ -501,25 +517,20 @@ def report_markdown(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: ExperimentReport, formats, out_dir: str) -> list[str]:
-    """Write records.tsv / report.json / report.md; returns written paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    doc = report_to_dict(report)
+def emit_report(report: ExperimentReport) -> list[str]:
+    """Write the config's formats into its out_dir; returns written paths."""
+    doc = dataclasses.asdict(report)
+    outputs = (
+        ("tsv", "records.tsv", records_tsv(report.records)),
+        ("json", "report.json", json.dumps(doc, indent=1, sort_keys=True)
+         + "\n"),
+        ("md", "report.md", report_markdown(doc)))
+    os.makedirs(report.config.out_dir, exist_ok=True)
     written = []
-    if "tsv" in formats:
-        path = os.path.join(out_dir, "records.tsv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(records_tsv(report.records))
-        written.append(path)
-    if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
-    if "md" in formats:
-        path = os.path.join(out_dir, "report.md")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report_markdown(doc))
-        written.append(path)
+    for fmt, name, text in outputs:
+        if fmt in report.config.formats:
+            path = os.path.join(report.config.out_dir, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            written.append(path)
     return written

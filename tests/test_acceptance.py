@@ -5,6 +5,7 @@ redistributable; they run only when a copy is supplied (see conftest for
 the expected paths / environment variables) and skip otherwise.
 """
 
+import dataclasses
 import math
 import os
 
@@ -220,8 +221,9 @@ def test_criterion_7_end_to_end_determinism(tmp_path):
         corpus_path=CORPUS_CSV, inventory_path=INVENTORY_CSV,
         boost_params=BoostParams(rounds=30))
     for sub in ("a", "b"):
-        report = run_experiment(config)
-        runner.emit_report(report, ("tsv",), str(tmp_path / sub))
+        report = run_experiment(dataclasses.replace(
+            config, out_dir=str(tmp_path / sub), formats=("tsv",)))
+        runner.emit_report(report)
     assert (tmp_path / "a" / "records.tsv").read_bytes() \
         == (tmp_path / "b" / "records.tsv").read_bytes()
     report_line(7, "byte-identical records.tsv across full runs")

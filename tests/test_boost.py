@@ -10,7 +10,6 @@ from soundskew.boost import (
     classify,
     feature_importance,
     leaf_weight,
-    model_from_json,
     model_to_json,
     predict_margin,
     predict_prob,
@@ -280,31 +279,6 @@ class TestFeatureImportance:
         model = train(X, y, BoostParams(rounds=30))
         assert sum(feature_importance(model).values()) \
             == pytest.approx(sum(g for _, g in model.split_gain_log))
-
-
-class TestSerialization:
-    def test_round_trip_preserves_predictions(self):
-        rng = np.random.default_rng(10)
-        X = rng.integers(0, 4, size=(40, 5)).astype(float)
-        y = (X[:, 0] > 1).astype(int)
-        model = train(X, y, BoostParams(rounds=15))
-        clone = model_from_json(model_to_json(model))
-        assert np.array_equal(predict_margin(model, X),
-                              predict_margin(clone, X))
-        assert clone.params == model.params
-
-    def test_round_trip_is_identity(self):
-        # trees are held in the form they are written in, so loading gives
-        # back an equal model: every node, weight, gain and threshold
-        rng = np.random.default_rng(11)
-        X = rng.integers(0, 4, size=(40, 5)).astype(float)
-        y = (X[:, 1] > 1).astype(int)
-        model = train(X, y, BoostParams(rounds=15))
-        assert model_from_json(model_to_json(model)) == model
-
-    def test_bad_version_rejected(self):
-        with pytest.raises(BoostError):
-            model_from_json('{"format_version": 999, "trees": []}')
 
 
 class TestParams:

@@ -5,11 +5,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from soundskew import corpus, runner, stats
 from soundskew.boost import BoostParams
 from soundskew.cli import main as cli_main
-from soundskew.metrics import ConfusionMatrix, IterationRecord
+from soundskew.metrics import IterationRecord
 from soundskew.runner import (
     ConfigError,
     ExperimentConfig,
@@ -21,6 +22,48 @@ from soundskew.runner import (
 from tests.conftest import CORPUS_CSV, INVENTORY_CSV
 
 FAST_BOOST = BoostParams(rounds=20, max_depth=3)
+
+# The smallest config object that from_dict accepts, a record, and a report
+# that stats and report read.
+CONFIG_KEYS = {"corpus_path": "corpus.csv", "inventory_path": "inventory.csv"}
+RECORD = {"language": "jpn", "variable": "Attack", "fold": 0, "seed": 1,
+          "tp": 1, "fp": 0, "fn": 0, "tn": 1, "accuracy": 1.0, "fp_pct": None}
+REPORT = {"version": 1, "timestamp": "", "config": CONFIG_KEYS,
+          "languages": ["jpn"], "records": [RECORD], "failures": [],
+          "aggregates": [], "h1": [], "length_regressions": [],
+          "h2": {"result": None, "combat": None, "size": None,
+                 "untestable_reason": "none"}}
+
+# The JSON type that each config key takes; any other type is bad input.
+CONFIG_JSON_TYPES = {
+    "corpus_path": str, "inventory_path": str, "languages": list,
+    "variables": list, "threat_direction": dict, "combat_set": list,
+    "size_set": list, "k": int, "seed": int, "boost_params": dict,
+    "out_dir": str, "formats": list}
+BOOST_JSON_TYPES = {f.name: int if f.type == "int" else float
+                    for f in dataclasses.fields(BoostParams)}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def fits_json_type(value, kind) -> bool:
+    """Whether ``value`` has the JSON type of a config key of type ``kind``.
+
+    A list must hold strings; a bool is not a number.
+    """
+    if isinstance(value, bool):
+        return False
+    if kind is list:
+        return isinstance(value, list) \
+            and all(isinstance(v, str) for v in value)
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
 
 
 def fast_config(**overrides):
@@ -35,8 +78,7 @@ def synthetic_records(fp_values, variable="Attack", language="jpn"):
     for i, fp in enumerate(fp_values):
         records.append(IterationRecord(
             language=language, variable=variable, fold=i % 3, seed=i,
-            cm=ConfusionMatrix(tp=10, fp=5, fn=5, tn=10),
-            accuracy=0.6, fp_pct=fp))
+            tp=10, fp=5, fn=5, tn=10, accuracy=0.6, fp_pct=fp))
     return records
 
 
@@ -111,12 +153,12 @@ class TestRunExperiment:
         # the three test folds partition the balanced set
         report = run_experiment(fast_config(
             languages=("jpn",), variables=("Attack",)))
-        sizes = [r.cm.total for r in report.records]
+        sizes = [r.total for r in report.records]
         assert max(sizes) - min(sizes) <= 2
         # balanced set size: per-class counts are equal and every sample
         # appears in exactly one test fold
-        assert sum(r.cm.n_threat for r in report.records) \
-            == sum(r.cm.n_nonthreat for r in report.records)
+        assert sum(r.n_threat for r in report.records) \
+            == sum(r.n_nonthreat for r in report.records)
 
     def test_removing_language_leaves_others_unchanged(self):
         full = run_experiment(fast_config(languages=("jpn", "kor")))
@@ -218,24 +260,25 @@ class TestHypotheses:
 
     def test_h2_paper_shape_df(self):
         report = run_experiment(fast_config())
-        assert report.h2_result.df == 34
+        assert report.h2.result.df == 34
 
     def test_h2_identical_groups_zero_t(self):
         records = (synthetic_records([0.5, 0.6, 0.7], variable="Attack")
                    + synthetic_records([0.5, 0.6, 0.7], variable="Height"))
-        result, *_rest, reason = hypothesis_h2(records, fast_config())
-        assert reason is None
-        assert result.t == 0.0
+        h2 = hypothesis_h2(records, fast_config())
+        assert h2.untestable_reason is None
+        assert h2.result.t == 0.0
 
     def test_h2_shifted_groups_match_summaries(self):
         size_vals = [0.45, 0.48, 0.50, 0.47]
         combat_vals = [v + 0.06 for v in size_vals]
         records = (synthetic_records(combat_vals, variable="Defend")
                    + synthetic_records(size_vals, variable="Weight"))
-        result, combat, size, reason = hypothesis_h2(records, fast_config())
-        assert reason is None
-        assert result.estimate == pytest.approx(combat.mean - size.mean)
-        assert result.estimate == pytest.approx(0.06)
+        h2 = hypothesis_h2(records, fast_config())
+        assert h2.untestable_reason is None
+        assert h2.result.estimate == pytest.approx(
+            h2.combat.mean - h2.size.mean)
+        assert h2.result.estimate == pytest.approx(0.06)
 
 
 class TestLengthRegression:
@@ -288,28 +331,36 @@ class TestLengthRegression:
 
 class TestEmitReport:
     def test_files_written_and_row_counts(self, tmp_path):
-        report = run_experiment(fast_config(languages=("jpn",),
-                                            variables=("Attack",)))
-        paths = emit_report(report, ("tsv", "json", "md"), str(tmp_path))
+        report = run_experiment(fast_config(
+            languages=("jpn",), variables=("Attack",), out_dir=str(tmp_path)))
+        paths = emit_report(report)
         assert [os.path.basename(p) for p in paths] \
             == ["records.tsv", "report.json", "report.md"]
         lines = (tmp_path / "records.tsv").read_text().splitlines()
         assert len(lines) == len(report.records) + 1
+        assert lines[0].split("\t") == list(runner.RECORD_COLUMNS)
+        assert sorted(runner.RECORD_COLUMNS) \
+            == sorted(f.name for f in dataclasses.fields(IterationRecord))
 
     def test_empty_record_set_still_valid(self, tmp_path):
-        report = run_experiment(fast_config(languages=("jpn",),
-                                            variables=("Attack",)))
+        report = run_experiment(fast_config(
+            languages=("jpn",), variables=("Attack",), out_dir=str(tmp_path),
+            formats=("tsv", "md")))
         report.records = []
         report.aggregates = []
-        emit_report(report, ("tsv", "md"), str(tmp_path))
+        emit_report(report)
         lines = (tmp_path / "records.tsv").read_text().splitlines()
         assert len(lines) == 1
         assert (tmp_path / "report.md").read_text().startswith("#")
+        assert not (tmp_path / "report.json").exists()
 
     def test_json_round_trip_reproduces_aggregates(self, tmp_path):
-        report = run_experiment(fast_config(languages=("cmn",)))
-        emit_report(report, ("json",), str(tmp_path))
+        report = run_experiment(fast_config(
+            languages=("cmn",), out_dir=str(tmp_path), formats=("json",)))
+        emit_report(report)
         doc = json.loads((tmp_path / "report.json").read_text())
+        assert [IterationRecord(**r) for r in doc["records"]] \
+            == report.records
         by_key = {(a["language"], a["variable"]): a
                   for a in doc["aggregates"]}
         for agg in report.aggregates:
@@ -325,8 +376,8 @@ class TestEmitReport:
 
     def test_reports_identical_apart_from_timestamp(self, tmp_path):
         config = fast_config(languages=("jpn",), variables=("Weight",))
-        doc_a = runner.report_to_dict(run_experiment(config))
-        doc_b = runner.report_to_dict(run_experiment(config))
+        doc_a = dataclasses.asdict(run_experiment(config))
+        doc_b = dataclasses.asdict(run_experiment(config))
         doc_a["timestamp"] = doc_b["timestamp"] = ""
         assert doc_a == doc_b
 
@@ -354,6 +405,23 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text("{}")
         assert cli_main(["validate", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("text", [
+        '{"k": 3',
+        '{"k": ' + "1" * 5000 + "}",
+        b"\xff\xfe{}",
+    ], ids=["truncated", "overlong-int", "not-utf8"])
+    def test_unreadable_json_exits_1_naming_file(self, tmp_path, capsys,
+                                                 text):
+        path = tmp_path / "bad.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        for argv in (["validate", "--config", str(path)],
+                     ["stats", "--report", str(path)]):
+            assert cli_main(argv) == 1
+            assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_run_and_stats_and_report(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
@@ -397,12 +465,31 @@ class TestCli:
         ("list", "[]"),
         ("no-config", '{"version": 1, "records": []}'),
         ("version", '{"version": 99}'),
+        ("version-only", '{"version": 1}'),
+        ("int-list", "[1]"),
+        ("no-tables", json.dumps({"version": 1, "config": CONFIG_KEYS,
+                                  "records": []})),
+        ("negative-count",
+         json.dumps(dict(REPORT, records=[dict(RECORD, tp=-1)]))),
+        ("string-fp-pct",
+         json.dumps(dict(REPORT, records=[dict(RECORD, fp_pct="0.5")]))),
+        ("record-list", json.dumps(dict(REPORT, records=[[1]]))),
     ])
     def test_stats_bad_report_exits_1(self, tmp_path, capsys, name, text):
+        # stats and report read a report through the same check
         path = tmp_path / "report.json"
         path.write_text(text)
-        assert cli_main(["stats", "--report", str(path)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        for argv in (["stats", "--report", str(path)],
+                     ["report", "--json", str(path)]):
+            assert cli_main(argv) == 1
+            assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_smallest_report_is_read(self, tmp_path, capsys):
+        # the report that the bad-report cases change one part of
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(REPORT))
+        assert cli_main(["stats", "--report", str(path)]) == 0
+        assert cli_main(["report", "--json", str(path)]) == 0
 
     @pytest.mark.parametrize("argv", [
         [],
@@ -453,7 +540,30 @@ class TestCli:
         ({"boost_params": {"rounds": 0}}, "rounds must be >= 1"),
         ({"k": "3"}, "k must be an integer"),
         ({"variables": ["Speed"]}, "variables: unknown attributes"),
-    ], ids=["roundz", "rounds", "k", "variables"])
+        # a wrong JSON type names the config file too
+        ({"threat_direction": ["Attack"]},
+         "config.json: threat_direction must be an object"),
+        ({"languages": 5}, "config.json: languages must be a list of strings"),
+        ({"languages": "jpn"},
+         "config.json: languages must be a list of strings"),
+        ({"variables": None},
+         "config.json: variables must be a list of strings"),
+        ({"combat_set": ["Attack", 1]},
+         "config.json: combat_set must be a list of strings"),
+        ({"out_dir": 5}, "config.json: out_dir must be a string"),
+        ({"boost_params": {"rounds": 2.5}},
+         "config.json: boost_params: rounds must be an integer"),
+        ({"boost_params": {"learning_rate": True}},
+         "config.json: boost_params: learning_rate must be a finite number"),
+        ({"boost_params": {"l2_lambda": float("nan")}},
+         "config.json: boost_params: l2_lambda must be a finite number"),
+        ({"boost_params": {"min_child_weight": 10 ** 400}},
+         "config.json: boost_params: min_child_weight must be a finite "),
+        ({"boost_params": 5}, "config.json: boost_params must be an object"),
+    ], ids=["roundz", "rounds", "k", "variables", "threat-list",
+            "languages-int", "languages-str", "variables-null",
+            "combat-int-item", "out-dir-int", "rounds-float", "rate-bool",
+            "lambda-nan", "weight-overflow", "params-int"])
     def test_config_mistake_exits_1_naming_key(self, tmp_path, capsys,
                                                overrides, message):
         config = self.write_config(tmp_path, **overrides)
@@ -481,3 +591,65 @@ class TestCli:
 
     def test_missing_file_exits_1(self, capsys):
         assert cli_main(["validate", "--config", "/nonexistent.json"]) == 1
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_wrong_json_type_in_config_exits_1(self, tmp_path, capsys,
+                                               data):
+        assert set(CONFIG_JSON_TYPES) \
+            == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        key = data.draw(st.sampled_from(
+            sorted(CONFIG_JSON_TYPES) + sorted(BOOST_JSON_TYPES)))
+        kind = CONFIG_JSON_TYPES.get(key) or BOOST_JSON_TYPES[key]
+        # null languages means every corpus language
+        value = data.draw(JSON_VALUES.filter(
+            lambda v: not fits_json_type(v, kind)
+            and not (key == "languages" and v is None)))
+        stumps = {"rounds": 1, "max_depth": 1}
+        if key in CONFIG_JSON_TYPES:
+            overrides = {"boost_params": stumps, key: value}
+        else:
+            overrides = {"boost_params": {**stumps, key: value}}
+        config = self.write_config(tmp_path, **overrides)
+        assert cli_main(["run", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_malformed_corpus_or_inventory_exits_1_naming_file(
+            self, tmp_path, capsys, data):
+        with open(CORPUS_CSV, encoding="utf-8") as fh:
+            corpus_rows = fh.read().splitlines()[:13]
+        with open(INVENTORY_CSV, encoding="utf-8") as fh:
+            inventory_rows = [row for row in fh.read().splitlines()
+                              if not row.startswith(("cmn,", "kor,"))]
+        name, rows = data.draw(st.sampled_from(
+            [("corpus.csv", corpus_rows), ("inventory.csv", inventory_rows)]))
+        row = data.draw(st.integers(0, len(rows) - 1))
+        cells = rows[row].split(",")
+        column = data.draw(st.integers(0, len(cells) - 1))
+        if data.draw(st.booleans()):
+            del cells[column]           # a missing column
+        else:
+            cells[column] = data.draw(st.text(max_size=8))
+        rows = list(rows)
+        rows[row] = ",".join(cells)
+        (tmp_path / "corpus.csv").write_text(
+            "\n".join(corpus_rows) + "\n", encoding="utf-8")
+        (tmp_path / "inventory.csv").write_text(
+            "\n".join(inventory_rows) + "\n", encoding="utf-8")
+        (tmp_path / name).write_text("\n".join(rows) + "\n",
+                                     encoding="utf-8")
+        config = self.write_config(
+            tmp_path, corpus_path=str(tmp_path / "corpus.csv"),
+            inventory_path=str(tmp_path / "inventory.csv"))
+        code = cli_main(["validate", "--config", config])
+        err = capsys.readouterr().err
+        # A replaced cell may still be valid.  A rejection names an input
+        # file: an inventory change can orphan a corpus row's token.
+        assert code in (0, 1)
+        if code == 1:
+            assert err.startswith((f"error: {tmp_path / 'corpus.csv'}: ",
+                                   f"error: {tmp_path / 'inventory.csv'}: "))
