@@ -1,28 +1,47 @@
 """Walk through corpus loading and count-based featurization.
 
-Loads the fixture corpus, featurizes a few names, and shows how tone tokens
-are excluded from name length but kept in the count vectors.
+Loads the fixture corpus, which arrives as columns in file order plus one
+token-count matrix per language, and shows how tone tokens are excluded from
+name length but kept in the count rows.
 """
 
 import os
 
+import numpy as np
+
 from soundskew import featurize, load_corpus, name_length
+from soundskew.corpus import ATTRIBUTE_NAMES
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
-entries, inventories = load_corpus(
+corpus, inventories = load_corpus(
     os.path.join(DATA, "corpus.csv"), os.path.join(DATA, "inventory.csv"))
 
-print(f"{len(entries)} entries across {sorted(inventories)} languages\n")
+print(f"{len(corpus)} entries across {sorted(inventories)} languages")
+for language in sorted(corpus.counts):
+    rows, tokens = corpus.counts[language].shape
+    print(f"  {language}: {rows} names x {tokens} inventory tokens")
+print()
 
-for entry in [entries[0], next(e for e in entries if e.language == "cmn")]:
-    inventory = inventories[entry.language]
-    counts = featurize(entry, inventory)
-    print(f"{entry.id}  name={entry.name!r}")
-    print(f"  transcription: {' '.join(entry.transcription)}")
+for language in ("jpn", "cmn"):
+    inventory = inventories[language]
+    # The language's first name: row 0 of its matrix, and its first row in
+    # the corpus columns.
+    counts = corpus.counts[language][0]
+    row = np.flatnonzero(corpus.language == language)[0]
+    print(f"{corpus.ids[row]}")
     nonzero = {inventory.tokens[i]: int(c)
                for i, c in enumerate(counts) if c}
     print(f"  counts: {nonzero}")
-    print(f"  transcription tokens: {len(entry.transcription)}, "
-          f"name length (tones excluded): {name_length(entry, inventory)}")
-    print(f"  attributes: {entry.attributes}\n")
+    print(f"  transcription tokens: {counts.sum()}, "
+          f"name length (tones excluded): {corpus.length[row]}")
+    attributes = dict(zip(ATTRIBUTE_NAMES, corpus.attributes[row].tolist()))
+    print(f"  attributes: {attributes}\n")
+
+# The loader featurizes a whole language in one call; the same two helpers
+# work on any transcriptions.
+inventory = inventories["cmn"]
+names = [["n", "i", "T:3", "t"], ["t", "i", "T:1", "t", "i", "T:1"]]
+counts = featurize(names, inventory)
+print(f"featurize({names}) -> rows summing to {counts.sum(axis=1).tolist()}, "
+      f"name lengths {name_length(counts, inventory).tolist()}")

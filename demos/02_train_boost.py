@@ -21,7 +21,6 @@ from soundskew import (
     balance,
     classify,
     feature_importance,
-    featurize,
     fp_rate_skew_adjusted,
     load_corpus,
     make_folds,
@@ -30,6 +29,7 @@ from soundskew import (
     subseed,
     train,
 )
+from soundskew.corpus import ATTRIBUTE_NAMES
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 SEED = 20220307
@@ -42,19 +42,20 @@ def train_loss(model, rounds, X, y):
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-entries, inventories = load_corpus(
+corpus, inventories = load_corpus(
     os.path.join(DATA, "corpus.csv"), os.path.join(DATA, "inventory.csv"))
 inventory = inventories["jpn"]
-jpn = [e for e in entries if e.language == "jpn"]
-features = np.array([featurize(e, inventory) for e in jpn], dtype=float)
+features = corpus.counts["jpn"].astype(float)
+attack = corpus.attributes[corpus.language == "jpn",
+                           ATTRIBUTE_NAMES.index("Attack")]
 
-split = median_split([(i, e.attributes["Attack"]) for i, e in enumerate(jpn)])
+split = median_split(list(enumerate(attack.tolist())))
 samples = tuple((i, lab) for i, lab in split.items() if lab != "omitted")
 labeled = balance(BinaryLabeledSet(variable="Attack", language="jpn",
                                    samples=samples),
                   subseed(SEED, "jpn", "Attack", "balance"))
 folds = make_folds(labeled, 3, subseed(SEED, "jpn", "Attack", "folds"))
-print(f"{len(jpn)} names -> {len(labeled.samples)} after split+balance")
+print(f"{len(features)} names -> {len(labeled.samples)} after split+balance")
 
 X = features[[i for i, _ in labeled.samples]]
 y = np.array([lab == "high" for _, lab in labeled.samples])

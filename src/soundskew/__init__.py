@@ -8,8 +8,8 @@ and classical t/F inference.
 """
 
 from soundskew.corpus import (
+    Corpus,
     CorpusError,
-    NameEntry,
     TokenInventory,
     featurize,
     load_corpus,

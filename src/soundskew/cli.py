@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from soundskew import runner, stats as stats_mod
@@ -57,17 +58,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    entries, inventories = load_corpus(
-        config.corpus_path, config.inventory_path)
-    counts: dict[str, int] = {}
-    for e in entries:
-        counts[e.language] = counts.get(e.language, 0) + 1
-    print(f"corpus: {len(entries)} entries, "
-          f"{len(counts)} languages")
-    for language in sorted(counts):
-        size = len(inventories[language])
-        print(f"  {language}: {counts[language]} entries, "
-              f"{size} inventory tokens")
+    corpus, _ = load_corpus(config.corpus_path, config.inventory_path)
+    present = sorted(lang for lang, matrix in corpus.counts.items()
+                     if len(matrix))
+    print(f"corpus: {len(corpus)} entries, {len(present)} languages")
+    for language in present:
+        rows, tokens = corpus.counts[language].shape
+        print(f"  {language}: {rows} entries, {tokens} inventory tokens")
     return 0
 
 
@@ -80,6 +77,7 @@ def _cmd_run(args) -> int:
         overrides["out_dir"] = args.out
     if overrides:
         config = dataclasses.replace(config, **overrides)
+    os.makedirs(config.out_dir, exist_ok=True)
     report = runner.run_experiment(config)
     written = runner.emit_report(report)
     print(f"{len(report.records)} iterations, "
@@ -151,7 +149,8 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, CorpusError, stats_mod.StatsError,
-            FileNotFoundError) as exc:
+            FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failures exit 2

@@ -1,9 +1,11 @@
 """Corpus loading, validation, and count-based featurization.
 
 A corpus is a CSV of named samples with numeric attributes; each language has
-a token inventory CSV that fixes the feature-vector dimension order.  Tones
-are ordinary inventory tokens flagged ``is_tone`` so that tone-excluding name
-lengths fall out of the same representation for every language.
+a token inventory CSV that fixes the feature-vector dimension order.  The
+loaded corpus is its columns: ids, languages, attributes and name lengths in
+file order, plus one token-count matrix per language.  Tones are ordinary
+inventory tokens flagged ``is_tone`` so that tone-excluding name lengths fall
+out of the same counts for every language.
 """
 
 from __future__ import annotations
@@ -52,37 +54,41 @@ class TokenInventory:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
-class NameEntry:
-    """One named sample: transcription tokens plus numeric attributes."""
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """A corpus file as columns, one row per name in file order.
 
-    id: str
-    language: str
-    name: str
-    transcription: tuple[str, ...]
-    attributes: dict[str, float | None]
+    ``attributes`` has one column per ``ATTRIBUTE_NAMES`` entry, NaN for a
+    blank cell.  ``length`` is each name's count of non-tone tokens.
+    ``counts[language]`` is the count matrix of that language's rows, in
+    file order; every inventory language has one, empty if it has no rows.
+    """
 
-    def __post_init__(self):
-        if not self.transcription:
-            raise CorpusError(f"entry {self.id!r} has an empty transcription")
-        for key, value in self.attributes.items():
-            if value is None:
-                continue
-            if not math.isfinite(value) or value < 0:
-                raise CorpusError(
-                    f"entry {self.id!r}: attribute {key} = {value!r} "
-                    "must be finite and non-negative")
+    ids: np.ndarray
+    language: np.ndarray
+    attributes: np.ndarray
+    length: np.ndarray
+    counts: dict[str, np.ndarray]
+
+    def __len__(self):
+        return len(self.ids)
 
 
-def _parse_attribute(cell: str, column: str) -> float | None:
-    cell = cell.strip()
-    if cell == "":
-        return None
-    try:
-        return float(cell)
-    except ValueError:
-        raise CorpusError(
-            f"attribute column {column!r} is not numeric: {cell!r}") from None
+def _parse_attributes(cells: list[str], entry_id: str) -> list[float]:
+    """A row's attribute cells as floats, NaN for a blank cell."""
+    values = []
+    for cell, attr in zip(cells, ATTRIBUTE_NAMES):
+        cell = cell.strip()
+        try:
+            values.append(float(cell) if cell else math.nan)
+        except ValueError:
+            raise CorpusError(f"attribute column {attr.lower()!r} is not "
+                              f"numeric: {cell!r}") from None
+        if cell and not 0 <= values[-1] < math.inf:
+            raise CorpusError(
+                f"entry {entry_id!r}: attribute {attr} = {values[-1]!r} "
+                "must be finite and non-negative")
+    return values
 
 
 def _check_header(header: list[str] | None, expected: tuple[str, ...],
@@ -127,15 +133,20 @@ def load_inventories(inventory_path) -> dict[str, TokenInventory]:
 
 
 def load_corpus(corpus_path, inventory_path
-                ) -> tuple[list[NameEntry], dict[str, TokenInventory]]:
+                ) -> tuple[Corpus, dict[str, TokenInventory]]:
     """Load and validate a corpus file against its token inventories.
 
-    Entry order is preserved from the file.  Every transcription token must
-    exist in its language's inventory; duplicate ids, unknown languages, and
+    Row order is preserved from the file.  Every transcription token must
+    exist in its language's inventory; duplicate ids, unknown languages and
     malformed rows are hard errors that name the file and the offending row.
+    Each language is featurized and measured in one call.
     """
     inventories = load_inventories(inventory_path)
-    entries: list[NameEntry] = []
+    ids: list[str] = []
+    languages: list[str] = []
+    attributes: list[list[float]] = []
+    transcriptions: dict[str, list[list[str]]] = {
+        language: [] for language in inventories}
     seen_ids: set[str] = set()
     with open(corpus_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -147,8 +158,7 @@ def load_corpus(corpus_path, inventory_path
                 raise CorpusError(
                     f"{corpus_path}: row {row_no}: expected "
                     f"{len(CORPUS_COLUMNS)} columns, got {len(row)}")
-            entry_id, language, name, transcription = (
-                row[0].strip(), row[1].strip(), row[2], row[3])
+            entry_id, language = row[0].strip(), row[1].strip()
             if entry_id in seen_ids:
                 raise CorpusError(
                     f"{corpus_path}: row {row_no}: duplicate id {entry_id!r}")
@@ -157,47 +167,61 @@ def load_corpus(corpus_path, inventory_path
                 raise CorpusError(
                     f"{corpus_path}: row {row_no}: unknown language "
                     f"{language!r}")
-            inventory = inventories[language]
-            tokens = tuple(transcription.split())
+            tokens = row[3].split()
             for token in tokens:
-                if token not in inventory.index:
+                if token not in inventories[language].index:
                     raise CorpusError(
                         f"{corpus_path}: row {row_no}: token {token!r} not in "
                         f"the {language!r} inventory")
             try:
-                attributes = {
-                    attr: _parse_attribute(row[4 + i], attr.lower())
-                    for i, attr in enumerate(ATTRIBUTE_NAMES)}
-                entries.append(NameEntry(
-                    id=entry_id, language=language, name=name,
-                    transcription=tokens, attributes=attributes))
+                if not tokens:
+                    raise CorpusError(
+                        f"entry {entry_id!r} has an empty transcription")
+                attributes.append(_parse_attributes(row[4:], entry_id))
             except CorpusError as exc:
                 raise CorpusError(
                     f"{corpus_path}: row {row_no}: {exc}") from None
-    return entries, inventories
+            ids.append(entry_id)
+            languages.append(language)
+            transcriptions[language].append(tokens)
+    language_column = np.array(languages, dtype=str)
+    length = np.zeros(len(ids), dtype=np.int64)
+    counts = {}
+    for language, inventory in inventories.items():
+        matrix = featurize(transcriptions[language], inventory)
+        rows = language_column == language
+        # int16 presorts by radix in boost.train; a cast would wrap silently.
+        too_big = np.argwhere(matrix > np.iinfo(np.int16).max)
+        if too_big.size:
+            row = np.flatnonzero(rows)[too_big[0][0]]
+            raise CorpusError(
+                f"{corpus_path}: entry {ids[row]!r}: a token occurs "
+                f"{matrix[tuple(too_big[0])]} times, more than "
+                f"{np.iinfo(np.int16).max}")
+        length[rows] = name_length(matrix, inventory)
+        counts[language] = matrix.astype(np.int16)
+    return Corpus(
+        ids=np.array(ids, dtype=str), language=language_column,
+        attributes=np.array(attributes, dtype=float).reshape(
+            len(ids), len(ATTRIBUTE_NAMES)),
+        length=length, counts=counts), inventories
 
 
-def featurize(entry: NameEntry, inventory: TokenInventory) -> np.ndarray:
-    """Count how many times each inventory token occurs in the transcription.
+def featurize(transcriptions: list[list[str]],
+              inventory: TokenInventory) -> np.ndarray:
+    """Count how many times each inventory token occurs in each transcription.
 
-    Returns a dense integer vector aligned to the inventory's token order;
-    its sum equals the transcription length.
+    Returns one row per transcription, its columns in the inventory's token
+    order; each row sums to its transcription's length.
     """
-    if entry.language != inventory.language:
-        raise CorpusError(
-            f"entry {entry.id!r} is {entry.language!r} but inventory is "
-            f"{inventory.language!r}")
-    counts = np.zeros(len(inventory), dtype=np.int64)
-    for token in entry.transcription:
-        counts[inventory.index[token]] += 1
-    return counts
+    n, width = len(transcriptions), len(inventory)
+    cells = np.repeat(np.arange(n) * width,
+                      [len(tokens) for tokens in transcriptions])
+    cells += np.array([inventory.index[token] for tokens in transcriptions
+                       for token in tokens], dtype=np.int64)
+    return np.bincount(cells, minlength=n * width).reshape(n, width)
 
 
-def name_length(entry: NameEntry, inventory: TokenInventory) -> int:
-    """Transcription length counting only non-tone tokens."""
-    if entry.language != inventory.language:
-        raise CorpusError(
-            f"entry {entry.id!r} is {entry.language!r} but inventory is "
-            f"{inventory.language!r}")
-    return sum(1 for token in entry.transcription
-               if not inventory.is_tone[inventory.index[token]])
+def name_length(counts: np.ndarray, inventory: TokenInventory) -> np.ndarray:
+    """Each count row's transcription length, counting only non-tone tokens."""
+    return counts[:, ~np.array(inventory.is_tone)].sum(axis=1)

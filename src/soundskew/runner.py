@@ -1,13 +1,12 @@
 """Experiment orchestration: languages x variables x folds, tests, reports.
 
-Entries are bucketed by language in one pass, in corpus-file order, and
-each language is featurized once into a count matrix that all of its
-variables share.  Each (language, variable) group runs median_split ->
-balance -> make_folds on rows of that matrix, then trains and evaluates one
-boosted model per fold.  Hypothesis tests run on the per-iteration
-skew-adjusted FP rates; name-length regressions run on the full corpus (no
-median or balance filtering), with each name's length computed once and
-reused by every variable and scope.  Everything downstream of the config is
+The loaded corpus is columns in file order plus one count matrix per
+language, which all of the language's variables share.  Each (language,
+variable) group runs median_split -> balance -> make_folds on rows of that
+matrix, then trains and evaluates one boosted model per fold.  Hypothesis
+tests run on the per-iteration skew-adjusted FP rates; name-length
+regressions run on the full corpus (no median or balance filtering), on the
+corpus's length column.  Everything downstream of the config is
 deterministic; sub-seeds are derived per group so removing a language never
 perturbs the others.
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from soundskew import boost, corpus as corpus_mod, labeling, metrics, stats
 from soundskew.boost import BoostError, BoostParams
-from soundskew.corpus import ATTRIBUTE_NAMES, NameEntry, TokenInventory
+from soundskew.corpus import ATTRIBUTE_NAMES, Corpus
 from soundskew.labeling import BinaryLabeledSet, subseed
 from soundskew.metrics import ConfusionMatrix, IterationRecord
 
@@ -218,30 +217,16 @@ class ExperimentReport:
     timestamp: str = ""
 
 
-def _resolve_languages(config: ExperimentConfig,
-                       entries: list[NameEntry]) -> tuple[str, ...]:
-    if config.languages is not None:
-        return tuple(config.languages)
-    seen: list[str] = []
-    for e in entries:
-        if e.language not in seen:
-            seen.append(e.language)
-    if not seen:
-        raise ConfigError("corpus contains no entries")
-    return tuple(seen)
-
-
-def _run_group(entries: list[NameEntry], features: np.ndarray,
-               language: str, variable: str, config: ExperimentConfig
+def _run_group(features: np.ndarray, values: np.ndarray, language: str,
+               variable: str, config: ExperimentConfig
                ) -> list[IterationRecord]:
-    """Run one group on a language's entries and their feature rows."""
-    rows = [i for i, e in enumerate(entries)
-            if e.attributes[variable] is not None]
+    """Run one group on a language's count matrix and its ``variable``
+    column (NaN: blank), one value per matrix row."""
+    rows = np.flatnonzero(~np.isnan(values)).tolist()
     if not rows:
         raise labeling.LabelingError(
             f"no values for {variable} in {language}")
-    split = labeling.median_split(
-        [(i, entries[i].attributes[variable]) for i in rows])
+    split = labeling.median_split(list(zip(rows, values[rows].tolist())))
     samples = tuple((i, lab) for i, lab in split.items()
                     if lab != labeling.OMITTED)
     labeled = labeling.balance(
@@ -342,33 +327,25 @@ def hypothesis_h2(records: list[IterationRecord],
     return H2Entry(result=result, combat=sa, size=sb)
 
 
-def length_regression(entries: list[NameEntry],
-                      inventories: dict[str, TokenInventory],
-                      config: ExperimentConfig,
+def length_regression(corpus: Corpus, config: ExperimentConfig,
                       languages: tuple[str, ...]
                       ) -> list[LengthRegressionEntry]:
     """Regress each attribute on tone-excluding name length.
 
     Runs per language and pooled over all configured languages, on every
     sample with the attribute present (no median or balance filtering).
+    Each scope selects its rows in corpus-file order, so the combined scope
+    adds the same floats in the same order however the file interleaves
+    its languages.
     """
-    in_scope = set(languages)
-    measured = [(e, corpus_mod.name_length(e, inventories[e.language]))
-                for e in entries if e.language in in_scope]
-    blocks: dict[str, list[tuple[NameEntry, int]]] = {
-        lang: [] for lang in languages}
-    for pair in measured:
-        blocks[pair[0].language].append(pair)
-    # The combined scope pools in corpus-file order, not block by block, so
-    # the OLS sums add the same floats in the same order.
-    scopes = [(lang, blocks[lang]) for lang in languages]
-    scopes.append(("combined", measured))
+    scopes = [(lang, corpus.language == lang) for lang in languages]
+    scopes.append(("combined", np.isin(corpus.language, languages)))
     out = []
-    for scope_name, pool in scopes:
+    for scope_name, rows in scopes:
         for variable in config.variables:
-            x = [n for e, n in pool if e.attributes[variable] is not None]
-            y = [e.attributes[variable] for e, _ in pool
-                 if e.attributes[variable] is not None]
+            y = corpus.attributes[rows, ATTRIBUTE_NAMES.index(variable)]
+            present = ~np.isnan(y)
+            x, y = corpus.length[rows][present], y[present]
             if len(x) < 3:
                 out.append(LengthRegressionEntry(
                     language=scope_name, variable=variable, n=len(x),
@@ -390,36 +367,27 @@ def length_regression(entries: list[NameEntry],
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the full pipeline and collect every result into one report."""
-    entries, inventories = corpus_mod.load_corpus(
+    corpus, inventories = corpus_mod.load_corpus(
         config.corpus_path, config.inventory_path)
-    languages = _resolve_languages(config, entries)
+    languages = config.languages or tuple(
+        dict.fromkeys(corpus.language.tolist()))
+    if not languages:
+        raise ConfigError("corpus contains no entries")
     for lang in languages:
         if lang not in inventories:
             raise ConfigError(f"no inventory for configured language {lang!r}")
-    blocks: dict[str, list[NameEntry]] = {lang: [] for lang in languages}
-    for e in entries:
-        if e.language in blocks:
-            blocks[e.language].append(e)
     records: list[IterationRecord] = []
     failures: list[GroupFailure] = []
     for language in languages:
-        block, inventory = blocks[language], inventories[language]
-        counts = np.array([corpus_mod.featurize(e, inventory)
-                           for e in block], dtype=np.int64)
-        # int16 presorts by radix in boost.train; a cast would wrap silently.
-        too_big = np.argwhere(counts > np.iinfo(np.int16).max)
-        if too_big.size:
-            raise corpus_mod.CorpusError(
-                f"{config.corpus_path}: entry {block[too_big[0][0]].id!r}: "
-                f"a token occurs {counts[tuple(too_big[0])]} times, more "
-                f"than {np.iinfo(np.int16).max}")
-        features = counts.astype(np.int16)
+        attributes = corpus.attributes[corpus.language == language]
         for variable in config.variables:
             try:
                 records.extend(_run_group(
-                    block, features, language, variable, config))
+                    corpus.counts[language],
+                    attributes[:, ATTRIBUTE_NAMES.index(variable)],
+                    language, variable, config))
             except (labeling.LabelingError, boost.BoostError,
-                    metrics.MetricsError, corpus_mod.CorpusError) as exc:
+                    metrics.MetricsError) as exc:
                 failures.append(GroupFailure(
                     language=language, variable=variable,
                     stage=type(exc).__name__, reason=str(exc)))
@@ -431,8 +399,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         aggregates=_aggregate(records),
         h1=hypothesis_h1(records, config),
         h2=hypothesis_h2(records, config),
-        length_regressions=length_regression(
-            entries, inventories, config, languages),
+        length_regressions=length_regression(corpus, config, languages),
         languages=languages,
         timestamp=datetime.datetime.now(
             datetime.timezone.utc).isoformat(timespec="seconds"))

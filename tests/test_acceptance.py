@@ -150,11 +150,9 @@ def test_criterion_5_length_regression_on_paper_dataset():
     config = ExperimentConfig(corpus_path=PAPER_CORPUS_CSV,
                               inventory_path=PAPER_INVENTORY_CSV)
     from soundskew.corpus import load_corpus
-    entries, inventories = load_corpus(PAPER_CORPUS_CSV,
-                                       PAPER_INVENTORY_CSV)
-    languages = tuple(dict.fromkeys(e.language for e in entries))
-    results = runner.length_regression(entries, inventories, config,
-                                       languages)
+    corpus, _ = load_corpus(PAPER_CORPUS_CSV, PAPER_INVENTORY_CSV)
+    languages = tuple(dict.fromkeys(corpus.language.tolist()))
+    results = runner.length_regression(corpus, config, languages)
     combined = {e.variable: e.result for e in results
                 if e.language == "combined"}
     for variable, (F, r2) in published.items():

@@ -1,24 +1,68 @@
+import csv
+
 import numpy as np
 import pytest
 
 from soundskew.corpus import (
+    ATTRIBUTE_NAMES,
     CorpusError,
-    NameEntry,
     TokenInventory,
     featurize,
     load_corpus,
     name_length,
 )
+from tests.conftest import CORPUS_CSV, INVENTORY_CSV
 
 TOY_INVENTORY = [
     "xx,a,0", "xx,i,0", "xx,k,0", "xx,p,0", "xx,T:4,1",
 ]
+
+# Two interleaved languages with repeated tokens and tone tokens, and a
+# third inventory language with no rows.
+TOY_CORPUS = [
+    "n1,xx,kaka,k a k a T:4,1,2,3,4",
+    "n2,yy,ta,t a T:1 T:1,5,,7,8",
+    "n3,xx,pi,p i,9,10,,12",
+    "n4,yy,tat,t a t,13,14,15,",
+    "n5,xx,aaa,a T:4 a a T:4,17,18,19,20",
+]
+TOY_INVENTORIES = TOY_INVENTORY + [
+    "yy,t,0", "yy,a,0", "yy,T:1,1", "zz,o,0"]
 
 
 def make_inventory():
     return TokenInventory(language="xx",
                           tokens=("a", "i", "k", "p", "T:4"),
                           is_tone=(False, False, False, False, True))
+
+
+def oracle_counts(transcriptions, inventory) -> np.ndarray:
+    """The per-name counting loop that the one-call featurize replaced."""
+    counts = np.zeros((len(transcriptions), len(inventory)), dtype=np.int64)
+    for row, tokens in enumerate(transcriptions):
+        for token in tokens:
+            counts[row, inventory.index[token]] += 1
+    return counts
+
+
+def transcriptions_by_language(corpus_path) -> dict[str, list[list[str]]]:
+    """Each language's transcriptions, in file order, read with csv."""
+    out: dict[str, list[list[str]]] = {}
+    with open(corpus_path, newline="", encoding="utf-8") as fh:
+        for row in list(csv.reader(fh))[1:]:
+            out.setdefault(row[1], []).append(row[3].split())
+    return out
+
+
+@pytest.fixture(params=["fixture", "toy"])
+def loaded(request, write_corpus):
+    """(corpus, inventories, transcriptions by language) of one input."""
+    if request.param == "fixture":
+        paths = CORPUS_CSV, INVENTORY_CSV
+    else:
+        paths = write_corpus(TOY_CORPUS, TOY_INVENTORIES)
+    corpus, inventories = load_corpus(*paths)
+    return corpus, inventories, transcriptions_by_language(paths[0])
 
 
 class TestTokenInventory:
@@ -35,19 +79,65 @@ class TestTokenInventory:
         assert inv.index == {"a": 0, "i": 1, "k": 2, "p": 3, "T:4": 4}
 
 
+class TestMatrices:
+    def test_counts_match_oracle(self, loaded):
+        corpus, inventories, transcriptions = loaded
+        assert set(corpus.counts) == set(inventories)
+        for language, inventory in inventories.items():
+            expected = oracle_counts(transcriptions.get(language, []),
+                                     inventory)
+            assert corpus.counts[language].dtype == np.int16
+            assert corpus.counts[language].shape == expected.shape
+            assert (corpus.counts[language] == expected).all()
+
+    def test_rows_sum_to_transcription_length(self, loaded):
+        corpus, _, transcriptions = loaded
+        for language, rows in transcriptions.items():
+            assert corpus.counts[language].sum(axis=1).tolist() \
+                == [len(tokens) for tokens in rows]
+
+    def test_length_is_the_non_tone_slice(self, loaded):
+        corpus, inventories, _ = loaded
+        for language, inventory in inventories.items():
+            non_tone = [i for i, tone in enumerate(inventory.is_tone)
+                        if not tone]
+            in_language = corpus.language == language
+            assert corpus.length[in_language].tolist() \
+                == corpus.counts[language][:, non_tone].sum(axis=1).tolist()
+
+    def test_toy_columns_in_file_order(self, write_corpus):
+        corpus, _ = load_corpus(*write_corpus(TOY_CORPUS, TOY_INVENTORIES))
+        assert len(corpus) == 5
+        assert corpus.ids.tolist() == ["n1", "n2", "n3", "n4", "n5"]
+        assert corpus.language.tolist() == ["xx", "yy", "xx", "yy", "xx"]
+        assert corpus.length.tolist() == [4, 2, 2, 3, 3]
+        assert corpus.counts["xx"].tolist() == [
+            [2, 0, 2, 0, 1], [0, 1, 0, 1, 0], [3, 0, 0, 0, 2]]
+        assert corpus.counts["yy"].tolist() == [[1, 1, 2], [2, 1, 0]]
+        assert corpus.counts["zz"].shape == (0, 1)
+        assert corpus.attributes.shape == (5, len(ATTRIBUTE_NAMES))
+        assert np.isnan(corpus.attributes).sum(axis=0).tolist() \
+            == [0, 1, 1, 1]
+
+
 class TestLoadCorpus:
     def test_fixture_loads_fully(self, fixture_corpus):
-        entries, inventories = fixture_corpus
-        assert len(entries) == 900
+        corpus, inventories = fixture_corpus
+        assert len(corpus) == 900
         assert set(inventories) == {"jpn", "cmn", "kor"}
+        assert {lang: len(m) for lang, m in corpus.counts.items()} \
+            == {"jpn": 300, "cmn": 300, "kor": 300}
         # order preserved from file
-        assert entries[0].id == "jpn-0000"
+        assert corpus.ids[0] == "jpn-0000"
 
     def test_empty_corpus_ok(self, write_corpus):
         corpus, inventory = write_corpus([], TOY_INVENTORY)
-        entries, inventories = load_corpus(corpus, inventory)
-        assert entries == []
+        loaded, inventories = load_corpus(corpus, inventory)
+        assert len(loaded) == 0
         assert "xx" in inventories
+        assert loaded.counts["xx"].shape == (0, 5)
+        assert loaded.attributes.shape == (0, len(ATTRIBUTE_NAMES))
+        assert loaded.length.shape == loaded.language.shape == (0,)
 
     def test_unknown_token_names_token_and_row(self, write_corpus):
         corpus, inventory = write_corpus(
@@ -86,63 +176,62 @@ class TestLoadCorpus:
     def test_empty_attribute_cell_is_missing(self, write_corpus):
         corpus, inventory = write_corpus(["n1,xx,ka,k a,,2,3,4"],
                                          TOY_INVENTORY)
-        entries, _ = load_corpus(corpus, inventory)
-        assert entries[0].attributes["Attack"] is None
-        assert entries[0].attributes["Defend"] == 2
+        loaded, _ = load_corpus(corpus, inventory)
+        assert np.isnan(loaded.attributes[0, 0])
+        assert loaded.attributes[0, 1:].tolist() == [2, 3, 4]
 
     def test_reload_is_byte_stable(self, fixture_corpus):
-        from tests.conftest import CORPUS_CSV, INVENTORY_CSV
-        again = load_corpus(CORPUS_CSV, INVENTORY_CSV)
-        assert again[0] == fixture_corpus[0]
-        assert again[1] == fixture_corpus[1]
+        again, inventories = load_corpus(CORPUS_CSV, INVENTORY_CSV)
+        first = fixture_corpus[0]
+        for column in ("ids", "language", "attributes", "length"):
+            a, b = getattr(again, column), getattr(first, column)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        assert again.counts.keys() == first.counts.keys()
+        for language, matrix in again.counts.items():
+            assert matrix.tobytes() == first.counts[language].tobytes()
+        assert inventories == fixture_corpus[1]
 
 
 class TestFeaturize:
     def test_each_token_once(self):
         inv = TokenInventory("xx", ("p", "i", "k", "a", "tɕ", "u"),
                              (False,) * 6)
-        entry = NameEntry("e1", "xx", "pikatɕu",
-                          ("p", "i", "k", "a", "tɕ", "u"), {})
-        assert featurize(entry, inv).tolist() == [1, 1, 1, 1, 1, 1]
+        counts = featurize([["p", "i", "k", "a", "tɕ", "u"]], inv)
+        assert counts.tolist() == [[1, 1, 1, 1, 1, 1]]
 
     def test_repeated_tokens(self):
-        inv = make_inventory()
-        entry = NameEntry("e1", "xx", "aa4", ("a", "a", "T:4"), {})
-        assert featurize(entry, inv).tolist() == [2, 0, 0, 0, 1]
-
-    def test_language_mismatch(self):
-        entry = NameEntry("e1", "yy", "a", ("a",), {})
-        with pytest.raises(CorpusError, match="inventory"):
-            featurize(entry, make_inventory())
+        counts = featurize([["a", "a", "T:4"]], make_inventory())
+        assert counts.tolist() == [[2, 0, 0, 0, 1]]
 
     def test_counts_sum_to_transcription_length_corpus_wide(
             self, fixture_corpus):
-        entries, inventories = fixture_corpus
-        for entry in entries:
-            counts = featurize(entry, inventories[entry.language])
-            assert counts.sum() == len(entry.transcription)
+        corpus, _ = fixture_corpus
+        for language, rows in transcriptions_by_language(CORPUS_CSV).items():
+            counts = corpus.counts[language]
+            assert counts.sum(axis=1).tolist() == [len(t) for t in rows]
             assert (counts >= 0).all()
 
 
 class TestNameLength:
     def test_tone_excluded(self):
-        entry = NameEntry("e1", "xx", "aa4", ("a", "a", "T:4"), {})
-        assert name_length(entry, make_inventory()) == 2
+        inv = make_inventory()
+        counts = featurize([["a", "a", "T:4"]], inv)
+        assert name_length(counts, inv).tolist() == [2]
 
     def test_no_tones_is_identity(self):
-        entry = NameEntry("e1", "xx", "kapi", ("k", "a", "p", "i"), {})
-        assert name_length(entry, make_inventory()) == 4
+        inv = make_inventory()
+        counts = featurize([["k", "a", "p", "i"]], inv)
+        assert name_length(counts, inv).tolist() == [4]
 
     def test_corpus_wide_bound(self, fixture_corpus):
-        entries, inventories = fixture_corpus
-        for entry in entries:
-            inv = inventories[entry.language]
-            n = name_length(entry, inv)
-            tones = sum(1 for t in entry.transcription
-                        if inv.is_tone[inv.index[t]])
-            assert n <= len(entry.transcription)
-            assert (n == len(entry.transcription)) == (tones == 0)
-            # agreement with the non-tone slice of the count vector
-            counts = featurize(entry, inv)
-            non_tone = [i for i, tone in enumerate(inv.is_tone) if not tone]
-            assert n == counts[non_tone].sum()
+        corpus, inventories = fixture_corpus
+        for language, rows in transcriptions_by_language(CORPUS_CSV).items():
+            inv = inventories[language]
+            lengths = corpus.length[corpus.language == language]
+            assert lengths.tolist() \
+                == name_length(corpus.counts[language], inv).tolist()
+            for n, tokens in zip(lengths, rows):
+                tones = sum(1 for t in tokens if inv.is_tone[inv.index[t]])
+                assert n <= len(tokens)
+                assert (n == len(tokens)) == (tones == 0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from soundskew import corpus, runner, stats
+from soundskew import boost, corpus, runner, stats
 from soundskew.boost import BoostParams
 from soundskew.cli import main as cli_main
 from soundskew.metrics import IterationRecord
@@ -181,8 +181,25 @@ class TestRunExperiment:
         assert ("xx", "Attack") in done
 
     def test_unknown_configured_language_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match="no inventory for configured language"):
             run_experiment(fast_config(languages=("nope",)))
+
+    def test_language_without_rows_fails_each_group(self, write_corpus):
+        # yy has an inventory, and so an empty count matrix, but no rows
+        rows = [f"n{i},xx,ka,k a,{i},{i + 1},{i + 2},{i + 3}"
+                for i in range(12)]
+        corpus, inventory = write_corpus(rows,
+                                         ["xx,a,0", "xx,k,0", "yy,o,0"])
+        config = ExperimentConfig(
+            corpus_path=corpus, inventory_path=inventory,
+            languages=("xx", "yy"), boost_params=FAST_BOOST)
+        report = run_experiment(config)
+        assert [(f.language, f.variable, f.stage, f.reason)
+                for f in report.failures] \
+            == [("yy", v, "LabelingError", f"no values for {v} in yy")
+                for v in config.variables]
+        assert {r.language for r in report.records} == {"xx"}
 
     def test_each_entry_featurized_and_measured_once(self, monkeypatch):
         calls = Counter()
@@ -192,9 +209,9 @@ class TestRunExperiment:
                 return _real(*args)
             monkeypatch.setattr(corpus, name, counting)
         run_experiment(fast_config(boost_params=BoostParams(rounds=1)))
-        # 900 entries in the 3 configured languages, shared by 4 variables
-        # and by the per-language and combined regression scopes
-        assert calls == {"featurize": 900, "name_length": 900}
+        # one call per language of the fixture: its rows are shared by 4
+        # variables and by the per-language and combined regression scopes
+        assert calls == {"featurize": 3, "name_length": 3}
 
     def test_interleaved_corpus_keeps_file_order(self, tmp_path):
         with open(CORPUS_CSV, encoding="utf-8") as fh:
@@ -214,15 +231,15 @@ class TestRunExperiment:
             corpus_path=str(path), languages=languages,
             boost_params=params))
 
-        entries, inventories = corpus.load_corpus(str(path), INVENTORY_CSV)
+        loaded, _ = corpus.load_corpus(str(path), INVENTORY_CSV)
         combined = {e.variable: e.result for e in report.length_regressions
                     if e.language == "combined"}
         for variable in report.config.variables:
-            pairs = [(corpus.name_length(e, inventories[e.language]),
-                      e.attributes[variable]) for e in entries
-                     if e.attributes[variable] is not None]
+            j = corpus.ATTRIBUTE_NAMES.index(variable)
+            present = ~np.isnan(loaded.attributes[:, j])
             assert combined[variable] == stats.simple_ols(
-                [x for x, _ in pairs], [y for _, y in pairs])
+                loaded.length[present].tolist(),
+                loaded.attributes[present, j].tolist())
 
         blocked = run_experiment(fast_config(
             languages=languages, boost_params=params))
@@ -291,20 +308,19 @@ class TestLengthRegression:
         corpus, inventory = write_corpus(rows, ["xx,a,0"])
         config = ExperimentConfig(corpus_path=corpus,
                                   inventory_path=inventory)
-        entries, inventories = __import__(
+        loaded, _ = __import__(
             "soundskew.corpus", fromlist=["load_corpus"]).load_corpus(
                 corpus, inventory)
-        results = runner.length_regression(entries, inventories, config,
-                                           ("xx",))
+        results = runner.length_regression(loaded, config, ("xx",))
         for e in results:
             assert e.result.r2 == pytest.approx(1.0)
             assert e.result.slope == pytest.approx(1.0)
 
     def test_fixture_produces_per_language_and_combined(self, fixture_corpus):
-        entries, inventories = fixture_corpus
+        loaded, _ = fixture_corpus
         config = fast_config()
         results = runner.length_regression(
-            entries, inventories, config, ("jpn", "cmn", "kor"))
+            loaded, config, ("jpn", "cmn", "kor"))
         scopes = {e.language for e in results}
         assert scopes == {"jpn", "cmn", "kor", "combined"}
         combined = [e for e in results if e.language == "combined"]
@@ -312,16 +328,17 @@ class TestLengthRegression:
         assert all(e.result.df2 == 898 for e in combined)
 
     def test_matches_normal_equation_oracle(self, fixture_corpus):
-        from soundskew.corpus import name_length
-        entries, inventories = fixture_corpus
+        loaded, inventories = fixture_corpus
         config = fast_config()
-        results = runner.length_regression(entries, inventories, config,
-                                           ("jpn",))
+        results = runner.length_regression(loaded, config, ("jpn",))
         jpn = {e.variable: e for e in results if e.language == "jpn"}
-        x = np.array([name_length(e, inventories["jpn"]) for e in entries
-                      if e.language == "jpn"], dtype=float)
-        y = np.array([e.attributes["Attack"] for e in entries
-                      if e.language == "jpn"])
+        # lengths recounted from the transcriptions, not the loader's column
+        with open(CORPUS_CSV, encoding="utf-8") as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        inv = inventories["jpn"]
+        x = np.array([sum(not inv.is_tone[inv.index[t]] for t in r[3].split())
+                      for r in rows if r[1] == "jpn"], dtype=float)
+        y = np.array([float(r[4]) for r in rows if r[1] == "jpn"])
         A = np.column_stack([np.ones(len(x)), x])
         coef = np.linalg.solve(A.T @ A, A.T @ y)
         assert jpn["Attack"].result.slope == pytest.approx(coef[1], abs=1e-9)
@@ -513,7 +530,9 @@ class TestCli:
         assert exc.value.code == 0
         assert "usage: soundskew" in capsys.readouterr().out
 
-    def test_count_beyond_int16_exits_1_naming_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_count_beyond_int16_exits_1_naming_file(self, tmp_path, capsys,
+                                                    command):
         with open(CORPUS_CSV, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         cells = lines[1].split(",")
@@ -522,7 +541,7 @@ class TestCli:
         corpus_path = tmp_path / "corpus.csv"
         corpus_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         config = self.write_config(tmp_path, corpus_path=str(corpus_path))
-        assert cli_main(["run", "--config", config]) == 1
+        assert cli_main([command, "--config", config]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {corpus_path}: entry '{cells[0]}': ")
         assert "32768 times" in err
@@ -591,6 +610,33 @@ class TestCli:
 
     def test_missing_file_exits_1(self, capsys):
         assert cli_main(["validate", "--config", "/nonexistent.json"]) == 1
+
+    def test_directory_input_exits_1_naming_path(self, tmp_path, capsys):
+        for argv in (["validate", "--config", str(tmp_path)],
+                     ["stats", "--report", str(tmp_path)]):
+            assert cli_main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert str(tmp_path) in err
+
+    def test_run_out_existing_file_fails_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        calls = Counter()
+        real_train = boost.train
+
+        def counting_train(*args, **kwargs):
+            calls["train"] += 1
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(boost, "train", counting_train)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        config = self.write_config(tmp_path)
+        assert cli_main(["run", "--config", config, "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(taken) in err
+        assert calls["train"] == 0
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
