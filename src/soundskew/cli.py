@@ -6,20 +6,20 @@ Subcommands:
   stats     recompute H1/H2 from a run's report.json, with the run's config
   report    render a report.json as markdown
 
-Exit codes: 0 success, 1 validation or usage error, 2 runtime failure.
+A config or report is read through its dataclasses (``runner.decode``).
+Exit codes: 0 success, 1 bad input (naming the file) or usage error, 2
+runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 from soundskew import runner, stats as stats_mod
 from soundskew.corpus import CorpusError, load_corpus
-from soundskew.metrics import IterationRecord
 from soundskew.runner import ConfigError, ExperimentConfig
 
 
@@ -87,32 +87,19 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _load_report(path: str):
-    """The records, config and markdown of a run's report.json, checked;
-    rendering the markdown checks the shape of every table in the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc["version"] != runner.REPORT_FORMAT_VERSION:
-            raise ConfigError(
-                f"{path}: unsupported report version {doc['version']!r}")
-        config = ExperimentConfig.from_dict(doc["config"], path)
-        for r in doc["records"]:
-            runner.check_json_types(IterationRecord, r, f"{path}: records: ")
-        records = [IterationRecord(**r) for r in doc["records"]]
-        markdown = runner.report_markdown(doc)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a soundskew report: {exc!r}") \
-            from exc
-    return records, config, markdown
+def _load_report(path: str) -> runner.ExperimentReport:
+    """A run's report.json, read through the report dataclasses."""
+    doc = runner.read_json(path)
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != runner.REPORT_FORMAT_VERSION:
+        raise ConfigError(f"{path}: unsupported report version {version!r}")
+    return runner.decode(runner.ExperimentReport, doc, path)
 
 
 def _cmd_stats(args) -> int:
     # The run's own partition (combat_set, size_set) groups the variables.
-    records, config, _ = _load_report(args.report)
-    for entry in runner.hypothesis_h1(records, config):
+    report = _load_report(args.report)
+    for entry in runner.hypothesis_h1(report.records, report.config):
         if entry.result is None:
             print(f"H1 {entry.group}: untestable "
                   f"({entry.untestable_reason})")
@@ -120,7 +107,7 @@ def _cmd_stats(args) -> int:
             r = entry.result
             print(f"H1 {entry.group}: n={entry.n} t({r.df})={r.t:.3f} "
                   f"p={r.p:.4g}")
-    h2 = runner.hypothesis_h2(records, config)
+    h2 = runner.hypothesis_h2(report.records, report.config)
     if h2.result is None:
         print(f"H2: untestable ({h2.untestable_reason})")
     else:
@@ -131,8 +118,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _, _, markdown = _load_report(args.json_path)
-    sys.stdout.write(markdown)
+    report = _load_report(args.json_path)
+    sys.stdout.write(runner.report_markdown(dataclasses.asdict(report)))
     return 0
 
 

@@ -10,24 +10,28 @@ corpus's length column.  Everything downstream of the config is
 deterministic; sub-seeds are derived per group so removing a language never
 perturbs the others.
 
-The result dataclasses are the output format: ``report.json`` is
-``dataclasses.asdict(report)`` and ``records.tsv`` has one row per
-``IterationRecord``, its fields in ``RECORD_COLUMNS`` order.
+The dataclasses are the file formats: a config file is read by ``decode``,
+``report.json`` is ``dataclasses.asdict(report)`` and is read back by
+``decode``, and ``records.tsv`` has one row per ``IterationRecord``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import datetime
+import functools
 import json
+import math
 import os
 import sys
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from soundskew import boost, corpus as corpus_mod, labeling, metrics, stats
-from soundskew.boost import BoostError, BoostParams
+from soundskew.boost import BoostParams
 from soundskew.corpus import ATTRIBUTE_NAMES, Corpus
 from soundskew.labeling import BinaryLabeledSet, subseed
 from soundskew.metrics import ConfusionMatrix, IterationRecord
@@ -42,39 +46,71 @@ class ConfigError(ValueError):
     """Raised for invalid experiment configuration."""
 
 
-# The JSON values that each field annotation admits (``X | None``: or null).
-_JSON_TYPES = {
-    "str": (str, "a string"),
-    "int": (int, "an integer"),
-    "float": ((int, float), "a finite number"),
-    "tuple[str, ...]": (list, "a list of strings"),
-    "dict[str, str]": (dict, "an object"),
-    "BoostParams": (dict, "an object"),
-}
+# Each scalar type, named alone and in a list.  A bool is not a number, and a
+# float is finite (NaN fails every comparison, an overlong integer overflows).
+_SCALARS = {str: ("a string", "strings"), int: ("an integer", "integers"),
+            float: ("a finite number", "finite numbers")}
+_type_hints = functools.cache(typing.get_type_hints)    # once per dataclass
 
 
-def check_json_types(cls, raw, where: str) -> None:
-    """Raise ConfigError, ``where`` first, unless ``raw`` is a JSON object
-    whose keys are ``cls`` fields and whose values have their JSON types."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}expected an object, got {raw!r}")
-    unknown = sorted(raw.keys() - {f.name for f in dataclasses.fields(cls)})
-    if unknown:
-        raise ConfigError(f"{where}unknown keys: {unknown}")
-    for f in dataclasses.fields(cls):
-        value = raw.get(f.name)
-        if f.name not in raw or value is None and f.type.endswith(" | None"):
-            continue
-        kinds, expected = _JSON_TYPES[f.type.removesuffix(" | None")]
-        # A bool is not a number, a float is finite (NaN fails every
-        # comparison) and a list holds strings.
-        if isinstance(value, bool) or not isinstance(value, kinds) \
-                or f.type.startswith("float") \
-                and not abs(value) <= sys.float_info.max \
-                or isinstance(value, list) \
-                and not all(isinstance(v, str) for v in value):
-            raise ConfigError(
-                f"{where}{f.name} must be {expected}, got {value!r}")
+def _fits(tp, raw) -> bool:
+    if tp is float:
+        return isinstance(raw, (int, float)) and not isinstance(raw, bool) \
+            and abs(raw) <= sys.float_info.max
+    return isinstance(raw, tp) and not isinstance(raw, bool)
+
+
+def read_json(path: str):
+    """The JSON value in the file ``path``; unreadable JSON (bad syntax or
+    UTF-8, an integer too long to parse) raises ConfigError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+
+
+def decode(tp, raw, where: str):
+    """Read the decoded JSON value ``raw`` as type ``tp``: a dataclass from an
+    object of its fields, ``tuple[X, ...]`` or ``list[X]`` from a list, ``X |
+    None`` from null or an X.  A wrong value, or one that the dataclass's own
+    checks reject, raises ConfigError naming ``where``, the file and the path
+    to the value."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:                       # X | None
+        return None if raw is None else decode(args[0], raw, where)
+    if origin is typing.Annotated:          # a float that may be infinite
+        return raw if raw in (math.inf, -math.inf) \
+            else decode(args[0], raw, where)
+    if tp in _SCALARS:
+        if _fits(tp, raw):
+            return raw
+        expected = _SCALARS[tp][0]
+    elif origin in (tuple, list):
+        item = args[0]
+        if isinstance(raw, list) and (
+                item not in _SCALARS or all(_fits(item, v) for v in raw)):
+            return origin(decode(item, v, f"{where}[{i}]")
+                          for i, v in enumerate(raw))
+        expected = "a list of " + (
+            _SCALARS[item][1] if item in _SCALARS else "objects")
+    elif not isinstance(raw, dict):
+        expected = "an object"
+    elif origin is dict:
+        return {key: decode(args[1], value, f"{where}[{key!r}]")
+                for key, value in raw.items()}
+    else:
+        hints = _type_hints(tp, include_extras=True)
+        unknown = sorted(raw.keys() - hints.keys())
+        if unknown:
+            raise ConfigError(f"{where}: unknown keys: {unknown}")
+        kwargs = {key: decode(hints[key], value, f"{where}: {key}")
+                  for key, value in raw.items()}
+        try:
+            return tp(**kwargs)
+        except (TypeError, ValueError) as exc:  # a missing field, a check
+            raise ConfigError(f"{where}: {exc}") from None
+    raise ConfigError(f"{where} must be {expected}, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -94,12 +130,17 @@ class ExperimentConfig:
     formats: tuple[str, ...] = ("tsv", "json", "md")
 
     def __post_init__(self):
-        for key in ("variables", "combat_set", "size_set"):
+        for key in ("variables", "combat_set", "size_set",
+                    "threat_direction"):
             unknown = set(getattr(self, key)) - set(ATTRIBUTE_NAMES)
             if unknown:
                 raise ConfigError(
                     f"{key}: unknown attributes {sorted(unknown)}; "
                     f"expected a subset of {list(ATTRIBUTE_NAMES)}")
+        for key in ("languages", "variables"):
+            values = getattr(self, key) or ()
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key}: repeated entries in {list(values)}")
         if self.k < 2:
             raise ConfigError("k must be >= 2")
         if set(self.combat_set) & set(self.size_set):
@@ -119,42 +160,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except ValueError as exc:   # bad JSON or UTF-8, an overlong int
-                raise ConfigError(f"{path}: {exc}") from None
-        return cls.from_dict(raw, path)
-
-    @classmethod
-    def from_dict(cls, raw: dict, path: str) -> "ExperimentConfig":
-        """Build a config from its JSON object, read from the file ``path``.
-
-        Relative corpus and inventory paths are taken from ``path``'s
-        directory.
-        """
-        if not isinstance(raw, dict) or "corpus_path" not in raw \
-                or "inventory_path" not in raw:
-            raise ConfigError(
-                f"{path}: config must set corpus_path and inventory_path")
-        check_json_types(cls, raw, f"{path}: ")
-        # Only the tuple fields hold JSON lists (check_json_types).
-        kwargs = {key: tuple(value) if isinstance(value, list) else value
-                  for key, value in raw.items()}
-        if "boost_params" in kwargs:
-            check_json_types(BoostParams, kwargs["boost_params"],
-                             f"{path}: boost_params: ")
-            try:
-                kwargs["boost_params"] = BoostParams(**kwargs["boost_params"])
-            except BoostError as exc:
-                raise ConfigError(
-                    f"{path}: invalid boost_params: {exc}") from exc
-        # Config paths are relative to the config file's directory.
+        """Read a config file; relative corpus and inventory paths are taken
+        from its directory."""
+        config = decode(cls, read_json(path), path)
         base = os.path.dirname(os.path.abspath(path))
-        for key in ("corpus_path", "inventory_path"):
-            if not os.path.isabs(kwargs[key]):
-                kwargs[key] = os.path.join(base, kwargs[key])
-        return cls(**kwargs)
+        return dataclasses.replace(
+            config, corpus_path=os.path.join(base, config.corpus_path),
+            inventory_path=os.path.join(base, config.inventory_path))
 
 
 @dataclass

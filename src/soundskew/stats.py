@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class TTestResult:
 class OlsResult:
     slope: float
     intercept: float
-    F: float
+    F: Annotated[float, "inf for a perfect fit"]
     df1: int
     df2: int
     p: float

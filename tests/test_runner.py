@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import os
+import sys
+import types
+import typing
 from collections import Counter
 
 import numpy as np
@@ -14,6 +17,7 @@ from soundskew.metrics import IterationRecord
 from soundskew.runner import (
     ConfigError,
     ExperimentConfig,
+    ExperimentReport,
     emit_report,
     hypothesis_h1,
     hypothesis_h2,
@@ -23,8 +27,8 @@ from tests.conftest import CORPUS_CSV, INVENTORY_CSV
 
 FAST_BOOST = BoostParams(rounds=20, max_depth=3)
 
-# The smallest config object that from_dict accepts, a record, and a report
-# that stats and report read.
+# The smallest config object that decodes, a record, and a report that
+# stats and report read; TABLES_REPORT adds an aggregate and an H1 entry.
 CONFIG_KEYS = {"corpus_path": "corpus.csv", "inventory_path": "inventory.csv"}
 RECORD = {"language": "jpn", "variable": "Attack", "fold": 0, "seed": 1,
           "tp": 1, "fp": 0, "fn": 0, "tn": 1, "accuracy": 1.0, "fp_pct": None}
@@ -33,6 +37,12 @@ REPORT = {"version": 1, "timestamp": "", "config": CONFIG_KEYS,
           "aggregates": [], "h1": [], "length_regressions": [],
           "h2": {"result": None, "combat": None, "size": None,
                  "untestable_reason": "none"}}
+AGGREGATE = {"language": "jpn", "variable": "Attack", "mean_accuracy": 1.0,
+             "mean_fp_pct": None, "pooled_accuracy": 1.0,
+             "pooled_fp_pct": None, "n_iterations": 1, "n_undefined_fp": 1}
+H1_ENTRY = {"group": "Attack", "n": 0, "n_excluded": 1, "result": None,
+            "untestable_reason": "fewer than 2 defined FP values"}
+TABLES_REPORT = dict(REPORT, aggregates=[AGGREGATE], h1=[H1_ENTRY])
 
 # The JSON type that each config key takes; any other type is bad input.
 CONFIG_JSON_TYPES = {
@@ -491,6 +501,16 @@ class TestCli:
         ("string-fp-pct",
          json.dumps(dict(REPORT, records=[dict(RECORD, fp_pct="0.5")]))),
         ("record-list", json.dumps(dict(REPORT, records=[[1]]))),
+        # every part of a report is read, not only the records
+        ("h1-n-null",
+         json.dumps(dict(TABLES_REPORT, h1=[dict(H1_ENTRY, n=None)]))),
+        ("timestamp-number", json.dumps(dict(TABLES_REPORT, timestamp=5))),
+        ("languages-int", json.dumps(dict(TABLES_REPORT, languages=7))),
+        ("aggregate-count-string", json.dumps(dict(
+            TABLES_REPORT,
+            aggregates=[dict(AGGREGATE, n_iterations="three")]))),
+        ("h2-unknown-key", json.dumps(dict(
+            TABLES_REPORT, h2=dict(REPORT["h2"], bogus=1)))),
     ])
     def test_stats_bad_report_exits_1(self, tmp_path, capsys, name, text):
         # stats and report read a report through the same check
@@ -501,12 +521,21 @@ class TestCli:
             assert cli_main(argv) == 1
             assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
-    def test_smallest_report_is_read(self, tmp_path, capsys):
-        # the report that the bad-report cases change one part of
+    def test_bad_report_message_names_the_value(self, tmp_path, capsys):
         path = tmp_path / "report.json"
-        path.write_text(json.dumps(REPORT))
-        assert cli_main(["stats", "--report", str(path)]) == 0
-        assert cli_main(["report", "--json", str(path)]) == 0
+        path.write_text(json.dumps(
+            dict(TABLES_REPORT, h1=[dict(H1_ENTRY, n=None)])))
+        assert cli_main(["stats", "--report", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: h1[0]: n must be an integer, got None")
+
+    def test_smallest_report_is_read(self, tmp_path, capsys):
+        # the reports that the bad-report cases change one part of
+        path = tmp_path / "report.json"
+        for doc in (REPORT, TABLES_REPORT):
+            path.write_text(json.dumps(doc))
+            assert cli_main(["stats", "--report", str(path)]) == 0
+            assert cli_main(["report", "--json", str(path)]) == 0
 
     @pytest.mark.parametrize("argv", [
         [],
@@ -579,16 +608,32 @@ class TestCli:
         ({"boost_params": {"min_child_weight": 10 ** 400}},
          "config.json: boost_params: min_child_weight must be a finite "),
         ({"boost_params": 5}, "config.json: boost_params must be an object"),
+        # the config's own rules name the file too
+        ({"k": 1}, "k must be >= 2"),
+        ({"combat_set": ["Attack"], "size_set": ["Attack"]},
+         "combat_set and size_set must be disjoint"),
+        ({"threat_direction": {"Attack": "up"}},
+         "threat_direction['Attack'] must be 'high' or 'low'"),
+        ({"formats": ["pdf"]}, "unknown report formats: ['pdf']"),
+        ({"languages": []}, "languages must be non-empty when given"),
+        # a repeated group would be counted twice in H1, H2 and the OLS
+        ({"languages": ["jpn", "jpn"]}, "languages: repeated entries"),
+        ({"variables": ["Attack", "Attack"]}, "variables: repeated entries"),
+        # a misspelt attribute would silently keep the default direction
+        ({"threat_direction": {"attack": "low"}},
+         "threat_direction: unknown attributes ['attack']"),
     ], ids=["roundz", "rounds", "k", "variables", "threat-list",
             "languages-int", "languages-str", "variables-null",
             "combat-int-item", "out-dir-int", "rounds-float", "rate-bool",
-            "lambda-nan", "weight-overflow", "params-int"])
+            "lambda-nan", "weight-overflow", "params-int", "k-1",
+            "overlapping-sets", "threat-value", "formats", "languages-empty",
+            "languages-repeated", "variables-repeated", "threat-key"])
     def test_config_mistake_exits_1_naming_key(self, tmp_path, capsys,
                                                overrides, message):
         config = self.write_config(tmp_path, **overrides)
         assert cli_main(["run", "--config", config]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: {config}: ")
         assert message in err
 
     @pytest.mark.parametrize("column, cell", [
@@ -699,3 +744,130 @@ class TestCli:
         if code == 1:
             assert err.startswith((f"error: {tmp_path / 'corpus.csv'}: ",
                                    f"error: {tmp_path / 'inventory.csv'}: "))
+
+
+def json_leaves(doc, path=()):
+    """(path, value) for each value of a JSON document that is not a
+    non-empty list or object."""
+    if isinstance(doc, (dict, list)) and doc:
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            yield from json_leaves(value, path + (key,))
+    else:
+        yield path, doc
+
+
+def report_field_type(path):
+    """The annotation of the report value at ``path``."""
+    tp = ExperimentReport
+    for step in path:
+        if typing.get_origin(tp) is types.UnionType:     # X | None
+            tp = typing.get_args(tp)[0]
+        if dataclasses.is_dataclass(tp):
+            tp = typing.get_type_hints(tp, include_extras=True)[step]
+        else:                           # list[X], tuple[X, ...], dict[str, X]
+            tp = typing.get_args(tp)[-1 if isinstance(step, str) else 0]
+    return tp
+
+
+def fits_annotation(value, tp) -> bool:
+    """Whether a JSON value has the JSON type of annotation ``tp``: a bool is
+    not a number, a float is finite unless ``Annotated``, and any object
+    fits a dataclass."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        return value is None or fits_annotation(value, args[0])
+    if origin is typing.Annotated:
+        return value in (float("inf"), float("-inf")) \
+            or fits_annotation(value, args[0])
+    if origin in (list, tuple):
+        return isinstance(value, list) \
+            and all(fits_annotation(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) \
+            and all(fits_annotation(v, args[1]) for v in value.values())
+    if dataclasses.is_dataclass(tp):
+        return isinstance(value, dict)
+    if isinstance(value, bool):
+        return False
+    if tp is float:
+        return isinstance(value, (int, float)) \
+            and abs(value) <= sys.float_info.max
+    return isinstance(value, tp)
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A small run on the fixture with testable H1, H2 and regressions; its
+    files are in ``config.out_dir``."""
+    report = run_experiment(fast_config(
+        languages=("jpn",), variables=("Attack", "Weight"),
+        combat_set=("Attack",), size_set=("Weight",),
+        boost_params=BoostParams(rounds=2, max_depth=2),
+        out_dir=str(tmp_path_factory.mktemp("run"))))
+    emit_report(report)
+    return report
+
+
+class TestReportFile:
+    def test_decoded_report_equals_the_written_one(self, small_run, capsys):
+        assert small_run.h2.result is not None
+        assert all(e.result is not None for e in small_run.h1)
+        out_dir = small_run.config.out_dir
+        path = os.path.join(out_dir, "report.json")
+        with open(path, encoding="utf-8") as fh:
+            assert runner.decode(ExperimentReport, json.load(fh), path) \
+                == small_run
+        assert cli_main(["report", "--json", path]) == 0
+        with open(os.path.join(out_dir, "report.md"), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
+    def test_perfect_fit_report_is_read(self, tmp_path, write_corpus,
+                                        capsys):
+        # Attack is exactly linear in name length, so the regressions' F is
+        # infinite, and report.json holds it as Infinity.
+        corpus_path, inventory_path = write_corpus(
+            [f"x{n},xx,n{n},{' '.join('a' * n)},{10 * n},1,1,1"
+             for n in (2, 3, 4)], ["xx,a,0"])
+        report = run_experiment(ExperimentConfig(
+            corpus_path=corpus_path, inventory_path=inventory_path,
+            variables=("Attack",), boost_params=BoostParams(rounds=1),
+            out_dir=str(tmp_path / "out")))
+        emit_report(report)
+        path = tmp_path / "out" / "report.json"
+        assert '"F": Infinity' in path.read_text()
+        assert cli_main(["stats", "--report", str(path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["report", "--json", str(path)]) == 0
+        assert capsys.readouterr().out \
+            == (tmp_path / "out" / "report.md").read_text()
+        assert runner.decode(ExperimentReport, json.loads(path.read_text()),
+                             str(path)) == report
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_wrong_type_anywhere_in_report_exits_1(self, small_run, tmp_path,
+                                                   capsys, data):
+        with open(os.path.join(small_run.config.out_dir, "report.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        path, old = data.draw(st.sampled_from(list(json_leaves(doc))))
+        value = data.draw(JSON_VALUES.filter(
+            lambda v: type(v) is not type(old)))
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        fits = fits_annotation(value, report_field_type(path))
+        for argv in (["stats", "--report", str(report)],
+                     ["report", "--json", str(report)]):
+            code = cli_main(argv)
+            err = capsys.readouterr().err
+            # exit 0 only for a value of the field's type, which the
+            # dataclass's own checks may still reject
+            assert code == 1 or code == 0 and fits, (path, value, err)
+            if code == 1:
+                assert err.startswith(f"error: {report}: ")
