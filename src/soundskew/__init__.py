@@ -25,6 +25,7 @@ from soundskew.labeling import (
 from soundskew.boost import (
     BoostModel,
     BoostParams,
+    Trees,
     classify,
     feature_importance,
     leaf_weight,

@@ -27,19 +27,26 @@ children ``min_child_weight`` is a leaf without a search, and a node builds
 its per-column lists from its parent's only when it searches.  The margins
 are not updated after the last round, which nothing reads.
 
-A tree is held in exactly the nested form that ``model_to_json`` writes, the
-node form of an XGBoost JSON dump: a leaf is ``{"weight": w}`` and an
-internal node is ``{"feature": j, "threshold": t, "gain": g, "left": ...,
-"right": ...}``, routing ``x[j] < t`` to the left child.  ``predict_margin``
-on the first ``r`` trees repeats training's margin sums, so training's loss
-curve can be recomputed bit for bit from a model and its training rows.
+All trees of a model are one node table in preorder, tree after tree
+(``Trees``): parallel arrays ``feature``, ``threshold``, ``gain``, ``left``,
+``right`` and ``value``, where a leaf's children are the leaf itself.  So a
+row reaches its leaf in every tree after at most ``max_depth`` vectorized
+gathers, with no recursion: training routes all its rows through each new
+tree that way, and ``predict_margin`` routes the rows through every tree at
+once and adds the leaf values to the base margin tree by tree.  So
+``predict_margin`` on the first ``r`` trees repeats training's margin sums,
+and training's loss curve can be recomputed bit for bit from a model and its
+training rows.  ``model_to_json`` writes the table as the nested node form
+of an XGBoost JSON dump: a leaf is ``{"weight": w}`` and a split is
+``{"feature": j, "threshold": t, "gain": g, "left": ..., "right": ...}``,
+routing ``x[j] < t`` to the left child.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -82,17 +89,46 @@ class BoostParams:
             raise BoostError("base_score must be in (0, 1)")
 
 
-@dataclass
-class BoostModel:
-    """A fitted ensemble, held as the trees that ``model_to_json`` writes.
+@dataclass(frozen=True, eq=False)
+class Trees:
+    """Fitted trees as one node table: each tree's nodes in preorder.
 
-    Each tree is a nested dict: a leaf is ``{"weight": w}`` and a split is
-    ``{"feature", "threshold", "gain", "left", "right"}``.  The margin of
-    ``x`` is ``base_margin`` plus the weight of the leaf that each tree
-    routes ``x`` to; ``n_features`` is the width ``x`` must have.
+    Node ``i`` routes ``x`` to ``left[i]`` when ``x[feature[i]] <
+    threshold[i]`` and to ``right[i]`` otherwise; ``gain[i]`` is the gain of
+    that split.  A leaf is a node whose ``left`` and ``right`` are itself;
+    its ``value`` is its weight (0 at a split) and its ``feature``,
+    ``threshold`` and ``gain`` are 0.  Tree ``t`` is nodes ``roots[t]`` up
+    to ``ends[t]``, and no path from a root to a leaf has more than
+    ``depth`` splits.  A slice selects trees and shares the node arrays, so
+    ``trees[:r]`` is the ensemble after ``r`` rounds.
     """
 
-    trees: list[dict]
+    feature: np.ndarray
+    threshold: np.ndarray
+    gain: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    ends: np.ndarray
+    depth: int
+
+    def __len__(self) -> int:
+        return len(self.roots)
+
+    def __getitem__(self, key: slice) -> Trees:
+        return replace(self, roots=self.roots[key], ends=self.ends[key])
+
+
+@dataclass
+class BoostModel:
+    """A fitted ensemble, held as its ``Trees``.
+
+    The margin of ``x`` is ``base_margin`` plus the value of the leaf that
+    each tree routes ``x`` to; ``n_features`` is the width ``x`` must have.
+    """
+
+    trees: Trees
     params: BoostParams
     n_features: int
     base_margin: float
@@ -103,17 +139,14 @@ class BoostModel:
 
         That is the order in which training made the splits.
         """
-        log = []
-
-        def walk(node: dict):
-            if "weight" not in node:
-                log.append((node["feature"], node["gain"]))
-                walk(node["left"])
-                walk(node["right"])
-
-        for tree in self.trees:
-            walk(tree)
-        return log
+        t = self.trees
+        sizes = t.ends - t.roots
+        # roots[0], ..., ends[0] - 1, roots[1], ...: the trees' node ids
+        ids = np.arange(sizes.sum()) + np.repeat(
+            t.roots - (sizes.cumsum() - sizes), sizes)
+        ids = ids[t.left.take(ids) != ids]
+        return list(zip(t.feature.take(ids).tolist(),
+                        t.gain.take(ids).tolist()))
 
 
 def sigmoid(margin):
@@ -125,7 +158,14 @@ def logit(p: float) -> float:
 
 
 def _score(G, H, l2_lambda: float):
-    """Structure score G^2 / (H + lambda); 0 where H + lambda <= 0."""
+    """Structure score G^2 / (H + lambda); 0 where H + lambda <= 0.
+
+    For ``l2_lambda > 0`` the denominator is divided by as it is: hessian
+    sums are ``>= 0``, and a right sum ``H - HL`` that rounding leaves below
+    zero fails the child-weight rule, so its score is never read.
+    """
+    if l2_lambda > 0:
+        return G * G / (H + l2_lambda)
     denom = H + l2_lambda
     return np.divide(G * G, denom, out=np.zeros_like(G), where=denom > 0)
 
@@ -154,8 +194,8 @@ def _best_split(XT: np.ndarray, gh: np.ndarray, S: np.ndarray,
     One gather of ``gh`` and one complex cumsum give both prefix sums: a
     complex add adds the real parts and the imaginary parts separately, so
     each running sum is the same sequence of float adds as a cumsum of ``g``
-    or ``h`` alone.  The left sums, the right sums and the node's own totals
-    go through one ``_score`` call; the parent score is its last element.
+    or ``h`` alone.  The gain ``0.5 * (left + right - parent) -
+    min_split_gain`` is computed in place, in that order.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
     values.  Only those boundary positions are scored, flattened one column
@@ -163,36 +203,46 @@ def _best_split(XT: np.ndarray, gh: np.ndarray, S: np.ndarray,
     lowest-feature-then-lowest-threshold tie break.
     """
     n, m = XT.shape[1], S.shape[1]
-    Sc = S.take(cols, axis=0)
-    xs = XT.ravel().take(Sc + (cols * n)[:, None])
-    bounds = (xs[:, :-1] < xs[:, 1:]).ravel().nonzero()[0]
-    if bounds.size == 0:
+    if m < 2:
         return None
-    at = bounds + bounds // (m - 1)          # flat positions in (cols, m)
-    left = gh.take(Sc).cumsum(axis=1).ravel().take(at)
+    Sc = S.take(cols, axis=0)
+    ghs = gh.take(Sc)
+    Sc += (cols * n)[:, None]               # row ids to positions in XT
+    xs = XT.ravel().take(Sc).ravel()
+    edge = xs[:-1] < xs[1:]
+    edge[m - 1::m] = False                  # across two columns
+    at = edge.nonzero()[0]                  # flat positions in (cols, m)
+    if at.size == 0:
+        return None
+    left = ghs.cumsum(axis=1, out=ghs).ravel().take(at)
     GL, HL = left.real, left.imag
-    k = at.size
-    Gs = np.concatenate((GL, G - GL, [G]))
-    Hs = np.concatenate((HL, H - HL, [H]))
-    s = _score(Gs, Hs, params.l2_lambda)
-    gains = 0.5 * (s[:k] + s[k:-1] - s[-1]) - params.min_split_gain
-    gains = np.where(np.minimum(HL, Hs[k:-1]) >= params.min_child_weight,
-                     gains, -np.inf)
+    GR, HR = G - GL, H - HL
+    lam = params.l2_lambda
+    gains = _score(GL, HL, lam)
+    gains += _score(GR, HR, lam)
+    gains -= _score(G, H, lam)
+    gains *= 0.5
+    if params.min_split_gain:               # x - 0.0 is x, bit for bit
+        gains -= params.min_split_gain
+    np.putmask(gains, np.minimum(HL, HR) < params.min_child_weight, -np.inf)
     best = int(gains.argmax())
     best_gain = float(gains[best])
     if not math.isfinite(best_gain) or best_gain <= 0.0:
         return None
     i = at[best]
-    feature = int(cols[i // m])
-    flat = xs.ravel()
-    threshold = float(flat[i] + flat[i + 1]) / 2.0
-    return feature, threshold, best_gain
+    threshold = float(xs[i] + xs[i + 1]) / 2.0
+    return int(cols[i // m]), threshold, best_gain
 
 
 def _build_tree(XT: np.ndarray, gh: np.ndarray, idx: np.ndarray,
                 S: np.ndarray, keep: np.ndarray | None, depth: int,
-                params: BoostParams, rng: np.random.Generator) -> dict:
-    """Grow a subtree over the ascending row ids ``idx``; returns its node.
+                params: BoostParams, rng: np.random.Generator,
+                nodes: Trees, i: int) -> int:
+    """Grow node ``i`` over the ascending row ids ``idx``, in preorder.
+
+    The subtree is written into the arrays of ``nodes`` from id ``i`` on; a
+    split's left child is ``i + 1``.  Returns the first id after the
+    subtree.
 
     The node's per-feature lists, its rows once per feature sorted by (value,
     row id), are ``S[keep].reshape(n_features, -1)``: ``S`` is the parent's
@@ -210,19 +260,22 @@ def _build_tree(XT: np.ndarray, gh: np.ndarray, idx: np.ndarray,
     any left sum ``HL >= min_child_weight`` leaves a right sum
     ``H - HL <= H - min_child_weight`` in floats, so no candidate is valid.
     """
-    G = float(gh.real[idx].sum())
-    H = float(gh.imag[idx].sum())
+    G = float(np.add.reduce(gh.real[idx]))
+    H = float(np.add.reduce(gh.imag[idx]))
 
     def leaf():
-        return {"weight": params.learning_rate
-                * leaf_weight(G, H, params.l2_lambda)}
+        nodes.left[i] = nodes.right[i] = i
+        nodes.value[i] = params.learning_rate * leaf_weight(
+            G, H, params.l2_lambda)
+        return i + 1
 
     if depth >= params.max_depth or len(idx) < 2:
         return leaf()
     n_features = XT.shape[0]
     if params.col_subsample_per_node < 1.0:
         m = max(1, math.ceil(params.col_subsample_per_node * n_features))
-        cols = np.sort(rng.choice(n_features, size=m, replace=False))
+        cols = rng.choice(n_features, size=m, replace=False)
+        cols.sort()
     else:
         cols = np.arange(n_features)
     mcw = params.min_child_weight
@@ -233,34 +286,36 @@ def _build_tree(XT: np.ndarray, gh: np.ndarray, idx: np.ndarray,
     found = _best_split(XT, gh, S, cols, G, H, params)
     if found is None:
         return leaf()
-    feature, threshold, gain = found
-    go_left = XT[feature] < threshold
-    on_left = go_left[idx]
+    nodes.feature[i], nodes.threshold[i], nodes.gain[i] = found
+    go_left = XT[found[0]] < found[1]
+    on_left = go_left.take(idx)
     # Children at max_depth are leaves and never read their lists.
     in_left = go_left.take(S) if depth + 1 < params.max_depth else None
-    left = _build_tree(XT, gh, idx[on_left], S, in_left, depth + 1, params,
-                       rng)
-    right = _build_tree(XT, gh, idx[~on_left], S,
-                        None if in_left is None else ~in_left, depth + 1,
-                        params, rng)
-    return {"feature": feature, "threshold": threshold, "gain": gain,
-            "left": left, "right": right}
+    nodes.left[i] = i + 1
+    j = _build_tree(XT, gh, idx.compress(on_left), S, in_left, depth + 1,
+                    params, rng, nodes, i + 1)
+    nodes.right[i] = j
+    return _build_tree(XT, gh, idx.compress(~on_left), S,
+                       None if in_left is None else ~in_left, depth + 1,
+                       params, rng, nodes, j)
 
 
-def _apply_tree(node: dict, X: np.ndarray, out: np.ndarray,
-                idx: np.ndarray) -> None:
-    if "weight" in node:
-        out[idx] = node["weight"]
-        return
-    go_left = X[idx, node["feature"]] < node["threshold"]
-    _apply_tree(node["left"], X, out, idx[go_left])
-    _apply_tree(node["right"], X, out, idx[~go_left])
+def _leaves(trees: Trees, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Leaf id of every (root, row of ``X``): ``trees.depth`` gathers.
 
-
-def _tree_output(node: dict, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0], dtype=float)
-    _apply_tree(node, X, out, np.arange(X.shape[0]))
-    return out
+    A leaf routes to itself, so the routes of shallower trees stay put.  The
+    result has shape ``(len(roots), len(X))``, or ``(len(roots), 1)`` (every
+    row at its root) when ``trees.depth`` is 0.
+    """
+    n, n_features = X.shape
+    flat = X.ravel()
+    row_start = np.arange(0, n * n_features, n_features)
+    node = roots[:, None]
+    for _ in range(trees.depth):
+        x = flat.take(row_start + trees.feature.take(node))
+        node = np.where(x < trees.threshold.take(node),
+                        trees.left.take(node), trees.right.take(node))
+    return node
 
 
 def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
@@ -279,48 +334,72 @@ def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
     if not np.all((y == 0) | (y == 1)):
         raise BoostError("labels must be 0 or 1")
     exact = X.dtype.kind in "biuf" and X.dtype.itemsize <= 4
-    order = np.argsort(X.T if exact else X.T.astype(float), axis=1,
-                       kind="stable")
-    X = np.asarray(X, dtype=float)
+    # Sorting C-contiguous rows is faster than sorting the strided X.T.
+    order = np.argsort(np.ascontiguousarray(X.T, None if exact else float),
+                       axis=1, kind="stable")
+    X = np.ascontiguousarray(X, dtype=float)
     n = X.shape[0]
     XT = np.ascontiguousarray(X.T)
     rng = np.random.default_rng(params.seed)
     base_margin = logit(params.base_score)
     margins = np.full(n, base_margin)
-    model = BoostModel(trees=[], params=params, n_features=X.shape[1],
-                       base_margin=base_margin)
+    rows = n
+    if params.row_subsample < 1.0:
+        rows = max(1, int(math.floor(params.row_subsample * n)))
+    # Every leaf holds a row, so no path has more than rows - 1 splits and no
+    # tree more than 2 * rows - 1 nodes; unused capacity stays unwritten.
+    # Routing by max_depth alone would loop for a max_depth of 10**9.
+    depth = min(params.max_depth, rows - 1)
+    size = params.rounds * min(2 * rows - 1, 2 ** (depth + 1) - 1)
+    feature, left, right = (np.zeros(size, dtype=np.intp) for _ in range(3))
+    threshold, gain, value = (np.zeros(size) for _ in range(3))
+    roots, ends = np.zeros((2, params.rounds), dtype=np.intp)
+    nodes = Trees(feature, threshold, gain, left, right, value, roots, ends,
+                  depth)
     gh = np.empty(n, dtype=complex)
-    for _ in range(params.rounds):
+    free = 0
+    for r in range(params.rounds):
         p = sigmoid(margins)
         gh.real = p - y
         gh.imag = p * (1.0 - p)
-        if params.row_subsample < 1.0:
-            m = max(1, int(math.floor(params.row_subsample * n)))
-            idx = np.sort(rng.choice(n, size=m, replace=False))
+        if rows < n:
+            idx = rng.choice(n, size=rows, replace=False)
+            idx.sort()
             keep = np.zeros(n, dtype=bool)
             keep[idx] = True
             keep = keep.take(order)
         else:
             idx = np.arange(n)
             keep = None
-        tree = _build_tree(XT, gh, idx, order, keep, 0, params, rng)
-        model.trees.append(tree)
-        if len(model.trees) < params.rounds:   # the last update is unread
-            margins += _tree_output(tree, X)
-    return model
+        roots[r] = free
+        free = _build_tree(XT, gh, idx, order, keep, 0, params, rng, nodes,
+                           free)
+        ends[r] = free
+        if r + 1 < params.rounds:              # the last update is unread
+            leaf = _leaves(nodes, roots[r:r + 1], X)
+            margins += value.take(leaf[0])
+    trees = Trees(feature[:free], threshold[:free], gain[:free], left[:free],
+                  right[:free], value[:free], roots, ends, depth)
+    return BoostModel(trees=trees, params=params, n_features=X.shape[1],
+                      base_margin=base_margin)
 
 
 def predict_margin(model: BoostModel, x: np.ndarray):
-    """Raw margin: base margin plus the sum of (scaled) leaf weights."""
+    """Raw margin: base margin plus the sum of (scaled) leaf weights.
+
+    The leaf values are added to the base margin tree by tree, as training
+    added them.
+    """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = x[None, :] if single else x
     if X.shape[1] != model.n_features:
         raise BoostError(
             f"expected {model.n_features} features, got {X.shape[1]}")
+    trees = model.trees
     margins = np.full(X.shape[0], model.base_margin)
-    for tree in model.trees:
-        margins += _tree_output(tree, X)
+    for values in trees.value.take(_leaves(trees, trees.roots, X)):
+        margins += values
     return float(margins[0]) if single else margins
 
 
@@ -343,12 +422,27 @@ def feature_importance(model: BoostModel) -> dict[int, float]:
 
 
 def model_to_json(model: BoostModel) -> str:
-    """Versioned JSON serialization for audit and golden-file tests."""
+    """Versioned JSON serialization for audit and golden-file tests.
+
+    Each tree is written in the nested node form of an XGBoost JSON dump.
+    """
+    t = model.trees
+    feature, threshold, gain, left, right, value = (
+        a.tolist() for a in (t.feature, t.threshold, t.gain, t.left, t.right,
+                             t.value))
+
+    def node(i: int) -> dict:
+        if left[i] == i:
+            return {"weight": value[i]}
+        return {"feature": feature[i], "threshold": threshold[i],
+                "gain": gain[i], "left": node(left[i]),
+                "right": node(right[i])}
+
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "params": asdict(model.params),
         "n_features": model.n_features,
         "base_margin": model.base_margin,
-        "trees": model.trees,
+        "trees": [node(root) for root in t.roots.tolist()],
     }
     return json.dumps(doc, indent=1, sort_keys=True)

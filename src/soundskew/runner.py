@@ -384,10 +384,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     languages = config.languages or tuple(
         dict.fromkeys(corpus.language.tolist()))
     if not languages:
-        raise ConfigError("corpus contains no entries")
+        raise ConfigError(f"{config.corpus_path}: corpus contains no entries")
     for lang in languages:
         if lang not in inventories:
-            raise ConfigError(f"no inventory for configured language {lang!r}")
+            raise ConfigError(f"{config.inventory_path}: no inventory for "
+                              f"configured language {lang!r}")
     records: list[IterationRecord] = []
     failures: list[GroupFailure] = []
     for language in languages:

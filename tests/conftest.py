@@ -1,10 +1,11 @@
 import dataclasses
+import json
 import os
 
 import numpy as np
 import pytest
 
-from soundskew.boost import predict_prob
+from soundskew.boost import model_to_json, predict_prob
 from soundskew.corpus import load_corpus
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -60,3 +61,40 @@ def train_losses(model, X, y) -> list[float]:
         losses.append(
             float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
     return losses
+
+
+def json_trees(model) -> list[dict]:
+    """The model's trees in their serialized nested node form."""
+    return json.loads(model_to_json(model))["trees"]
+
+
+def tree_output(node: dict, X: np.ndarray) -> np.ndarray:
+    """Oracle: the weight of the leaf each row of ``X`` reaches in a
+    serialized tree, routed recursively, ``x[feature] < threshold`` left."""
+    out = np.empty(X.shape[0], dtype=float)
+
+    def route(node: dict, idx: np.ndarray) -> None:
+        if "weight" in node:
+            out[idx] = node["weight"]
+            return
+        go_left = X[idx, node["feature"]] < node["threshold"]
+        route(node["left"], idx[go_left])
+        route(node["right"], idx[~go_left])
+
+    route(node, np.arange(X.shape[0]))
+    return out
+
+
+def serialized_gain_log(trees: list[dict]) -> list[tuple[int, float]]:
+    """(feature, gain) of every split of serialized trees, in preorder."""
+    log = []
+
+    def walk(node: dict) -> None:
+        if "weight" not in node:
+            log.append((node["feature"], node["gain"]))
+            walk(node["left"])
+            walk(node["right"])
+
+    for tree in trees:
+        walk(tree)
+    return log

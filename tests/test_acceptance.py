@@ -29,6 +29,7 @@ from tests.conftest import (
     INVENTORY_CSV,
     PAPER_CORPUS_CSV,
     PAPER_INVENTORY_CSV,
+    json_trees,
     train_losses,
 )
 from tests.test_stats import beta_quadrature
@@ -102,7 +103,7 @@ def test_criterion_3_boost_properties():
         rounds=1, max_depth=1, learning_rate=1.0, l2_lambda=1.0,
         min_child_weight=0.0, row_subsample=1.0,
         col_subsample_per_node=1.0))
-    tree = simple.trees[0]
+    tree = json_trees(simple)[0]
     assert abs(tree["left"]["weight"] - leaf_weight(2.0, 1.0, 1.0)) <= 1e-12
     assert abs(tree["right"]["weight"] - leaf_weight(-2.0, 1.0, 1.0)) <= 1e-12
 

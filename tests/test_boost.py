@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from soundskew.boost import (
     BoostError,
     BoostParams,
+    Trees,
     _score,
     classify,
     feature_importance,
@@ -15,7 +19,12 @@ from soundskew.boost import (
     predict_prob,
     train,
 )
-from tests.conftest import train_losses
+from tests.conftest import (
+    json_trees,
+    serialized_gain_log,
+    train_losses,
+    tree_output,
+)
 
 NO_SAMPLING = dict(row_subsample=1.0, col_subsample_per_node=1.0)
 
@@ -135,7 +144,7 @@ class TestTrain:
                              l2_lambda=1.0, min_child_weight=0.0,
                              **NO_SAMPLING)
         model = train(X, y, params)
-        tree = model.trees[0]
+        tree = json_trees(model)[0]
         assert tree["feature"] == 0
         assert tree["threshold"] == pytest.approx(0.5)
         # each side: 4 samples at prob 0.5 -> |G| = 2, H = 1
@@ -194,7 +203,7 @@ class TestTrain:
             return 0 if "weight" in node \
                 else 1 + max(depth(node["left"]), depth(node["right"]))
 
-        assert all(depth(t) <= 3 for t in model.trees)
+        assert all(depth(t) <= 3 for t in json_trees(model))
 
     def test_leaf_weights_are_scaled_leaf_optimum(self):
         # reconstruct (G, H) at each leaf from the training trajectory, both
@@ -206,7 +215,7 @@ class TestTrain:
                              **NO_SAMPLING)
         model = train(X, y, params)
         margins = np.full(50, model.base_margin)
-        for tree in model.trees:
+        for tree in json_trees(model):
             p = 1.0 / (1.0 + np.exp(-margins))
             g, h = p - y, p * (1 - p)
             fd = np.array([finite_difference_grad_hess(label, margin)
@@ -236,7 +245,7 @@ class TestPredict:
     def test_zero_tree_model_ties_to_threat(self):
         model = train(np.array([[0.0], [1.0]]), np.array([0, 1]),
                       BoostParams(rounds=1, **NO_SAMPLING))
-        model.trees = []
+        model.trees = model.trees[:0]
         x = np.array([3.0])
         assert predict_margin(model, x) == 0.0
         assert predict_prob(model, x) == 0.5
@@ -245,7 +254,11 @@ class TestPredict:
     def test_single_leaf_tree_weight_is_margin(self):
         model = train(np.array([[0.0], [1.0]]), np.array([0, 1]),
                       BoostParams(rounds=1, **NO_SAMPLING))
-        model.trees = [{"weight": 0.75}]
+        model.trees = Trees(
+            feature=np.zeros(1, dtype=np.intp), threshold=np.zeros(1),
+            gain=np.zeros(1), left=np.zeros(1, dtype=np.intp),
+            right=np.zeros(1, dtype=np.intp), value=np.array([0.75]),
+            roots=np.array([0]), ends=np.array([1]), depth=0)
         assert predict_margin(model, np.array([0.0])) == pytest.approx(0.75)
 
     def test_dimension_mismatch_rejected(self):
@@ -255,11 +268,73 @@ class TestPredict:
             predict_margin(model, np.array([1.0, 2.0]))
 
 
+def oracle_margin(model, X):
+    """Base margin plus each serialized tree's recursive output, in order."""
+    margins = np.full(X.shape[0], model.base_margin)
+    for tree in json_trees(model):
+        margins += tree_output(tree, X)
+    return margins
+
+
+def thresholds(node: dict) -> list[float]:
+    if "weight" in node:
+        return []
+    return [node["threshold"], *thresholds(node["left"]),
+            *thresholds(node["right"])]
+
+
+@st.composite
+def models_and_rows(draw):
+    """A small fitted model, and query rows with some exactly at its
+    thresholds (midpoints of the integer training values)."""
+    n = draw(st.integers(2, 40))
+    f = draw(st.integers(1, 5))
+    X = draw(arrays(np.int16, (n, f), elements=st.integers(0, 4)))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    params = BoostParams(
+        rounds=draw(st.integers(1, 8)), max_depth=draw(st.integers(1, 4)),
+        min_child_weight=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        row_subsample=draw(st.sampled_from([1.0, 0.7])),
+        col_subsample_per_node=draw(st.sampled_from([1.0, 0.6])),
+        seed=draw(st.integers(0, 1000)))
+    model = train(X, y, params)
+    rows = draw(arrays(float, (draw(st.integers(1, 20)), f),
+                       elements=st.sampled_from(np.arange(-1.0, 5.5, 0.5))))
+    at = [t for tree in json_trees(model) for t in thresholds(tree)]
+    at_threshold = np.repeat(np.array(at).reshape(-1, 1), f, axis=1)
+    return model, np.vstack([rows, at_threshold])
+
+
+class TestTreeArrays:
+    """The array trees against the recursive router on their JSON form."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(models_and_rows())
+    def test_predict_and_gain_log_match_serialized_trees(self, problem):
+        model, X = problem
+        assert len(model.trees) == model.params.rounds
+        assert predict_margin(model, X).tobytes() \
+            == oracle_margin(model, X).tobytes()
+        single = predict_margin(model, X[0])
+        assert isinstance(single, float)
+        assert np.float64(single).tobytes() \
+            == oracle_margin(model, X[:1]).tobytes()
+        for r in range(len(model.trees) + 1):
+            prefix = dataclasses.replace(model, trees=model.trees[:r])
+            assert len(prefix.trees) == r
+            assert json_trees(prefix) == json_trees(model)[:r]
+            assert predict_margin(prefix, X).tobytes() \
+                == oracle_margin(prefix, X).tobytes()
+            # preorder is the order in which training made the splits
+            assert prefix.split_gain_log \
+                == serialized_gain_log(json_trees(prefix))
+
+
 class TestFeatureImportance:
     def test_zero_tree_model_all_zero(self):
         model = train(np.array([[0.0], [1.0]]), np.array([0, 1]),
                       BoostParams(rounds=1, **NO_SAMPLING))
-        model.trees = []
+        model.trees = model.trees[:0]
         assert set(feature_importance(model).values()) == {0.0}
 
     def test_depth_one_single_nonzero(self):
@@ -270,7 +345,7 @@ class TestFeatureImportance:
         imp = feature_importance(model)
         assert imp[0] > 0
         assert imp[1] == 0.0
-        assert imp[0] == pytest.approx(model.trees[0]["gain"])
+        assert imp[0] == pytest.approx(json_trees(model)[0]["gain"])
 
     def test_totals_match_training_gain_log(self):
         rng = np.random.default_rng(9)

@@ -636,6 +636,26 @@ class TestCli:
         assert err.startswith(f"error: {config}: ")
         assert message in err
 
+    def test_unknown_language_exits_1_naming_inventory(self, tmp_path,
+                                                       capsys):
+        config = self.write_config(tmp_path, languages=["xyz"])
+        assert cli_main(["run", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {INVENTORY_CSV}: ")
+        assert "no inventory for configured language 'xyz'" in err
+
+    def test_empty_corpus_exits_1_naming_corpus(self, tmp_path, capsys):
+        with open(CORPUS_CSV, encoding="utf-8") as fh:
+            header = fh.readline()
+        corpus_path = tmp_path / "corpus.csv"
+        corpus_path.write_text(header, encoding="utf-8")
+        config = self.write_config(tmp_path, corpus_path=str(corpus_path),
+                                   languages=None)
+        assert cli_main(["run", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus_path}: ")
+        assert "corpus contains no entries" in err
+
     @pytest.mark.parametrize("column, cell", [
         (4, "-3"), (4, "inf"), (5, "nan"), (3, ""), (6, "tall"),
     ], ids=["negative", "inf", "nan", "blank-transcription", "non-numeric"])

@@ -5,9 +5,12 @@ which sorts every node's rows afresh, sums ``g`` and ``h`` separately and
 searches every node it reaches.  They live here only as references: the
 presorted column blocks, packed gradient pairs, skipped searches and lazy
 partitions in ``soundskew.boost`` must give the same split, gain and
-serialized model bit for bit, not merely approximately.
+serialized model bit for bit, not merely approximately.  The oracle
+trees are nested dicts in ``model_to_json``'s node form, routed by the
+recursive ``tree_output``.
 """
 
+import json
 import math
 
 import numpy as np
@@ -16,16 +19,15 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from soundskew.boost import (
-    BoostModel,
     BoostParams,
     _best_split,
-    _tree_output,
     leaf_weight,
     logit,
     model_to_json,
     sigmoid,
     train,
 )
+from tests.conftest import json_trees, serialized_gain_log, tree_output
 
 
 def oracle_best_split(X, g, h, cols, params):
@@ -97,14 +99,14 @@ def oracle_build_tree(X, g, h, idx, depth, params, rng):
 
 
 def oracle_train(X, y, params):
+    """The fitted trees, in serialized node form."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
     rng = np.random.default_rng(params.seed)
     base_margin = logit(params.base_score)
     margins = np.full(n, base_margin)
-    model = BoostModel(trees=[], params=params, n_features=X.shape[1],
-                       base_margin=base_margin)
+    trees = []
     for _ in range(params.rounds):
         p = sigmoid(margins)
         g = p - y
@@ -115,9 +117,13 @@ def oracle_train(X, y, params):
         else:
             idx = np.arange(n)
         tree = oracle_build_tree(X, g, h, idx, 0, params, rng)
-        model.trees.append(tree)
-        margins += _tree_output(tree, X)
-    return model
+        trees.append(tree)
+        margins += tree_output(tree, X)
+    return trees
+
+
+def serialized(trees):
+    return json.dumps(trees, sort_keys=True)
 
 
 @st.composite
@@ -134,7 +140,8 @@ def split_problems(draw):
     cols = sorted(draw(st.sets(st.integers(0, f - 1), min_size=1)))
     params = BoostParams(
         l2_lambda=draw(st.sampled_from([0.0, 1.0])),
-        min_child_weight=draw(st.sampled_from([0.0, 1.0, 5.0])))
+        min_child_weight=draw(st.sampled_from([0.0, 1.0, 5.0])),
+        min_split_gain=draw(st.sampled_from([0.0, 0.01])))
     return X.astype(float), g, h, in_node, np.array(cols), params
 
 
@@ -158,8 +165,8 @@ def test_subsampled_training_serializes_like_oracle():
                          col_subsample_per_node=0.8, seed=3)
     model = train(X, y, params)
     reference = oracle_train(X, y, params)
-    assert model_to_json(model) == model_to_json(reference)
-    assert model.split_gain_log == reference.split_gain_log
+    assert serialized(json_trees(model)) == serialized(reference)
+    assert model.split_gain_log == serialized_gain_log(reference)
 
 
 def oracle_problem():
@@ -173,19 +180,20 @@ def oracle_problem():
     {"l2_lambda": 0.0},
     {"min_child_weight": 0.0},
     {"min_child_weight": 5.0},
+    {"min_split_gain": 0.5},
     {"max_depth": 1},
     {"max_depth": 6},
     {"rounds": 1},
     {"row_subsample": 1.0, "col_subsample_per_node": 1.0},
-], ids=["lambda0", "mcw0", "mcw5", "depth1", "depth6", "rounds1",
+], ids=["lambda0", "mcw0", "mcw5", "gamma", "depth1", "depth6", "rounds1",
         "no-subsample"])
 def test_training_serializes_like_oracle(overrides):
     X, y = oracle_problem()
     params = BoostParams(**{"rounds": 10, "seed": 3, **overrides})
     model = train(X.astype(float), y, params)
     reference = oracle_train(X, y, params)
-    assert model_to_json(model) == model_to_json(reference)
-    assert model.split_gain_log == reference.split_gain_log
+    assert serialized(json_trees(model)) == serialized(reference)
+    assert model.split_gain_log == serialized_gain_log(reference)
 
 
 def test_int16_and_float_input_give_the_same_model():
