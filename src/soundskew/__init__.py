@@ -25,7 +25,6 @@ from soundskew.labeling import (
 from soundskew.boost import (
     BoostModel,
     BoostParams,
-    Trees,
     classify,
     feature_importance,
     leaf_weight,

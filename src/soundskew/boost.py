@@ -32,8 +32,8 @@ All trees of a model are one node table in preorder, tree after tree
 ``right`` and ``value``, where a leaf's children are the leaf itself.  So a
 row reaches its leaf in every tree after at most ``max_depth`` vectorized
 gathers, with no recursion: training routes all its rows through each new
-tree that way, and ``predict_margin`` routes the rows through every tree at
-once and adds the leaf values to the base margin tree by tree.  So
+tree that way, and ``predict_margin`` routes the rows through blocks of
+trees and adds the leaf values to the base margin tree by tree.  So
 ``predict_margin`` on the first ``r`` trees repeats training's margin sums,
 and training's loss curve can be recomputed bit for bit from a model and its
 training rows.  ``model_to_json`` writes the table as the nested node form
@@ -99,8 +99,8 @@ class Trees:
     its ``value`` is its weight (0 at a split) and its ``feature``,
     ``threshold`` and ``gain`` are 0.  Tree ``t`` is nodes ``roots[t]`` up
     to ``ends[t]``, and no path from a root to a leaf has more than
-    ``depth`` splits.  A slice selects trees and shares the node arrays, so
-    ``trees[:r]`` is the ensemble after ``r`` rounds.
+    ``depth`` splits.  A slice selects consecutive trees and shares the node
+    arrays, so ``trees[:r]`` is the ensemble after ``r`` rounds.
     """
 
     feature: np.ndarray
@@ -117,7 +117,17 @@ class Trees:
         return len(self.roots)
 
     def __getitem__(self, key: slice) -> Trees:
+        if key.step not in (None, 1):
+            raise ValueError("a slice of trees must be contiguous")
         return replace(self, roots=self.roots[key], ends=self.ends[key])
+
+
+_NODE_ARRAYS = ("feature", "threshold", "gain", "left", "right", "value")
+
+
+def _map_nodes(trees: Trees, f) -> Trees:
+    """``trees`` with ``f`` applied to each of its node arrays."""
+    return replace(trees, **{k: f(getattr(trees, k)) for k in _NODE_ARRAYS})
 
 
 @dataclass
@@ -140,10 +150,7 @@ class BoostModel:
         That is the order in which training made the splits.
         """
         t = self.trees
-        sizes = t.ends - t.roots
-        # roots[0], ..., ends[0] - 1, roots[1], ...: the trees' node ids
-        ids = np.arange(sizes.sum()) + np.repeat(
-            t.roots - (sizes.cumsum() - sizes), sizes)
+        ids = np.arange(t.roots[0], t.ends[-1]) if len(t) else np.arange(0)
         ids = ids[t.left.take(ids) != ids]
         return list(zip(t.feature.take(ids).tolist(),
                         t.gain.take(ids).tolist()))
@@ -158,11 +165,13 @@ def logit(p: float) -> float:
 
 
 def _score(G, H, l2_lambda: float):
-    """Structure score G^2 / (H + lambda); 0 where H + lambda <= 0.
+    """Structure score G^2 / (H + lambda).
 
-    For ``l2_lambda > 0`` the denominator is divided by as it is: hessian
+    With ``l2_lambda == 0`` the score is 0 where ``H <= 0``.  With
+    ``l2_lambda > 0`` the sum is divided by as it is, so the score of a
+    negative ``H`` is undefined and the caller must not read it: hessian
     sums are ``>= 0``, and a right sum ``H - HL`` that rounding leaves below
-    zero fails the child-weight rule, so its score is never read.
+    zero fails the child-weight rule, which ``_best_split`` applies.
     """
     if l2_lambda > 0:
         return G * G / (H + l2_lambda)
@@ -222,8 +231,7 @@ def _best_split(XT: np.ndarray, gh: np.ndarray, S: np.ndarray,
     gains += _score(GR, HR, lam)
     gains -= _score(G, H, lam)
     gains *= 0.5
-    if params.min_split_gain:               # x - 0.0 is x, bit for bit
-        gains -= params.min_split_gain
+    gains -= params.min_split_gain
     np.putmask(gains, np.minimum(HL, HR) < params.min_child_weight, -np.inf)
     best = int(gains.argmax())
     best_gain = float(gains[best])
@@ -347,15 +355,14 @@ def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
     if params.row_subsample < 1.0:
         rows = max(1, int(math.floor(params.row_subsample * n)))
     # Every leaf holds a row, so no path has more than rows - 1 splits and no
-    # tree more than 2 * rows - 1 nodes; unused capacity stays unwritten.
-    # Routing by max_depth alone would loop for a max_depth of 10**9.
+    # tree more than 2 * rows - 1 nodes; unused room stays zero.  Routing by
+    # max_depth alone would loop for a max_depth of 10**9.
     depth = min(params.max_depth, rows - 1)
-    size = params.rounds * min(2 * rows - 1, 2 ** (depth + 1) - 1)
-    feature, left, right = (np.zeros(size, dtype=np.intp) for _ in range(3))
-    threshold, gain, value = (np.zeros(size) for _ in range(3))
+    tree_size = min(2 * rows - 1, 2 ** (depth + 1) - 1)
     roots, ends = np.zeros((2, params.rounds), dtype=np.intp)
-    nodes = Trees(feature, threshold, gain, left, right, value, roots, ends,
-                  depth)
+    nodes = Trees(*(np.zeros(tree_size, dtype) for dtype in
+                    (np.intp, float, float, np.intp, np.intp, float)),
+                  roots, ends, depth)
     gh = np.empty(n, dtype=complex)
     free = 0
     for r in range(params.rounds):
@@ -371,15 +378,17 @@ def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
         else:
             idx = np.arange(n)
             keep = None
+        if free + tree_size > len(nodes.value):     # doubling fits a tree
+            nodes = _map_nodes(
+                nodes, lambda a: np.concatenate([a, np.zeros_like(a)]))
         roots[r] = free
         free = _build_tree(XT, gh, idx, order, keep, 0, params, rng, nodes,
                            free)
         ends[r] = free
         if r + 1 < params.rounds:              # the last update is unread
             leaf = _leaves(nodes, roots[r:r + 1], X)
-            margins += value.take(leaf[0])
-    trees = Trees(feature[:free], threshold[:free], gain[:free], left[:free],
-                  right[:free], value[:free], roots, ends, depth)
+            margins += nodes.value.take(leaf[0])
+    trees = _map_nodes(nodes, lambda a: a[:free].copy())
     return BoostModel(trees=trees, params=params, n_features=X.shape[1],
                       base_margin=base_margin)
 
@@ -388,7 +397,8 @@ def predict_margin(model: BoostModel, x: np.ndarray):
     """Raw margin: base margin plus the sum of (scaled) leaf weights.
 
     The leaf values are added to the base margin tree by tree, as training
-    added them.
+    added them.  The rows are routed through a block of trees at a time,
+    about 2**16 (tree, row) pairs, so memory stays O(rows).
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -398,8 +408,11 @@ def predict_margin(model: BoostModel, x: np.ndarray):
             f"expected {model.n_features} features, got {X.shape[1]}")
     trees = model.trees
     margins = np.full(X.shape[0], model.base_margin)
-    for values in trees.value.take(_leaves(trees, trees.roots, X)):
-        margins += values
+    step = max(1, 2**16 // max(1, X.shape[0]))
+    for s in range(0, len(trees), step):
+        leaves = _leaves(trees, trees.roots[s:s + step], X)
+        for values in trees.value.take(leaves):
+            margins += values
     return float(margins[0]) if single else margins
 
 

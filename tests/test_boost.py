@@ -313,6 +313,8 @@ class TestTreeArrays:
     def test_predict_and_gain_log_match_serialized_trees(self, problem):
         model, X = problem
         assert len(model.trees) == model.params.rounds
+        # the node arrays hold the fitted nodes and no spare room
+        assert len(model.trees.value) == model.trees.ends[-1]
         assert predict_margin(model, X).tobytes() \
             == oracle_margin(model, X).tobytes()
         single = predict_margin(model, X[0])
@@ -328,6 +330,21 @@ class TestTreeArrays:
             # preorder is the order in which training made the splits
             assert prefix.split_gain_log \
                 == serialized_gain_log(json_trees(prefix))
+
+    def test_many_rows_are_routed_in_blocks_of_trees(self):
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 5, size=(20_000, 6)).astype(float)
+        y = (X[:, 0] + rng.integers(0, 3, size=20_000) > 4).astype(float)
+        model = train(X, y, BoostParams(rounds=7, max_depth=3, seed=5))
+        # about 2**16 (tree, row) pairs at a time: blocks of 3, 3 and 1 trees
+        assert predict_margin(model, X).tobytes() \
+            == oracle_margin(model, X).tobytes()
+
+    def test_strided_slice_of_trees_rejected(self):
+        model = train(np.array([[0.0], [1.0]]), np.array([0, 1]),
+                      BoostParams(rounds=3, **NO_SAMPLING))
+        with pytest.raises(ValueError, match="contiguous"):
+            model.trees[::2]
 
 
 class TestFeatureImportance:

@@ -12,6 +12,7 @@ recursive ``tree_output``.
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from soundskew.boost import (
+    MODEL_FORMAT_VERSION,
     BoostParams,
     _best_split,
     leaf_weight,
@@ -27,7 +29,7 @@ from soundskew.boost import (
     sigmoid,
     train,
 )
-from tests.conftest import json_trees, serialized_gain_log, tree_output
+from tests.conftest import serialized_gain_log, tree_output
 
 
 def oracle_best_split(X, g, h, cols, params):
@@ -99,7 +101,7 @@ def oracle_build_tree(X, g, h, idx, depth, params, rng):
 
 
 def oracle_train(X, y, params):
-    """The fitted trees, in serialized node form."""
+    """The fitted model as the document ``model_to_json`` writes."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
@@ -119,11 +121,13 @@ def oracle_train(X, y, params):
         tree = oracle_build_tree(X, g, h, idx, 0, params, rng)
         trees.append(tree)
         margins += tree_output(tree, X)
-    return trees
+    return {"format_version": MODEL_FORMAT_VERSION, "params": asdict(params),
+            "n_features": X.shape[1], "base_margin": base_margin,
+            "trees": trees}
 
 
-def serialized(trees):
-    return json.dumps(trees, sort_keys=True)
+def serialized(document):
+    return json.dumps(document, indent=1, sort_keys=True)
 
 
 @st.composite
@@ -165,8 +169,8 @@ def test_subsampled_training_serializes_like_oracle():
                          col_subsample_per_node=0.8, seed=3)
     model = train(X, y, params)
     reference = oracle_train(X, y, params)
-    assert serialized(json_trees(model)) == serialized(reference)
-    assert model.split_gain_log == serialized_gain_log(reference)
+    assert model_to_json(model) == serialized(reference)
+    assert model.split_gain_log == serialized_gain_log(reference["trees"])
 
 
 def oracle_problem():
@@ -192,8 +196,8 @@ def test_training_serializes_like_oracle(overrides):
     params = BoostParams(**{"rounds": 10, "seed": 3, **overrides})
     model = train(X.astype(float), y, params)
     reference = oracle_train(X, y, params)
-    assert serialized(json_trees(model)) == serialized(reference)
-    assert model.split_gain_log == serialized_gain_log(reference)
+    assert model_to_json(model) == serialized(reference)
+    assert model.split_gain_log == serialized_gain_log(reference["trees"])
 
 
 def test_int16_and_float_input_give_the_same_model():
