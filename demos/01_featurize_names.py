@@ -38,10 +38,12 @@ for language in ("jpn", "cmn"):
     attributes = dict(zip(ATTRIBUTE_NAMES, corpus.attributes[row].tolist()))
     print(f"  attributes: {attributes}\n")
 
-# The loader featurizes a whole language in one call; the same two helpers
-# work on any transcriptions.
+# The loader featurizes a whole language in one call, from the names' tokens
+# as inventory indices, one name after another, and each name's token count;
+# the same two helpers work on any transcriptions.
 inventory = inventories["cmn"]
 names = [["n", "i", "T:3", "t"], ["t", "i", "T:1", "t", "i", "T:1"]]
-counts = featurize(names, inventory)
-print(f"featurize({names}) -> rows summing to {counts.sum(axis=1).tolist()}, "
+token_ids = [inventory.index[token] for name in names for token in name]
+counts = featurize(token_ids, [len(name) for name in names], inventory)
+print(f"counts of {names}: rows summing to {counts.sum(axis=1).tolist()}, "
       f"name lengths {name_length(counts, inventory).tolist()}")

@@ -24,8 +24,9 @@ both prefix sums with the same float adds as two separate cumsums.  The
 node totals stay float sums of ``g`` and ``h``, since numpy sums a complex
 array in another order.  A node whose hessian total cannot leave both
 children ``min_child_weight`` is a leaf without a search, and a node builds
-its per-column lists from its parent's only when it searches.  The margins
-are not updated after the last round, which nothing reads.
+its per-column lists from its parent's only when it searches.  The search's
+three largest gathers reuse buffers allocated once per fit.  The margins are
+not updated after the last round, which nothing reads.
 
 All trees of a model are one node table in preorder, tree after tree
 (``Trees``): parallel arrays ``feature``, ``threshold``, ``gain``, ``left``,
@@ -189,7 +190,8 @@ def leaf_weight(G: float, H: float, l2_lambda: float) -> float:
 
 
 def _best_split(XT: np.ndarray, gh: np.ndarray, S: np.ndarray,
-                cols: np.ndarray, G: float, H: float, params: BoostParams):
+                cols: np.ndarray, G: float, H: float, params: BoostParams,
+                work: tuple[np.ndarray, np.ndarray, np.ndarray]):
     """Exact greedy search over the given columns; returns the winning split.
 
     ``XT`` is the training matrix transposed (one C-contiguous row per
@@ -210,14 +212,20 @@ def _best_split(XT: np.ndarray, gh: np.ndarray, S: np.ndarray,
     values.  Only those boundary positions are scored, flattened one column
     after another; the first maximum implements the
     lowest-feature-then-lowest-threshold tie break.
+
+    The three gathers write into ``work``, the fit's ``intp``, complex and
+    float buffers of ``XT.size`` each.  Fresh arrays of that size would come
+    from ``mmap`` and page-fault again at every node.
     """
     n, m = XT.shape[1], S.shape[1]
     if m < 2:
         return None
-    Sc = S.take(cols, axis=0)
-    ghs = gh.take(Sc)
+    Sc, ghs, xs = (a[:len(cols) * m].reshape(len(cols), m) for a in work)
+    # mode="clip" lets take write into out unbuffered; no index is clipped.
+    S.take(cols, axis=0, out=Sc, mode="clip")
+    gh.take(Sc, out=ghs, mode="clip")
     Sc += (cols * n)[:, None]               # row ids to positions in XT
-    xs = XT.ravel().take(Sc).ravel()
+    xs = XT.ravel().take(Sc, out=xs, mode="clip").ravel()
     edge = xs[:-1] < xs[1:]
     edge[m - 1::m] = False                  # across two columns
     at = edge.nonzero()[0]                  # flat positions in (cols, m)
@@ -243,16 +251,20 @@ def _best_split(XT: np.ndarray, gh: np.ndarray, S: np.ndarray,
 
 
 def _build_tree(XT: np.ndarray, gh: np.ndarray, idx: np.ndarray,
-                S: np.ndarray, keep: np.ndarray | None, depth: int,
-                params: BoostParams, rng: np.random.Generator,
-                nodes: Trees, i: int) -> int:
-    """Grow node ``i`` over the ascending row ids ``idx``, in preorder.
+                S: np.ndarray, keep: np.ndarray | None, params: BoostParams,
+                rng: np.random.Generator, nodes: Trees, i: int,
+                work: tuple[np.ndarray, np.ndarray, np.ndarray]) -> int:
+    """Grow a tree over the ascending row ids ``idx``, in preorder.
 
-    The subtree is written into the arrays of ``nodes`` from id ``i`` on; a
-    split's left child is ``i + 1``.  Returns the first id after the
-    subtree.
+    The tree is written into the arrays of ``nodes`` from id ``i`` on.
+    Returns the first id after the tree.  Nodes wait on an explicit stack,
+    so no ``max_depth`` can exhaust Python's recursion limit: a split pushes
+    its right child, then its left child, so the nodes are popped, given
+    ids and drawn their columns in preorder.  A split's left child is
+    ``i + 1``; its right child, popped once the left subtree is done, sets
+    the split's ``right`` id.
 
-    The node's per-feature lists, its rows once per feature sorted by (value,
+    A node's per-feature lists, its rows once per feature sorted by (value,
     row id), are ``S[keep].reshape(n_features, -1)``: ``S`` is the parent's
     lists and ``keep`` the mask of this node's side, or ``None`` when ``S``
     is already this node's.  A stable mask keeps the lists sorted.  They are
@@ -268,44 +280,48 @@ def _build_tree(XT: np.ndarray, gh: np.ndarray, idx: np.ndarray,
     any left sum ``HL >= min_child_weight`` leaves a right sum
     ``H - HL <= H - min_child_weight`` in floats, so no candidate is valid.
     """
-    G = float(np.add.reduce(gh.real[idx]))
-    H = float(np.add.reduce(gh.imag[idx]))
-
-    def leaf():
-        nodes.left[i] = nodes.right[i] = i
-        nodes.value[i] = params.learning_rate * leaf_weight(
-            G, H, params.l2_lambda)
-        return i + 1
-
-    if depth >= params.max_depth or len(idx) < 2:
-        return leaf()
     n_features = XT.shape[0]
-    if params.col_subsample_per_node < 1.0:
-        m = max(1, math.ceil(params.col_subsample_per_node * n_features))
-        cols = rng.choice(n_features, size=m, replace=False)
-        cols.sort()
-    else:
-        cols = np.arange(n_features)
     mcw = params.min_child_weight
-    if H - mcw < mcw:
-        return leaf()
-    if keep is not None:
-        S = S.ravel().compress(keep.ravel()).reshape(n_features, -1)
-    found = _best_split(XT, gh, S, cols, G, H, params)
-    if found is None:
-        return leaf()
-    nodes.feature[i], nodes.threshold[i], nodes.gain[i] = found
-    go_left = XT[found[0]] < found[1]
-    on_left = go_left.take(idx)
-    # Children at max_depth are leaves and never read their lists.
-    in_left = go_left.take(S) if depth + 1 < params.max_depth else None
-    nodes.left[i] = i + 1
-    j = _build_tree(XT, gh, idx.compress(on_left), S, in_left, depth + 1,
-                    params, rng, nodes, i + 1)
-    nodes.right[i] = j
-    return _build_tree(XT, gh, idx.compress(~on_left), S,
-                       None if in_left is None else ~in_left, depth + 1,
-                       params, rng, nodes, j)
+    # (row ids, lists, keep mask, depth, id of the split whose right child
+    # this is, or -1)
+    stack = [(idx, S, keep, 0, -1)]
+    while stack:
+        idx, S, keep, depth, parent = stack.pop()
+        if parent >= 0:
+            nodes.right[parent] = i
+        G = float(np.add.reduce(gh.real[idx]))
+        H = float(np.add.reduce(gh.imag[idx]))
+        found = None
+        if depth < params.max_depth and len(idx) >= 2:
+            if params.col_subsample_per_node < 1.0:
+                m = max(1, math.ceil(params.col_subsample_per_node
+                                     * n_features))
+                cols = rng.choice(n_features, size=m, replace=False)
+                cols.sort()
+            else:
+                cols = np.arange(n_features)
+            if H - mcw >= mcw:
+                if keep is not None:
+                    S = S.ravel().compress(keep.ravel()).reshape(
+                        n_features, -1)
+                found = _best_split(XT, gh, S, cols, G, H, params, work)
+        if found is None:
+            nodes.left[i] = nodes.right[i] = i
+            nodes.value[i] = params.learning_rate * leaf_weight(
+                G, H, params.l2_lambda)
+            i += 1
+            continue
+        nodes.feature[i], nodes.threshold[i], nodes.gain[i] = found
+        go_left = XT[found[0]] < found[1]
+        on_left = go_left.take(idx)
+        # Children at max_depth are leaves and never read their lists.
+        in_left = go_left.take(S) if depth + 1 < params.max_depth else None
+        nodes.left[i] = i + 1
+        stack.append((idx.compress(~on_left), S,
+                      None if in_left is None else ~in_left, depth + 1, i))
+        stack.append((idx.compress(on_left), S, in_left, depth + 1, -1))
+        i += 1
+    return i
 
 
 def _leaves(trees: Trees, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -364,6 +380,8 @@ def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
                     (np.intp, float, float, np.intp, np.intp, float)),
                   roots, ends, depth)
     gh = np.empty(n, dtype=complex)
+    work = tuple(np.empty(X.size, dtype)
+                 for dtype in (np.intp, complex, float))
     free = 0
     for r in range(params.rounds):
         p = sigmoid(margins)
@@ -382,8 +400,8 @@ def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
             nodes = _map_nodes(
                 nodes, lambda a: np.concatenate([a, np.zeros_like(a)]))
         roots[r] = free
-        free = _build_tree(XT, gh, idx, order, keep, 0, params, rng, nodes,
-                           free)
+        free = _build_tree(XT, gh, idx, order, keep, params, rng, nodes, free,
+                           work)
         ends[r] = free
         if r + 1 < params.rounds:              # the last update is unread
             leaf = _leaves(nodes, roots[r:r + 1], X)

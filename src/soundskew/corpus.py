@@ -6,12 +6,18 @@ loaded corpus is its columns: ids, languages, attributes and name lengths in
 file order, plus one token-count matrix per language.  Tones are ordinary
 inventory tokens flagged ``is_tone`` so that tone-excluding name lengths fall
 out of the same counts for every language.
+
+The loader reads the corpus in one streaming pass into typed arrays and looks
+each token up in its inventory once, which both validates the token and gives
+its column.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,15 +145,21 @@ def load_corpus(corpus_path, inventory_path
     Row order is preserved from the file.  Every transcription token must
     exist in its language's inventory; duplicate ids, unknown languages and
     malformed rows are hard errors that name the file and the offending row.
-    Each language is featurized and measured in one call.
+
+    The file is read in one streaming pass that keeps no Python object per
+    row but its id: each row's language code and attributes go into typed
+    arrays, and its tokens, looked up once in the inventory, go into its
+    language's array of token indices beside the name's token count.  Each
+    language is then featurized and measured in one call.
     """
     inventories = load_inventories(inventory_path)
-    ids: list[str] = []
-    languages: list[str] = []
-    attributes: list[list[float]] = []
-    transcriptions: dict[str, list[list[str]]] = {
-        language: [] for language in inventories}
-    seen_ids: set[str] = set()
+    # language -> (code, token index, token indices, token count per name)
+    streams = {language: (code, inventory.index, array("i"), array("i"))
+               for code, (language, inventory)
+               in enumerate(inventories.items())}
+    ids: dict[str, None] = {}
+    codes = array("i")
+    attributes = array("d")
     with open(corpus_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), CORPUS_COLUMNS, str(corpus_path))
@@ -159,66 +171,73 @@ def load_corpus(corpus_path, inventory_path
                     f"{corpus_path}: row {row_no}: expected "
                     f"{len(CORPUS_COLUMNS)} columns, got {len(row)}")
             entry_id, language = row[0].strip(), row[1].strip()
-            if entry_id in seen_ids:
+            if entry_id in ids:
                 raise CorpusError(
                     f"{corpus_path}: row {row_no}: duplicate id {entry_id!r}")
-            seen_ids.add(entry_id)
-            if language not in inventories:
+            ids[entry_id] = None
+            if language not in streams:
                 raise CorpusError(
                     f"{corpus_path}: row {row_no}: unknown language "
                     f"{language!r}")
-            tokens = row[3].split()
-            for token in tokens:
-                if token not in inventories[language].index:
-                    raise CorpusError(
-                        f"{corpus_path}: row {row_no}: token {token!r} not in "
-                        f"the {language!r} inventory")
+            code, index, token_ids, lengths = streams[language]
+            try:
+                tokens = [index[token] for token in row[3].split()]
+            except KeyError as exc:
+                raise CorpusError(
+                    f"{corpus_path}: row {row_no}: token {exc.args[0]!r} not "
+                    f"in the {language!r} inventory") from None
             try:
                 if not tokens:
                     raise CorpusError(
                         f"entry {entry_id!r} has an empty transcription")
-                attributes.append(_parse_attributes(row[4:], entry_id))
+                attributes.extend(_parse_attributes(row[4:], entry_id))
             except CorpusError as exc:
                 raise CorpusError(
                     f"{corpus_path}: row {row_no}: {exc}") from None
-            ids.append(entry_id)
-            languages.append(language)
-            transcriptions[language].append(tokens)
-    language_column = np.array(languages, dtype=str)
-    length = np.zeros(len(ids), dtype=np.int64)
+            codes.append(code)
+            token_ids.extend(tokens)
+            lengths.append(len(tokens))
+    id_column = np.array(list(ids), dtype=str)
+    code_column = np.asarray(codes)
+    # The column's dtype is as wide as the longest language that has rows.
+    present, at = np.unique(code_column, return_inverse=True)
+    names = list(inventories)
+    language_column = np.array([names[c] for c in present], dtype=str)[at]
+    length = np.zeros(len(id_column), dtype=np.int64)
     counts = {}
     for language, inventory in inventories.items():
-        matrix = featurize(transcriptions[language], inventory)
-        rows = language_column == language
+        code, _, token_ids, lengths = streams[language]
+        matrix = featurize(token_ids, lengths, inventory)
+        rows = code_column == code
         # int16 presorts by radix in boost.train; a cast would wrap silently.
         too_big = np.argwhere(matrix > np.iinfo(np.int16).max)
         if too_big.size:
             row = np.flatnonzero(rows)[too_big[0][0]]
             raise CorpusError(
-                f"{corpus_path}: entry {ids[row]!r}: a token occurs "
-                f"{matrix[tuple(too_big[0])]} times, more than "
+                f"{corpus_path}: entry {str(id_column[row])!r}: a token "
+                f"occurs {matrix[tuple(too_big[0])]} times, more than "
                 f"{np.iinfo(np.int16).max}")
         length[rows] = name_length(matrix, inventory)
         counts[language] = matrix.astype(np.int16)
     return Corpus(
-        ids=np.array(ids, dtype=str), language=language_column,
-        attributes=np.array(attributes, dtype=float).reshape(
-            len(ids), len(ATTRIBUTE_NAMES)),
+        ids=id_column, language=language_column,
+        attributes=np.asarray(attributes).reshape(
+            len(id_column), len(ATTRIBUTE_NAMES)),
         length=length, counts=counts), inventories
 
 
-def featurize(transcriptions: list[list[str]],
+def featurize(token_ids: Sequence[int], lengths: Sequence[int],
               inventory: TokenInventory) -> np.ndarray:
-    """Count how many times each inventory token occurs in each transcription.
+    """Count how many times each inventory token occurs in each name.
 
-    Returns one row per transcription, its columns in the inventory's token
-    order; each row sums to its transcription's length.
+    ``token_ids`` holds the names' tokens as inventory indices, one name
+    after another, and ``lengths`` each name's number of tokens.  Returns
+    one row per name, its columns in the inventory's token order; each row
+    sums to its name's length.
     """
-    n, width = len(transcriptions), len(inventory)
-    cells = np.repeat(np.arange(n) * width,
-                      [len(tokens) for tokens in transcriptions])
-    cells += np.array([inventory.index[token] for tokens in transcriptions
-                       for token in tokens], dtype=np.int64)
+    n, width = len(lengths), len(inventory)
+    cells = np.repeat(np.arange(n) * width, lengths)
+    cells += np.asarray(token_ids, dtype=np.int64)
     return np.bincount(cells, minlength=n * width).reshape(n, width)
 
 

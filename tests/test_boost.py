@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -204,6 +205,20 @@ class TestTrain:
                 else 1 + max(depth(node["left"]), depth(node["right"]))
 
         assert all(depth(t) <= 3 for t in json_trees(model))
+
+    def test_tree_deeper_than_recursion_limit(self):
+        # Alternating labels on one column make a chain of splits, about
+        # one level per row.
+        X = np.arange(1500, dtype=float)[:, None]
+        y = np.arange(1500) % 2
+        model = train(X, y, BoostParams(rounds=1, max_depth=5000,
+                                        min_child_weight=0.0, **NO_SAMPLING))
+        t = model.trees
+        depth = np.zeros(len(t.left), dtype=int)
+        for i in np.flatnonzero(t.left != np.arange(len(t.left))):
+            depth[[t.left[i], t.right[i]]] = depth[i] + 1
+        assert depth.max() > sys.getrecursionlimit()
+        assert (classify(model, X) == y).all()
 
     def test_leaf_weights_are_scaled_leaf_optimum(self):
         # reconstruct (G, H) at each leaf from the training trajectory, both
