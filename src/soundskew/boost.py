@@ -456,24 +456,46 @@ def model_to_json(model: BoostModel) -> str:
     """Versioned JSON serialization for audit and golden-file tests.
 
     Each tree is written in the nested node form of an XGBoost JSON dump.
+    The text is ``json.dumps(doc, indent=1, sort_keys=True)`` of that nested
+    document, but each tree is written from an explicit stack, so a tree
+    of any depth serializes.
     """
     t = model.trees
     feature, threshold, gain, left, right, value = (
         a.tolist() for a in (t.feature, t.threshold, t.gain, t.left, t.right,
                              t.value))
+    dumps = json.dumps
 
-    def node(i: int) -> dict:
-        if left[i] == i:
-            return {"weight": value[i]}
-        return {"feature": feature[i], "threshold": threshold[i],
-                "gain": gain[i], "left": node(left[i]),
-                "right": node(right[i])}
+    def tree_text(root: int) -> str:
+        # A node is (id, indent of its braces); its keys are one deeper.  A
+        # split's keys in sorted order are feature, gain, left, right and
+        # threshold, so its text is cut around its two children.
+        parts, stack = [], [(root, 2)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            i, indent = item
+            pad, end = "\n" + " " * (indent + 1), "\n" + " " * indent + "}"
+            if left[i] == i:
+                parts.append(f'{{{pad}"weight": {dumps(value[i])}{end}')
+                continue
+            parts.append(f'{{{pad}"feature": {feature[i]},'
+                         f'{pad}"gain": {dumps(gain[i])},{pad}"left": ')
+            stack += [f',{pad}"threshold": {dumps(threshold[i])}{end}',
+                      (right[i], indent + 1), f',{pad}"right": ',
+                      (left[i], indent + 1)]
+        return "".join(parts)
 
-    doc = {
+    text = json.dumps({
         "format_version": MODEL_FORMAT_VERSION,
         "params": asdict(model.params),
         "n_features": model.n_features,
         "base_margin": model.base_margin,
-        "trees": [node(root) for root in t.roots.tolist()],
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)
+        "trees": [],
+    }, indent=1, sort_keys=True)
+    # "trees" sorts last, so the text ends with its empty list and "\n}".
+    trees = ",\n  ".join(tree_text(root) for root in t.roots.tolist())
+    return text[:-len("[]\n}")] + (f"[\n  {trees}\n ]" if trees else "[]") \
+        + "\n}"

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands:
-  validate  parse corpus + inventory from a config, print per-language counts
+  validate  parse corpus + inventory from a config, check its languages as
+            run does, print per-language counts
   run       full experiment, write records.tsv / report.json / report.md
   stats     recompute H1/H2 from a run's report.json, with the run's config
   report    render a report.json as markdown
@@ -58,7 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    corpus, _ = load_corpus(config.corpus_path, config.inventory_path)
+    corpus, inventories = load_corpus(config.corpus_path,
+                                      config.inventory_path)
+    runner.resolve_languages(config, corpus, inventories)
     present = sorted(lang for lang, matrix in corpus.counts.items()
                      if len(matrix))
     print(f"corpus: {len(corpus)} entries, {len(present)} languages")

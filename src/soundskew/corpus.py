@@ -9,7 +9,11 @@ out of the same counts for every language.
 
 The loader reads the corpus in one streaming pass into typed arrays and looks
 each token up in its inventory once, which both validates the token and gives
-its column.
+its column.  It takes ``CHUNK_ROWS`` rows at a time and checks them one
+column at a time: ids, languages, transcriptions, then every attribute cell
+of the chunk in one vectorized range test.  A chunk that fails any check is
+loaded again row by row; only that per-row path builds an error message, so
+each error names its row exactly as a row-at-a-time loader would.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import groupby, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -28,6 +34,11 @@ ATTRIBUTE_NAMES = ("Attack", "Defend", "Height", "Weight")
 CORPUS_COLUMNS = ("id", "language", "name", "transcription",
                   "attack", "defend", "height", "weight")
 INVENTORY_COLUMNS = ("language", "token", "is_tone")
+
+# Corpus rows read and checked at a time: enough to run each column's
+# checks as one comprehension, few enough that the rows held between the
+# CSV reader and the typed arrays stay small.
+CHUNK_ROWS = 128
 
 
 class CorpusError(ValueError):
@@ -138,6 +149,80 @@ def load_inventories(inventory_path) -> dict[str, TokenInventory]:
     return inventories
 
 
+def _append_chunk(chunk: list[list[str]], streams, ids, codes,
+                  attributes) -> bool:
+    """Check and append a chunk of corpus rows, one column at a time.
+
+    Returns False, having appended nothing, if any row would fail
+    ``_append_row``; the caller then appends the chunk row by row, which
+    names the first bad row.
+    """
+    rows = [row for row in chunk if len(row) == len(CORPUS_COLUMNS)]
+    if len(rows) + chunk.count([]) != len(chunk):
+        return False
+    new_ids = dict.fromkeys([row[0].strip() for row in rows])
+    if len(new_ids) != len(rows) or not ids.keys().isdisjoint(new_ids):
+        return False
+    languages = [row[1].strip() for row in rows]
+    names = [row[3].split() for row in rows]
+    if not all(names):
+        return False
+    try:
+        # Each run of rows in one language: (its language's stream, the
+        # run's token indices, its names' token counts).
+        runs = []
+        for language, run in groupby(zip(languages, names), itemgetter(0)):
+            stream = streams[language]
+            index, run = stream[1], [tokens for _, tokens in run]
+            runs.append((stream,
+                         [index[token] for tokens in run for token in tokens],
+                         [len(tokens) for tokens in run]))
+        values = [float(cell) if cell.strip() else math.nan
+                  for row in rows for cell in row[4:]]
+    except (KeyError, ValueError):
+        return False
+    checked = np.array(values)
+    width = len(ATTRIBUTE_NAMES)
+    # NaN fails the range test too: a blank cell's NaN is a missing value,
+    # a "nan" cell is bad input.
+    if any(rows[i // width][4 + i % width].strip() for i in np.flatnonzero(
+            ~((checked >= 0) & (checked < math.inf))).tolist()):
+        return False
+    ids.update(new_ids)
+    attributes.fromlist(values)
+    for (code, _, token_ids, lengths), run_token_ids, run_lengths in runs:
+        codes.fromlist([code] * len(run_lengths))
+        token_ids.fromlist(run_token_ids)
+        lengths.fromlist(run_lengths)
+    return True
+
+
+def _append_row(row: list[str], streams, ids, codes, attributes) -> None:
+    """Check and append one corpus row; a ``CorpusError`` says what is
+    wrong with it."""
+    if len(row) != len(CORPUS_COLUMNS):
+        raise CorpusError(
+            f"expected {len(CORPUS_COLUMNS)} columns, got {len(row)}")
+    entry_id, language = row[0].strip(), row[1].strip()
+    if entry_id in ids:
+        raise CorpusError(f"duplicate id {entry_id!r}")
+    ids[entry_id] = None
+    if language not in streams:
+        raise CorpusError(f"unknown language {language!r}")
+    code, index, token_ids, lengths = streams[language]
+    try:
+        tokens = [index[token] for token in row[3].split()]
+    except KeyError as exc:
+        raise CorpusError(f"token {exc.args[0]!r} not in the {language!r} "
+                          "inventory") from None
+    if not tokens:
+        raise CorpusError(f"entry {entry_id!r} has an empty transcription")
+    attributes.extend(_parse_attributes(row[4:], entry_id))
+    codes.append(code)
+    token_ids.extend(tokens)
+    lengths.append(len(tokens))
+
+
 def load_corpus(corpus_path, inventory_path
                 ) -> tuple[Corpus, dict[str, TokenInventory]]:
     """Load and validate a corpus file against its token inventories.
@@ -149,8 +234,9 @@ def load_corpus(corpus_path, inventory_path
     The file is read in one streaming pass that keeps no Python object per
     row but its id: each row's language code and attributes go into typed
     arrays, and its tokens, looked up once in the inventory, go into its
-    language's array of token indices beside the name's token count.  Each
-    language is then featurized and measured in one call.
+    language's array of token indices beside the name's token count.  Rows
+    go in a chunk at a time, or row by row for a chunk that fails a check.
+    Each language is then featurized and measured in one call.
     """
     inventories = load_inventories(inventory_path)
     # language -> (code, token index, token indices, token count per name)
@@ -163,40 +249,17 @@ def load_corpus(corpus_path, inventory_path
     with open(corpus_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), CORPUS_COLUMNS, str(corpus_path))
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CORPUS_COLUMNS):
-                raise CorpusError(
-                    f"{corpus_path}: row {row_no}: expected "
-                    f"{len(CORPUS_COLUMNS)} columns, got {len(row)}")
-            entry_id, language = row[0].strip(), row[1].strip()
-            if entry_id in ids:
-                raise CorpusError(
-                    f"{corpus_path}: row {row_no}: duplicate id {entry_id!r}")
-            ids[entry_id] = None
-            if language not in streams:
-                raise CorpusError(
-                    f"{corpus_path}: row {row_no}: unknown language "
-                    f"{language!r}")
-            code, index, token_ids, lengths = streams[language]
-            try:
-                tokens = [index[token] for token in row[3].split()]
-            except KeyError as exc:
-                raise CorpusError(
-                    f"{corpus_path}: row {row_no}: token {exc.args[0]!r} not "
-                    f"in the {language!r} inventory") from None
-            try:
-                if not tokens:
-                    raise CorpusError(
-                        f"entry {entry_id!r} has an empty transcription")
-                attributes.extend(_parse_attributes(row[4:], entry_id))
-            except CorpusError as exc:
-                raise CorpusError(
-                    f"{corpus_path}: row {row_no}: {exc}") from None
-            codes.append(code)
-            token_ids.extend(tokens)
-            lengths.append(len(tokens))
+        first_row_no = 2
+        while chunk := list(islice(reader, CHUNK_ROWS)):
+            if not _append_chunk(chunk, streams, ids, codes, attributes):
+                for row_no, row in enumerate(chunk, start=first_row_no):
+                    try:
+                        if row:
+                            _append_row(row, streams, ids, codes, attributes)
+                    except CorpusError as exc:
+                        raise CorpusError(
+                            f"{corpus_path}: row {row_no}: {exc}") from None
+            first_row_no += len(chunk)
     id_column = np.array(list(ids), dtype=str)
     code_column = np.asarray(codes)
     # The column's dtype is as wide as the longest language that has rows.

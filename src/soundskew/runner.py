@@ -377,10 +377,11 @@ def length_regression(corpus: Corpus, config: ExperimentConfig,
     return out
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run the full pipeline and collect every result into one report."""
-    corpus, inventories = corpus_mod.load_corpus(
-        config.corpus_path, config.inventory_path)
+def resolve_languages(config: ExperimentConfig, corpus: Corpus,
+                      inventories: dict[str, corpus_mod.TokenInventory]
+                      ) -> tuple[str, ...]:
+    """The languages a run covers: the config's, else the corpus's in file
+    order.  ``validate`` and ``run`` both check a config through this."""
     languages = config.languages or tuple(
         dict.fromkeys(corpus.language.tolist()))
     if not languages:
@@ -389,6 +390,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         if lang not in inventories:
             raise ConfigError(f"{config.inventory_path}: no inventory for "
                               f"configured language {lang!r}")
+    return languages
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Run the full pipeline and collect every result into one report."""
+    corpus, inventories = corpus_mod.load_corpus(
+        config.corpus_path, config.inventory_path)
+    languages = resolve_languages(config, corpus, inventories)
     records: list[IterationRecord] = []
     failures: list[GroupFailure] = []
     for language in languages:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import sys
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from soundskew.boost import (
+    MODEL_FORMAT_VERSION,
     BoostError,
     BoostParams,
     Trees,
@@ -137,6 +139,18 @@ class TestLeafWeight:
             assert abs(w - best) < 2e-4
 
 
+def chain_model():
+    """(X, y, model) of a one-tree model deeper than the recursion limit.
+
+    Alternating labels on one column make a chain of splits, about one
+    level per row.
+    """
+    X = np.arange(1500, dtype=float)[:, None]
+    y = np.arange(1500) % 2
+    return X, y, train(X, y, BoostParams(rounds=1, max_depth=5000,
+                                         min_child_weight=0.0, **NO_SAMPLING))
+
+
 class TestTrain:
     def test_depth_one_hand_oracle(self):
         X = np.array([[0.0]] * 4 + [[1.0]] * 4)
@@ -207,12 +221,7 @@ class TestTrain:
         assert all(depth(t) <= 3 for t in json_trees(model))
 
     def test_tree_deeper_than_recursion_limit(self):
-        # Alternating labels on one column make a chain of splits, about
-        # one level per row.
-        X = np.arange(1500, dtype=float)[:, None]
-        y = np.arange(1500) % 2
-        model = train(X, y, BoostParams(rounds=1, max_depth=5000,
-                                        min_child_weight=0.0, **NO_SAMPLING))
+        X, y, model = chain_model()
         t = model.trees
         depth = np.zeros(len(t.left), dtype=int)
         for i in np.flatnonzero(t.left != np.arange(len(t.left))):
@@ -360,6 +369,59 @@ class TestTreeArrays:
                       BoostParams(rounds=3, **NO_SAMPLING))
         with pytest.raises(ValueError, match="contiguous"):
             model.trees[::2]
+
+
+def nested_model_json(model) -> str:
+    """The serialization that the stack-based ``model_to_json`` replaced:
+    the trees as nested node dicts, built recursively, through
+    ``json.dumps``."""
+    t = model.trees
+    feature, threshold, gain, left, right, value = (
+        a.tolist() for a in (t.feature, t.threshold, t.gain, t.left, t.right,
+                             t.value))
+
+    def node(i: int) -> dict:
+        if left[i] == i:
+            return {"weight": value[i]}
+        return {"feature": feature[i], "threshold": threshold[i],
+                "gain": gain[i], "left": node(left[i]),
+                "right": node(right[i])}
+
+    doc = {
+        "format_version": MODEL_FORMAT_VERSION,
+        "params": dataclasses.asdict(model.params),
+        "n_features": model.n_features,
+        "base_margin": model.base_margin,
+        "trees": [node(root) for root in t.roots.tolist()],
+    }
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+class TestModelToJson:
+    @settings(max_examples=100, deadline=None)
+    @given(problem=models_and_rows(), data=st.data())
+    def test_matches_nested_serialization(self, problem, data):
+        model = problem[0]
+        t = model.trees
+        # any float in the float columns, NaN and the infinities included
+        floats = {name: data.draw(arrays(float, len(t.value),
+                                         elements=st.floats()))
+                  for name in ("threshold", "gain", "value")}
+        rounds = data.draw(st.integers(0, len(t)))
+        for m in (model, dataclasses.replace(
+                model, base_margin=data.draw(st.floats()),
+                trees=dataclasses.replace(t, **floats)[:rounds])):
+            assert model_to_json(m) == nested_model_json(m)
+
+    def test_chain_deeper_than_recursion_limit(self):
+        model = chain_model()[2]
+        text = model_to_json(model)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)   # the oracle recurses per level
+        try:
+            assert text == nested_model_json(model)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestFeatureImportance:

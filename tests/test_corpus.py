@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from soundskew import corpus as corpus_mod
 from soundskew.corpus import (
     ATTRIBUTE_NAMES,
+    CHUNK_ROWS,
     CORPUS_COLUMNS,
     INVENTORY_COLUMNS,
     Corpus,
@@ -378,6 +380,111 @@ class TestLoaderOracle:
         paths = CORPUS_CSV, INVENTORY_CSV
         assert loaded_columns(load_corpus, paths) \
             == loaded_columns(oracle_load_corpus, paths)
+
+
+BOUNDARIES = (CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS)
+
+
+@st.composite
+def chunked_corpus_files(draw):
+    """(inventory rows, corpus rows) of a corpus over two chunks long.
+
+    A drawn block of good rows repeats with renamed ids.  Rows at the chunk
+    boundaries may be blank lines or have blank attribute cells.  Most
+    corpora then get one fault, in the first or last row of a chunk or
+    anywhere after the first chunk; a duplicate id repeats an earlier row's,
+    most often one of an earlier chunk.
+    """
+    inventory = [[language, token, int(token.startswith("T:"))]
+                 for language, tokens in ORACLE_INVENTORY.items()
+                 for token in tokens]
+    block = []
+    for _ in range(draw(st.integers(1, 12))):
+        language = draw(st.sampled_from(["xx", " xx", "yyy", "yyy "]))
+        transcription = draw(st.lists(
+            st.sampled_from(ORACLE_INVENTORY[language.strip()]),
+            min_size=1, max_size=5))
+        block.append([language, "nm", " ".join(transcription)] + [
+            draw(st.sampled_from(["1", "2.5", " 3 ", "0", "-0", "1e3"]))
+            for _ in ATTRIBUTE_NAMES])
+    size = draw(st.integers(2 * CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 2))
+    rows = [[f"r{i}", *block[i % len(block)]] for i in range(size)]
+    for i in draw(st.sets(st.sampled_from(BOUNDARIES))):
+        rows[i] = draw(st.sampled_from([
+            [], rows[i][:4] + [draw(st.sampled_from(["", " "]))
+                               for _ in ATTRIBUTE_NAMES]]))
+    fault = draw(st.sampled_from(
+        [None, "id", "id", "language", "token", "empty", "nan", "negative",
+         "text", "short", "long"]))
+    at = draw(st.sampled_from(BOUNDARIES) | st.integers(CHUNK_ROWS, size - 1))
+    row = rows[at] = [f"r{at}", *block[at % len(block)]]
+    if fault == "id":
+        # the first row, the last row before this row's chunk, or any row
+        start = at // CHUNK_ROWS * CHUNK_ROWS or at
+        source = draw(st.sampled_from([0, start - 1])
+                      | st.integers(0, at - 1))
+        row[0] = draw(st.sampled_from([f"r{source}", f" r{source} "]))
+    elif fault == "language":
+        row[1] = "zz"
+    elif fault == "token":
+        row[3] += " o"
+    elif fault == "empty":
+        row[3] = " "
+    elif fault in ("nan", "negative", "text"):
+        row[4 + draw(st.integers(0, len(ATTRIBUTE_NAMES) - 1))] = {
+            "nan": "nan", "negative": "-1", "text": "abc"}[fault]
+    elif fault in ("short", "long"):
+        rows[at] = row[:-1] if fault == "short" else row + ["x"]
+    return inventory, rows
+
+
+def write_corpus_files(tmp_path, inventory, rows):
+    """Write a corpus and its inventory CSV; return their paths."""
+    paths = tmp_path / "corpus.csv", tmp_path / "inventory.csv"
+    for path, header, lines in zip(
+            paths, (CORPUS_COLUMNS, INVENTORY_COLUMNS), (rows, inventory)):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(lines)
+    return paths
+
+
+class TestLoaderChunks:
+    """The loader checks whole chunks of rows; a failing chunk is loaded
+    row by row, which must name the same row as the per-row loader."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(files=chunked_corpus_files())
+    def test_matches_per_row_loader(self, tmp_path, files):
+        paths = write_corpus_files(tmp_path, *files)
+        assert loaded_columns(load_corpus, paths) \
+            == loaded_columns(oracle_load_corpus, paths)
+
+    @pytest.mark.parametrize("source, at", [
+        (0, 2 * CHUNK_ROWS), (CHUNK_ROWS - 1, CHUNK_ROWS),
+        (CHUNK_ROWS, 2 * CHUNK_ROWS + 1)])
+    def test_duplicate_of_an_earlier_chunk(self, write_corpus, source, at):
+        ids = [f"n{source}" if i == at else f"n{i}"
+               for i in range(3 * CHUNK_ROWS)]
+        paths = write_corpus([f"{i},xx,nm,k a,1,2,3,4" for i in ids],
+                             TOY_INVENTORY)
+        with pytest.raises(CorpusError) as info:
+            load_corpus(*paths)
+        assert str(info.value) == (
+            f"{paths[0]}: row {at + 2}: duplicate id 'n{source}'")
+
+    def test_blank_cells_stay_on_the_chunk_path(self, write_corpus,
+                                                monkeypatch):
+        rows = [f"n{i},xx,nm,k a,, ,3," for i in range(2 * CHUNK_ROWS + 1)]
+
+        def no_row_path(*args):
+            raise AssertionError("a chunk was loaded row by row")
+        monkeypatch.setattr(corpus_mod, "_append_row", no_row_path)
+        corpus, _ = load_corpus(*write_corpus(rows, TOY_INVENTORY))
+        assert np.isnan(corpus.attributes).sum(axis=0).tolist() \
+            == [len(rows), len(rows), 0, len(rows)]
 
 
 class TestLoaderMemory:

@@ -428,6 +428,23 @@ class TestCli:
         assert "900 entries" in out
         assert "jpn" in out
 
+    @pytest.mark.parametrize("case", ["unknown-language", "header-only"])
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, case):
+        if case == "unknown-language":
+            config = self.write_config(tmp_path, languages=["xyz"])
+            message = (f"error: {INVENTORY_CSV}: no inventory for "
+                       "configured language 'xyz'\n")
+        else:
+            path = tmp_path / "corpus.csv"
+            path.write_text(",".join(corpus.CORPUS_COLUMNS) + "\n")
+            config = self.write_config(tmp_path, corpus_path=str(path),
+                                       languages=None)
+            message = f"error: {path}: corpus contains no entries\n"
+        for command in ("validate", "run"):
+            assert cli_main([command, "--config", config]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", message)
+
     def test_validate_bad_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{}")
