@@ -11,9 +11,10 @@ The loader reads the corpus in one streaming pass into typed arrays and looks
 each token up in its inventory once, which both validates the token and gives
 its column.  It takes ``CHUNK_ROWS`` rows at a time and checks them one
 column at a time: ids, languages, transcriptions, then every attribute cell
-of the chunk in one vectorized range test.  A chunk that fails any check is
-loaded again row by row; only that per-row path builds an error message, so
-each error names its row exactly as a row-at-a-time loader would.
+of the chunk in one vectorized range test.  Only ``_append_chunk`` appends
+rows; for a chunk it declines, ``_row_error`` names the first bad row as a
+row-at-a-time loader would.  Both files are read by ``_open_csv``, which
+names the file and line of input that is not UTF-8 or not CSV.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import csv
 import math
 from array import array
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import groupby, islice
 from operator import itemgetter
@@ -91,39 +93,44 @@ class Corpus:
         return len(self.ids)
 
 
-def _parse_attributes(cells: list[str], entry_id: str) -> list[float]:
-    """A row's attribute cells as floats, NaN for a blank cell."""
-    values = []
-    for cell, attr in zip(cells, ATTRIBUTE_NAMES):
-        cell = cell.strip()
+@contextmanager
+def _open_csv(path, columns: tuple[str, ...]):
+    """A ``csv.reader`` past the file's header, which must name ``columns``.
+
+    The one place a read error becomes a ``CorpusError`` naming the file
+    and line: bytes that are not UTF-8, or a row that is not CSV.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            values.append(float(cell) if cell else math.nan)
-        except ValueError:
-            raise CorpusError(f"attribute column {attr.lower()!r} is not "
-                              f"numeric: {cell!r}") from None
-        if cell and not 0 <= values[-1] < math.inf:
-            raise CorpusError(
-                f"entry {entry_id!r}: attribute {attr} = {values[-1]!r} "
-                "must be finite and non-negative")
-    return values
-
-
-def _check_header(header: list[str] | None, expected: tuple[str, ...],
-                  path: str) -> None:
-    if header is None:
-        raise CorpusError(f"{path}: empty file, expected header "
-                          f"{','.join(expected)}")
-    if [h.strip() for h in header] != list(expected):
-        raise CorpusError(
-            f"{path}: bad header {header!r}, expected {list(expected)!r}")
+            header = next(reader, None)
+            if header is None:
+                raise CorpusError(f"{path}: empty file, expected header "
+                                  f"{','.join(columns)}")
+            if [h.strip() for h in header] != list(columns):
+                raise CorpusError(f"{path}: bad header {header!r}, "
+                                  f"expected {list(columns)!r}")
+            yield reader
+        except csv.Error as exc:
+            raise CorpusError(f"{path}: line {reader.line_num}: {exc}") \
+                from None
+        except UnicodeDecodeError:
+            # The reader decodes a block ahead of its rows, so count the lines
+            # up to the bad byte, ended as it ends them: \n, \r\n or \r.
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = len(data[:exc.start + 1].splitlines())
+                raise CorpusError(f"{path}: line {line}: {exc}") from None
+            raise   # the file has changed; returning would swallow the error
 
 
 def load_inventories(inventory_path) -> dict[str, TokenInventory]:
     """Parse the inventory CSV into one :class:`TokenInventory` per language."""
     per_lang: dict[str, list[tuple[str, bool]]] = {}
-    with open(inventory_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None), INVENTORY_COLUMNS, str(inventory_path))
+    with _open_csv(inventory_path, INVENTORY_COLUMNS) as reader:
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -153,9 +160,8 @@ def _append_chunk(chunk: list[list[str]], streams, ids, codes,
                   attributes) -> bool:
     """Check and append a chunk of corpus rows, one column at a time.
 
-    Returns False, having appended nothing, if any row would fail
-    ``_append_row``; the caller then appends the chunk row by row, which
-    names the first bad row.
+    Returns False, having appended nothing, if ``_row_error`` would name
+    any row; the caller then runs it row by row to name the first.
     """
     rows = [row for row in chunk if len(row) == len(CORPUS_COLUMNS)]
     if len(rows) + chunk.count([]) != len(chunk):
@@ -177,7 +183,7 @@ def _append_chunk(chunk: list[list[str]], streams, ids, codes,
             runs.append((stream,
                          [index[token] for tokens in run for token in tokens],
                          [len(tokens) for tokens in run]))
-        values = [float(cell) if cell.strip() else math.nan
+        values = [float(stripped) if (stripped := cell.strip()) else math.nan
                   for row in rows for cell in row[4:]]
     except (KeyError, ValueError):
         return False
@@ -197,30 +203,37 @@ def _append_chunk(chunk: list[list[str]], streams, ids, codes,
     return True
 
 
-def _append_row(row: list[str], streams, ids, codes, attributes) -> None:
-    """Check and append one corpus row; a ``CorpusError`` says what is
-    wrong with it."""
+def _row_error(row: list[str], streams, ids: dict[str, None]) -> str | None:
+    """What is wrong with a corpus row, or None: ``_append_chunk``'s checks
+    on one row.  It appends nothing but the row's id to ``ids``, so that a
+    later repeat of the id is named."""
     if len(row) != len(CORPUS_COLUMNS):
-        raise CorpusError(
-            f"expected {len(CORPUS_COLUMNS)} columns, got {len(row)}")
+        return f"expected {len(CORPUS_COLUMNS)} columns, got {len(row)}"
     entry_id, language = row[0].strip(), row[1].strip()
     if entry_id in ids:
-        raise CorpusError(f"duplicate id {entry_id!r}")
+        return f"duplicate id {entry_id!r}"
     ids[entry_id] = None
     if language not in streams:
-        raise CorpusError(f"unknown language {language!r}")
-    code, index, token_ids, lengths = streams[language]
-    try:
-        tokens = [index[token] for token in row[3].split()]
-    except KeyError as exc:
-        raise CorpusError(f"token {exc.args[0]!r} not in the {language!r} "
-                          "inventory") from None
+        return f"unknown language {language!r}"
+    tokens = row[3].split()
+    for token in tokens:
+        if token not in streams[language][1]:
+            return f"token {token!r} not in the {language!r} inventory"
     if not tokens:
-        raise CorpusError(f"entry {entry_id!r} has an empty transcription")
-    attributes.extend(_parse_attributes(row[4:], entry_id))
-    codes.append(code)
-    token_ids.extend(tokens)
-    lengths.append(len(tokens))
+        return f"entry {entry_id!r} has an empty transcription"
+    for cell, attr in zip(row[4:], ATTRIBUTE_NAMES):
+        cell = cell.strip()
+        if not cell:
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            return (f"attribute column {attr.lower()!r} is not numeric: "
+                    f"{cell!r}")
+        if not 0 <= value < math.inf:
+            return (f"entry {entry_id!r}: attribute {attr} = {value!r} "
+                    "must be finite and non-negative")
+    return None
 
 
 def load_corpus(corpus_path, inventory_path
@@ -235,7 +248,7 @@ def load_corpus(corpus_path, inventory_path
     row but its id: each row's language code and attributes go into typed
     arrays, and its tokens, looked up once in the inventory, go into its
     language's array of token indices beside the name's token count.  Rows
-    go in a chunk at a time, or row by row for a chunk that fails a check.
+    go in a chunk at a time; no row of a chunk that fails a check goes in.
     Each language is then featurized and measured in one call.
     """
     inventories = load_inventories(inventory_path)
@@ -246,19 +259,17 @@ def load_corpus(corpus_path, inventory_path
     ids: dict[str, None] = {}
     codes = array("i")
     attributes = array("d")
-    with open(corpus_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None), CORPUS_COLUMNS, str(corpus_path))
+    with _open_csv(corpus_path, CORPUS_COLUMNS) as reader:
         first_row_no = 2
         while chunk := list(islice(reader, CHUNK_ROWS)):
             if not _append_chunk(chunk, streams, ids, codes, attributes):
                 for row_no, row in enumerate(chunk, start=first_row_no):
-                    try:
-                        if row:
-                            _append_row(row, streams, ids, codes, attributes)
-                    except CorpusError as exc:
+                    if row and (message := _row_error(row, streams, ids)):
                         raise CorpusError(
-                            f"{corpus_path}: row {row_no}: {exc}") from None
+                            f"{corpus_path}: row {row_no}: {message}")
+                raise RuntimeError(
+                    f"{corpus_path}: the chunk from row {first_row_no} "
+                    "failed a check that no row of it fails")
             first_row_no += len(chunk)
     id_column = np.array(list(ids), dtype=str)
     code_column = np.asarray(codes)

@@ -298,6 +298,15 @@ def _fp_values(records, variables) -> tuple[list[float], int]:
     return defined, len(vals) - len(defined)
 
 
+def _attempt(test, *args) -> tuple:
+    """(result, untestable_reason) of ``test(*args)``: the result and None,
+    or None and the ``StatsError`` text if the test cannot be run."""
+    try:
+        return test(*args), None
+    except stats.StatsError as exc:
+        return None, str(exc)
+
+
 def hypothesis_h1(records: list[IterationRecord],
                   config: ExperimentConfig) -> list[HypothesisEntry]:
     """Per-variable and per-group one-sample t-tests of FP% against 0.5."""
@@ -308,19 +317,12 @@ def hypothesis_h1(records: list[IterationRecord],
     for name, variables in groups:
         values, excluded = _fp_values(records, variables)
         if len(values) < 2:
-            out.append(HypothesisEntry(
-                group=name, n=len(values), n_excluded=excluded, result=None,
-                untestable_reason="fewer than 2 defined FP values"))
-            continue
-        try:
-            result = stats.one_sample_t(values, 0.5)
-        except stats.StatsError as exc:
-            out.append(HypothesisEntry(
-                group=name, n=len(values), n_excluded=excluded, result=None,
-                untestable_reason=str(exc)))
-            continue
-        out.append(HypothesisEntry(group=name, n=len(values),
-                                   n_excluded=excluded, result=result))
+            result, reason = None, "fewer than 2 defined FP values"
+        else:
+            result, reason = _attempt(stats.one_sample_t, values, 0.5)
+        out.append(HypothesisEntry(
+            group=name, n=len(values), n_excluded=excluded, result=result,
+            untestable_reason=reason))
     return out
 
 
@@ -332,11 +334,9 @@ def hypothesis_h2(records: list[IterationRecord],
     if len(combat) < 2 or len(size) < 2:
         return H2Entry(
             untestable_reason="fewer than 2 defined FP values in a group")
-    try:
-        result, sa, sb = stats.two_sample_pooled_t(combat, size)
-    except stats.StatsError as exc:
-        return H2Entry(untestable_reason=str(exc))
-    return H2Entry(result=result, combat=sa, size=sb)
+    tested, reason = _attempt(stats.two_sample_pooled_t, combat, size)
+    result, sa, sb = tested or (None, None, None)
+    return H2Entry(result=result, combat=sa, size=sb, untestable_reason=reason)
 
 
 def length_regression(corpus: Corpus, config: ExperimentConfig,
@@ -359,21 +359,12 @@ def length_regression(corpus: Corpus, config: ExperimentConfig,
             present = ~np.isnan(y)
             x, y = corpus.length[rows][present], y[present]
             if len(x) < 3:
-                out.append(LengthRegressionEntry(
-                    language=scope_name, variable=variable, n=len(x),
-                    result=None,
-                    untestable_reason="fewer than 3 samples"))
-                continue
-            try:
-                result = stats.simple_ols(x, y)
-            except stats.StatsError as exc:
-                out.append(LengthRegressionEntry(
-                    language=scope_name, variable=variable, n=len(x),
-                    result=None, untestable_reason=str(exc)))
-                continue
+                result, reason = None, "fewer than 3 samples"
+            else:
+                result, reason = _attempt(stats.simple_ols, x, y)
             out.append(LengthRegressionEntry(
                 language=scope_name, variable=variable, n=len(x),
-                result=result))
+                result=result, untestable_reason=reason))
     return out
 
 

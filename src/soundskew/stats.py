@@ -50,36 +50,31 @@ _CF_EPS = 1e-15
 _CF_TINY = 1e-300
 
 
+def _lentz(num: float, c: float, d: float) -> tuple[float, float]:
+    """One modified-Lentz update of ``c`` and ``d`` by coefficient ``num``:
+    both clamped away from 0, and ``d`` inverted."""
+    d = 1.0 + num * d
+    if abs(d) < _CF_TINY:
+        d = _CF_TINY
+    c = 1.0 + num / c
+    if abs(c) < _CF_TINY:
+        c = _CF_TINY
+    return c, 1.0 / d
+
+
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta, by the modified Lentz method."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    result = d
+    _, d = _lentz(-qab * x / qap, 1.0, 1.0)   # the first step moves d only
+    c, result = 1.0, d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        num = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + num * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + num / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
+        c, d = _lentz(m * (b - m) * x / ((qam + m2) * (a + m2)), c, d)
         result *= d * c
-        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + num * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + num / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
+        c, d = _lentz(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+                      c, d)
         delta = d * c
         result *= delta
         if abs(delta - 1.0) < _CF_EPS:

@@ -303,11 +303,11 @@ ORACLE_INVENTORY = {"xx": ("a", "k", "T:4"), "yyy": ("t", "a", "T:1"),
 def corpus_files(draw):
     """(inventory rows, corpus rows) of a random corpus, malformed or not.
 
-    Every corpus may have blank lines, padded cells, blank attributes and
-    an inventory language with no rows.  Most corpora add one kind of fault
-    (duplicate ids, unknown languages, unknown tokens, empty
-    transcriptions, bad attribute cells or wrong column counts), some all
-    of them and some none.
+    Every corpus may have blank lines, padded cells (control-character
+    padding too), blank attributes and an inventory language with no rows.
+    Most corpora add one kind of fault (duplicate ids, unknown languages,
+    unknown tokens, empty transcriptions, bad attribute cells or wrong
+    column counts), some all of them and some none.
     """
     kinds = ("id", "language", "token", "empty", "attribute", "columns")
     faults = draw(st.sampled_from(
@@ -338,7 +338,7 @@ def corpus_files(draw):
                  "nm", draw(st.sampled_from(["", " "]))
                  + draw(st.sampled_from([" ", "  "])).join(transcription)]
         cells += [pick(["1", "2.5", " 3 ", "", " ", "0", "-0", "+4", "1_000",
-                        "1e3", "\u0663"],
+                        "1e3", "\u0663", "2\x1c", "\x1f3"],
                        ["nan", "inf", "-1", "abc", "0x10", "1 2", "1e"],
                        "attribute") for _ in ATTRIBUTE_NAMES]
         rows.append({"row": cells, "short": cells[:-1],
@@ -389,7 +389,8 @@ BOUNDARIES = (CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS)
 def chunked_corpus_files(draw):
     """(inventory rows, corpus rows) of a corpus over two chunks long.
 
-    A drawn block of good rows repeats with renamed ids.  Rows at the chunk
+    A drawn block of good rows repeats with renamed ids; its attribute
+    cells may be padded, with control characters too.  Rows at the chunk
     boundaries may be blank lines or have blank attribute cells.  Most
     corpora then get one fault, in the first or last row of a chunk or
     anywhere after the first chunk; a duplicate id repeats an earlier row's,
@@ -405,7 +406,8 @@ def chunked_corpus_files(draw):
             st.sampled_from(ORACLE_INVENTORY[language.strip()]),
             min_size=1, max_size=5))
         block.append([language, "nm", " ".join(transcription)] + [
-            draw(st.sampled_from(["1", "2.5", " 3 ", "0", "-0", "1e3"]))
+            draw(st.sampled_from(["1", "2.5", " 3 ", "0", "-0", "1e3",
+                                  "2\x1c", "\x1f3"]))
             for _ in ATTRIBUTE_NAMES])
     size = draw(st.integers(2 * CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 2))
     rows = [[f"r{i}", *block[i % len(block)]] for i in range(size)]
@@ -451,8 +453,9 @@ def write_corpus_files(tmp_path, inventory, rows):
 
 
 class TestLoaderChunks:
-    """The loader checks whole chunks of rows; a failing chunk is loaded
-    row by row, which must name the same row as the per-row loader."""
+    """The loader checks whole chunks of rows; the rows of a failing chunk
+    are checked one at a time, which must name the same row as the per-row
+    loader."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -477,14 +480,17 @@ class TestLoaderChunks:
 
     def test_blank_cells_stay_on_the_chunk_path(self, write_corpus,
                                                 monkeypatch):
-        rows = [f"n{i},xx,nm,k a,, ,3," for i in range(2 * CHUNK_ROWS + 1)]
+        # "1\x1c" is 1 once stripped, as the row check strips it.
+        rows = [f"n{i},xx,nm,k a,, ,1\x1c,"
+                for i in range(2 * CHUNK_ROWS + 1)]
 
         def no_row_path(*args):
-            raise AssertionError("a chunk was loaded row by row")
-        monkeypatch.setattr(corpus_mod, "_append_row", no_row_path)
+            raise AssertionError("a chunk was checked row by row")
+        monkeypatch.setattr(corpus_mod, "_row_error", no_row_path)
         corpus, _ = load_corpus(*write_corpus(rows, TOY_INVENTORY))
         assert np.isnan(corpus.attributes).sum(axis=0).tolist() \
             == [len(rows), len(rows), 0, len(rows)]
+        assert corpus.attributes[:, 2].tolist() == [1.0] * len(rows)
 
 
 class TestLoaderMemory:

@@ -690,6 +690,48 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {corpus_path}: row 6: ")
 
+    @pytest.mark.parametrize("fault", ["not-utf8", "field-too-long"])
+    @pytest.mark.parametrize("name, line, ending", [
+        ("corpus.csv", 3, b"\r\n"), ("corpus.csv", 40, b"\r\n"),
+        ("corpus.csv", 600, b"\r\n"), ("corpus.csv", 40, b"\r"),
+        ("inventory.csv", 3, b"\n"), ("inventory.csv", 40, b"\r")],
+        ids=["corpus-3", "corpus-40", "corpus-600", "corpus-40-cr",
+             "inventory-3", "inventory-40-cr"])
+    def test_unreadable_csv_exits_1_naming_file_and_line(
+            self, tmp_path, capsys, fault, name, line, ending):
+        """A file that is not UTF-8, or not CSV, is bad input.  The file
+        is decoded a block ahead of the rows read, so a bad byte on line 40
+        surfaces while the header is read; the message still names its
+        line, counting a lone \\r as a line end as the reader does."""
+        paths = {"corpus.csv": tmp_path / "corpus.csv",
+                 "inventory.csv": tmp_path / "inventory.csv"}
+        for source, path in zip((CORPUS_CSV, INVENTORY_CSV), paths.values()):
+            with open(source, "rb") as fh:
+                path.write_bytes(fh.read())
+        lines = paths[name].read_bytes().splitlines()
+        first, rest = lines[line - 1].split(b",", 1)
+        lines[line - 1] = (first + b"\xff," if fault == "not-utf8"
+                           else b'"' + b"x" * 140_000 + b'",') + rest
+        paths[name].write_bytes(b"".join(row + ending for row in lines))
+        config = self.write_config(
+            tmp_path, corpus_path=str(paths["corpus.csv"]),
+            inventory_path=str(paths["inventory.csv"]))
+        assert cli_main(["validate", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {paths[name]}: line {line}: ")
+
+    def test_declined_chunk_without_a_bad_row_exits_2(
+            self, tmp_path, capsys, monkeypatch):
+        """A chunk that fails the chunk check must fail the row check too;
+        if no row of it does, the loader is at fault and says so."""
+        monkeypatch.setattr(corpus, "_append_chunk", lambda *args: False)
+        with pytest.raises(RuntimeError, match="chunk from row 2 "):
+            corpus.load_corpus(CORPUS_CSV, INVENTORY_CSV)
+        config = self.write_config(tmp_path)
+        assert cli_main(["validate", "--config", config]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"runtime failure: {CORPUS_CSV}: ")
+
     def test_missing_file_exits_1(self, capsys):
         assert cli_main(["validate", "--config", "/nonexistent.json"]) == 1
 
