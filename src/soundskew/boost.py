@@ -411,16 +411,17 @@ def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
                       base_margin=base_margin)
 
 
-def predict_margin(model: BoostModel, x: np.ndarray):
-    """Raw margin: base margin plus the sum of (scaled) leaf weights.
+def predict_margin(model: BoostModel, X: np.ndarray) -> np.ndarray:
+    """Raw margin of each row of the 2-D ``X``: base margin plus the sum of
+    (scaled) leaf weights.
 
     The leaf values are added to the base margin tree by tree, as training
     added them.  The rows are routed through a block of trees at a time,
     about 2**16 (tree, row) pairs, so memory stays O(rows).
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise BoostError("X must be a 2-D matrix")
     if X.shape[1] != model.n_features:
         raise BoostError(
             f"expected {model.n_features} features, got {X.shape[1]}")
@@ -431,17 +432,16 @@ def predict_margin(model: BoostModel, x: np.ndarray):
         leaves = _leaves(trees, trees.roots[s:s + step], X)
         for values in trees.value.take(leaves):
             margins += values
-    return float(margins[0]) if single else margins
+    return margins
 
 
-def predict_prob(model: BoostModel, x: np.ndarray):
-    return sigmoid(predict_margin(model, x))
+def predict_prob(model: BoostModel, X: np.ndarray) -> np.ndarray:
+    return sigmoid(predict_margin(model, X))
 
 
-def classify(model: BoostModel, x: np.ndarray):
+def classify(model: BoostModel, X: np.ndarray) -> np.ndarray:
     """Threshold at exactly 0.5; a tie goes to the positive (threat) class."""
-    prob = predict_prob(model, x)
-    return np.asarray(prob) >= 0.5 if np.ndim(prob) else prob >= 0.5
+    return predict_prob(model, X) >= 0.5
 
 
 def feature_importance(model: BoostModel) -> dict[int, float]:

@@ -59,9 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    corpus, inventories = load_corpus(config.corpus_path,
-                                      config.inventory_path)
-    runner.resolve_languages(config, corpus, inventories)
+    corpus, _ = load_corpus(config.corpus_path, config.inventory_path)
+    runner.resolve_languages(config, corpus)
     present = sorted(lang for lang, matrix in corpus.counts.items()
                      if len(matrix))
     print(f"corpus: {len(corpus)} entries, {len(present)} languages")

@@ -138,15 +138,15 @@ class ExperimentConfig:
                     f"{key}: unknown attributes {sorted(unknown)}; "
                     f"expected a subset of {list(ATTRIBUTE_NAMES)}")
         for key in ("languages", "variables"):
-            values = getattr(self, key) or ()
-            if len(set(values)) < len(values):
+            values = getattr(self, key)
+            if values is not None and not values:
+                raise ConfigError(f"{key} must be non-empty when given")
+            if values and len(set(values)) < len(values):
                 raise ConfigError(f"{key}: repeated entries in {list(values)}")
         if self.k < 2:
             raise ConfigError("k must be >= 2")
         if set(self.combat_set) & set(self.size_set):
             raise ConfigError("combat_set and size_set must be disjoint")
-        if self.languages is not None and not self.languages:
-            raise ConfigError("languages must be non-empty when given")
         for var, direction in self.threat_direction.items():
             if direction not in ("high", "low"):
                 raise ConfigError(
@@ -235,9 +235,6 @@ def _run_group(features: np.ndarray, values: np.ndarray, language: str,
     """Run one group on a language's count matrix and its ``variable``
     column (NaN: blank), one value per matrix row."""
     rows = np.flatnonzero(~np.isnan(values)).tolist()
-    if not rows:
-        raise labeling.LabelingError(
-            f"no values for {variable} in {language}")
     split = labeling.median_split(list(zip(rows, values[rows].tolist())))
     samples = tuple((i, lab) for i, lab in split.items()
                     if lab != labeling.OMITTED)
@@ -279,7 +276,7 @@ def _aggregate(records: list[IterationRecord]) -> list[GroupAggregate]:
         groups.setdefault((r.language, r.variable), []).append(r)
     out = []
     for (language, variable), recs in sorted(groups.items()):
-        defined = [r.fp_pct for r in recs if r.fp_pct is not None]
+        defined, undefined = _fp_values(recs, (variable,))
         pooled = metrics.pool(recs)
         out.append(GroupAggregate(
             language=language, variable=variable,
@@ -288,11 +285,13 @@ def _aggregate(records: list[IterationRecord]) -> list[GroupAggregate]:
             pooled_accuracy=metrics.accuracy(pooled),
             pooled_fp_pct=metrics.fp_rate_skew_adjusted(pooled),
             n_iterations=len(recs),
-            n_undefined_fp=len(recs) - len(defined)))
+            n_undefined_fp=undefined))
     return out
 
 
 def _fp_values(records, variables) -> tuple[list[float], int]:
+    """The defined FP values of ``variables`` in record order, and the
+    count of undefined ones."""
     vals = [r.fp_pct for r in records if r.variable in variables]
     defined = [v for v in vals if v is not None]
     return defined, len(vals) - len(defined)
@@ -316,10 +315,7 @@ def hypothesis_h1(records: list[IterationRecord],
     out = []
     for name, variables in groups:
         values, excluded = _fp_values(records, variables)
-        if len(values) < 2:
-            result, reason = None, "fewer than 2 defined FP values"
-        else:
-            result, reason = _attempt(stats.one_sample_t, values, 0.5)
+        result, reason = _attempt(stats.one_sample_t, values, 0.5)
         out.append(HypothesisEntry(
             group=name, n=len(values), n_excluded=excluded, result=result,
             untestable_reason=reason))
@@ -331,9 +327,6 @@ def hypothesis_h2(records: list[IterationRecord],
     """Pooled two-sample t-test: combat-variable FP% vs size-variable FP%."""
     combat, _ = _fp_values(records, config.combat_set)
     size, _ = _fp_values(records, config.size_set)
-    if len(combat) < 2 or len(size) < 2:
-        return H2Entry(
-            untestable_reason="fewer than 2 defined FP values in a group")
     tested, reason = _attempt(stats.two_sample_pooled_t, combat, size)
     result, sa, sb = tested or (None, None, None)
     return H2Entry(result=result, combat=sa, size=sb, untestable_reason=reason)
@@ -358,27 +351,24 @@ def length_regression(corpus: Corpus, config: ExperimentConfig,
             y = corpus.attributes[rows, ATTRIBUTE_NAMES.index(variable)]
             present = ~np.isnan(y)
             x, y = corpus.length[rows][present], y[present]
-            if len(x) < 3:
-                result, reason = None, "fewer than 3 samples"
-            else:
-                result, reason = _attempt(stats.simple_ols, x, y)
+            result, reason = _attempt(stats.simple_ols, x, y)
             out.append(LengthRegressionEntry(
                 language=scope_name, variable=variable, n=len(x),
                 result=result, untestable_reason=reason))
     return out
 
 
-def resolve_languages(config: ExperimentConfig, corpus: Corpus,
-                      inventories: dict[str, corpus_mod.TokenInventory]
+def resolve_languages(config: ExperimentConfig, corpus: Corpus
                       ) -> tuple[str, ...]:
     """The languages a run covers: the config's, else the corpus's in file
-    order.  ``validate`` and ``run`` both check a config through this."""
+    order.  Each needs an inventory, i.e. a matrix in ``corpus.counts``.
+    ``validate`` and ``run`` both check a config through this."""
     languages = config.languages or tuple(
         dict.fromkeys(corpus.language.tolist()))
     if not languages:
         raise ConfigError(f"{config.corpus_path}: corpus contains no entries")
     for lang in languages:
-        if lang not in inventories:
+        if lang not in corpus.counts:
             raise ConfigError(f"{config.inventory_path}: no inventory for "
                               f"configured language {lang!r}")
     return languages
@@ -386,9 +376,9 @@ def resolve_languages(config: ExperimentConfig, corpus: Corpus,
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the full pipeline and collect every result into one report."""
-    corpus, inventories = corpus_mod.load_corpus(
-        config.corpus_path, config.inventory_path)
-    languages = resolve_languages(config, corpus, inventories)
+    corpus, _ = corpus_mod.load_corpus(config.corpus_path,
+                                       config.inventory_path)
+    languages = resolve_languages(config, corpus)
     records: list[IterationRecord] = []
     failures: list[GroupFailure] = []
     for language in languages:

@@ -4,6 +4,8 @@ The t and F tail probabilities are computed from the regularized incomplete
 beta function, evaluated by the standard continued fraction with the symmetry
 switch at x = (a + 1) / (a + b + 2).  All p-values are two-sided (for t) or
 upper-tail (for F); directionality is read off the sign of the estimate.
+Each test alone decides, from the values, when it cannot be computed: too
+few values, or all of them equal (``min == max``, not a rounded sum).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 
 class StatsError(ValueError):
-    """Raised for degenerate inference inputs (n too small, zero variance)."""
+    """Raised for degenerate inference inputs (n too small, equal values)."""
 
 
 @dataclass(frozen=True)
@@ -128,8 +130,8 @@ def summarize(values) -> GroupSummary:
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         raise StatsError(f"need at least 2 values, got {arr.size}")
-    return GroupSummary(mean=float(arr.mean()),
-                        sd=float(arr.std(ddof=1)), n=int(arr.size))
+    sd = 0.0 if arr.min() == arr.max() else float(arr.std(ddof=1))
+    return GroupSummary(mean=float(arr.mean()), sd=sd, n=int(arr.size))
 
 
 def one_sample_t(values, mu0: float) -> TTestResult:
@@ -164,10 +166,13 @@ def simple_ols(x, y) -> OlsResult:
     n = x.size
     if n < 3 or y.size != n:
         raise StatsError(f"simple_ols needs n >= 3 paired values, got {n}")
+    for values, name in ((x, "predictor"), (y, "response")):
+        if values.min() == values.max():
+            raise StatsError(f"simple_ols: constant {name}")
     xm, ym = x.mean(), y.mean()
     sxx = float(((x - xm) ** 2).sum())
     if sxx == 0.0:
-        raise StatsError("simple_ols: constant predictor")
+        raise StatsError("simple_ols: the predictor's variance underflows")
     sxy = float(((x - xm) * (y - ym)).sum())
     slope = sxy / sxx
     intercept = ym - slope * xm

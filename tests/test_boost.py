@@ -271,9 +271,9 @@ class TestPredict:
                       BoostParams(rounds=1, **NO_SAMPLING))
         model.trees = model.trees[:0]
         x = np.array([3.0])
-        assert predict_margin(model, x) == 0.0
-        assert predict_prob(model, x) == 0.5
-        assert classify(model, x)
+        assert predict_margin(model, x[None, :]).tolist() == [0.0]
+        assert predict_prob(model, x[None, :]).tolist() == [0.5]
+        assert classify(model, x[None, :]).tolist() == [True]
 
     def test_single_leaf_tree_weight_is_margin(self):
         model = train(np.array([[0.0], [1.0]]), np.array([0, 1]),
@@ -283,13 +283,18 @@ class TestPredict:
             gain=np.zeros(1), left=np.zeros(1, dtype=np.intp),
             right=np.zeros(1, dtype=np.intp), value=np.array([0.75]),
             roots=np.array([0]), ends=np.array([1]), depth=0)
-        assert predict_margin(model, np.array([0.0])) == pytest.approx(0.75)
+        x = np.array([0.0])
+        assert predict_margin(model, x[None, :]).tolist() \
+            == pytest.approx([0.75])
 
     def test_dimension_mismatch_rejected(self):
         model = train(np.array([[0.0], [1.0]]), np.array([0, 1]),
                       BoostParams(rounds=1, **NO_SAMPLING))
-        with pytest.raises(BoostError):
-            predict_margin(model, np.array([1.0, 2.0]))
+        with pytest.raises(BoostError, match="expected 1 features, got 2"):
+            predict_margin(model, np.array([[1.0, 2.0]]))
+        # a single row is a 1 x n matrix, not a 1-D array
+        with pytest.raises(BoostError, match="2-D"):
+            predict_margin(model, np.array([1.0]))
 
 
 def oracle_margin(model, X):
@@ -341,9 +346,7 @@ class TestTreeArrays:
         assert len(model.trees.value) == model.trees.ends[-1]
         assert predict_margin(model, X).tobytes() \
             == oracle_margin(model, X).tobytes()
-        single = predict_margin(model, X[0])
-        assert isinstance(single, float)
-        assert np.float64(single).tobytes() \
+        assert predict_margin(model, X[:1]).tobytes() \
             == oracle_margin(model, X[:1]).tobytes()
         for r in range(len(model.trees) + 1):
             prefix = dataclasses.replace(model, trees=model.trees[:r])

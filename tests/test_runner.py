@@ -207,7 +207,7 @@ class TestRunExperiment:
         report = run_experiment(config)
         assert [(f.language, f.variable, f.stage, f.reason)
                 for f in report.failures] \
-            == [("yy", v, "LabelingError", f"no values for {v} in yy")
+            == [("yy", v, "LabelingError", "median_split: empty input")
                 for v in config.variables]
         assert {r.language for r in report.records} == {"xx"}
 
@@ -274,6 +274,35 @@ class TestHypotheses:
         assert entries["Attack"].result is None
         assert "variance" in entries["Attack"].untestable_reason
 
+    def test_h1_repeated_value_untestable(self):
+        # the rounded mean of three 0.1s is not 0.1, which once gave a
+        # t of -4.1e16 instead of a zero variance
+        entries = {e.group: e for e in hypothesis_h1(
+            synthetic_records([0.1] * 3), fast_config())}
+        assert entries["Attack"].result is None
+        assert entries["Attack"].untestable_reason \
+            == "one_sample_t: zero variance in sample"
+
+    def test_untestable_reason_is_the_statistics_own_text(self):
+        records = (synthetic_records([0.6])
+                   + synthetic_records([0.4, 0.5], variable="Height"))
+        entries = {e.group: e for e in hypothesis_h1(records, fast_config())}
+        assert (entries["Attack"].n, entries["Attack"].untestable_reason) \
+            == (1, "need at least 2 values, got 1")
+        assert (entries["Defend"].n, entries["Defend"].untestable_reason) \
+            == (0, "need at least 2 values, got 0")
+        h2 = hypothesis_h2(records, fast_config())
+        assert (h2.result, h2.combat, h2.size) == (None, None, None)
+        assert h2.untestable_reason == "need at least 2 values, got 1"
+
+    def test_h2_repeated_values_untestable(self):
+        records = (synthetic_records([0.6] * 3)
+                   + synthetic_records([0.1] * 3, variable="Weight"))
+        h2 = hypothesis_h2(records, fast_config())
+        assert h2.result is None
+        assert h2.untestable_reason \
+            == "two_sample_pooled_t: zero pooled variance"
+
     def test_h1_positive_skew_gives_positive_estimate(self):
         records = synthetic_records([0.55, 0.6, 0.58, 0.62, 0.57, 0.59])
         entries = {e.group: e for e in hypothesis_h1(records, fast_config())}
@@ -325,6 +354,21 @@ class TestLengthRegression:
         for e in results:
             assert e.result.r2 == pytest.approx(1.0)
             assert e.result.slope == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("names, reason", [
+        (2, "simple_ols needs n >= 3 paired values, got 2"),
+        (40, "simple_ols: constant response")])
+    def test_untestable_scope_gives_the_statistics_own_text(
+            self, write_corpus, names, reason):
+        # every Attack is 50, in the language and so in the combined scope
+        rows = [f"n{i},xx,x,{' '.join(['a'] * (i % 5 + 1))},50,{i},{i},{i}"
+                for i in range(names)]
+        loaded, _ = corpus.load_corpus(*write_corpus(rows, ["xx,a,0"]))
+        config = fast_config(variables=("Attack",))
+        entries = runner.length_regression(loaded, config, ("xx",))
+        assert [(e.language, e.n, e.result, e.untestable_reason)
+                for e in entries] \
+            == [("xx", names, None, reason), ("combined", names, None, reason)]
 
     def test_fixture_produces_per_language_and_combined(self, fixture_corpus):
         loaded, _ = fixture_corpus
@@ -466,6 +510,58 @@ class TestCli:
                      ["stats", "--report", str(path)]):
             assert cli_main(argv) == 1
             assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("languages, untestable", [
+        (["jpn"], {"jpn", "combined"}), (None, {"jpn"})])
+    def test_constant_attribute_is_an_untestable_regression(
+            self, tmp_path, capsys, languages, untestable):
+        with open(CORPUS_CSV, encoding="utf-8") as fh:
+            header, *rows = fh.read().splitlines()
+        rows = [",".join(cells[:4] + ["50"] + cells[5:])
+                if cells[1] == "jpn" else ",".join(cells)
+                for cells in (row.split(",") for row in rows)]
+        path = tmp_path / "corpus.csv"
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        config = self.write_config(
+            tmp_path, corpus_path=str(path), languages=languages,
+            boost_params={"rounds": 1, "max_depth": 1})
+        assert cli_main(["run", "--config", config]) == 0
+
+        def reject(token):
+            raise AssertionError(f"report.json holds {token}")
+
+        out_dir = tmp_path / "out"
+        doc = json.loads((out_dir / "report.json").read_text(),
+                         parse_constant=reject)
+        reasons = {e["language"]: e["untestable_reason"]
+                   for e in doc["length_regressions"] if e["result"] is None}
+        assert reasons == dict.fromkeys(untestable,
+                                        "simple_ols: constant response")
+        assert "inf" not in (out_dir / "report.md").read_text()
+
+    def test_stats_repeated_fp_values_are_untestable(self, tmp_path, capsys):
+        records = [dict(RECORD, variable=variable, fold=fold, fp_pct=fp)
+                   for variable, fp in (("Attack", 0.1), ("Weight", 0.6))
+                   for fold in range(3)]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(dict(REPORT, records=records)))
+        assert cli_main(["stats", "--report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "H1 Attack: untestable " \
+            "(one_sample_t: zero variance in sample)\n" in out
+        assert "H1 size: untestable " \
+            "(one_sample_t: zero variance in sample)\n" in out
+        assert out.endswith(
+            "H2: untestable (two_sample_pooled_t: zero pooled variance)\n")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_empty_variables_exits_1_naming_config(self, tmp_path, capsys,
+                                                   command):
+        config = self.write_config(tmp_path, variables=[])
+        assert cli_main([command, "--config", config]) == 1
+        assert capsys.readouterr().err \
+            == f"error: {config}: variables must be non-empty when given\n"
+        assert not (tmp_path / "out").exists()
 
     def test_run_and_stats_and_report(self, tmp_path, capsys):
         config = self.write_config(tmp_path)

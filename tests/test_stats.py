@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy import integrate
 
 from soundskew.stats import (
@@ -10,6 +11,7 @@ from soundskew.stats import (
     one_sample_t,
     reg_inc_beta,
     simple_ols,
+    summarize,
     two_sample_pooled_t,
     two_sided_t_p,
 )
@@ -25,6 +27,14 @@ def beta_quadrature(a, b, x):
 
     value, _ = integrate.quad(density, 0.0, x, limit=200)
     return value
+
+
+# A sample of one repeated finite float: its values are all equal, however
+# its mean and sum of squares round.  Beyond about 1e306 the sum of a few
+# values overflows, which is a different fault from a degenerate sample.
+REPEATED_VALUE = st.floats(min_value=-1e300, max_value=1e300,
+                           allow_nan=False)
+SAMPLE_SIZE = st.integers(2, 30)
 
 
 class TestRegIncBeta:
@@ -108,6 +118,33 @@ class TestFUpperP:
         for F, df in ((4.0, 15), (9.3, 40)):
             assert f_upper_p(F, 1, df) \
                 == pytest.approx(two_sided_t_p(math.sqrt(F), df), rel=1e-10)
+
+
+class TestDegenerateSamples:
+    """Equal values are judged from the values, not from rounded sums: at
+    three values of 0.1 the rounded mean differs from each value, which
+    once gave t = -4.1e16 against 0.5."""
+
+    @given(REPEATED_VALUE, SAMPLE_SIZE, REPEATED_VALUE, SAMPLE_SIZE)
+    @example(0.1, 3, 0.6, 3)
+    @example(33.3, 7, 0.1, 2)
+    def test_repeated_value_has_zero_sd_and_no_t_test(self, v, n, w, m):
+        assert summarize([v] * n).sd == 0.0
+        with pytest.raises(StatsError, match="zero variance"):
+            one_sample_t([v] * n, 0.5)
+        with pytest.raises(StatsError, match="zero pooled variance"):
+            two_sample_pooled_t([v] * n, [w] * m)
+
+    @given(REPEATED_VALUE, st.integers(3, 30))
+    @example(0.1, 3)
+    @example(40.0, 4)
+    @example(0.1, 7)
+    def test_repeated_value_has_no_regression(self, v, n):
+        varied = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0][:n] + [9.0] * (n - 7)
+        with pytest.raises(StatsError, match="constant response"):
+            simple_ols(varied, [v] * n)
+        with pytest.raises(StatsError, match="constant predictor"):
+            simple_ols([v] * n, varied)
 
 
 class TestOneSampleT:
@@ -248,6 +285,11 @@ class TestSimpleOls:
     def test_constant_predictor_rejected(self):
         with pytest.raises(StatsError):
             simple_ols([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    def test_underflowing_predictor_variance_rejected(self):
+        # unequal values whose squared deviations round to 0
+        with pytest.raises(StatsError, match="variance underflows"):
+            simple_ols([0.0, 1e-200, 2e-200], [1.0, 2.0, 3.0])
 
     def test_too_few_points_rejected(self):
         with pytest.raises(StatsError):
