@@ -24,9 +24,8 @@ both prefix sums with the same float adds as two separate cumsums.  The
 node totals stay float sums of ``g`` and ``h``, since numpy sums a complex
 array in another order.  A node whose hessian total cannot leave both
 children ``min_child_weight`` is a leaf without a search, and a node builds
-its per-column lists from its parent's only when it searches.  The search's
-three largest gathers reuse buffers allocated once per fit.  The margins are
-not updated after the last round, which nothing reads.
+its per-column lists from its parent's only when it searches.  The margins
+are not updated after the last round, which nothing reads.
 
 All trees of a model are one node table in preorder, tree after tree
 (``Trees``): parallel arrays ``feature``, ``threshold``, ``gain``, ``left``,
@@ -190,8 +189,7 @@ def leaf_weight(G: float, H: float, l2_lambda: float) -> float:
 
 
 def _best_split(XT: np.ndarray, gh: np.ndarray, S: np.ndarray,
-                cols: np.ndarray, G: float, H: float, params: BoostParams,
-                work: tuple[np.ndarray, np.ndarray, np.ndarray]):
+                cols: np.ndarray, G: float, H: float, params: BoostParams):
     """Exact greedy search over the given columns; returns the winning split.
 
     ``XT`` is the training matrix transposed (one C-contiguous row per
@@ -212,20 +210,14 @@ def _best_split(XT: np.ndarray, gh: np.ndarray, S: np.ndarray,
     values.  Only those boundary positions are scored, flattened one column
     after another; the first maximum implements the
     lowest-feature-then-lowest-threshold tie break.
-
-    The three gathers write into ``work``, the fit's ``intp``, complex and
-    float buffers of ``XT.size`` each.  Fresh arrays of that size would come
-    from ``mmap`` and page-fault again at every node.
     """
     n, m = XT.shape[1], S.shape[1]
     if m < 2:
         return None
-    Sc, ghs, xs = (a[:len(cols) * m].reshape(len(cols), m) for a in work)
-    # mode="clip" lets take write into out unbuffered; no index is clipped.
-    S.take(cols, axis=0, out=Sc, mode="clip")
-    gh.take(Sc, out=ghs, mode="clip")
+    Sc = S.take(cols, axis=0)
+    ghs = gh.take(Sc)
     Sc += (cols * n)[:, None]               # row ids to positions in XT
-    xs = XT.ravel().take(Sc, out=xs, mode="clip").ravel()
+    xs = XT.take(Sc).ravel()
     edge = xs[:-1] < xs[1:]
     edge[m - 1::m] = False                  # across two columns
     at = edge.nonzero()[0]                  # flat positions in (cols, m)
@@ -252,8 +244,7 @@ def _best_split(XT: np.ndarray, gh: np.ndarray, S: np.ndarray,
 
 def _build_tree(XT: np.ndarray, gh: np.ndarray, idx: np.ndarray,
                 S: np.ndarray, keep: np.ndarray | None, params: BoostParams,
-                rng: np.random.Generator, nodes: Trees, i: int,
-                work: tuple[np.ndarray, np.ndarray, np.ndarray]) -> int:
+                rng: np.random.Generator, nodes: Trees, i: int) -> int:
     """Grow a tree over the ascending row ids ``idx``, in preorder.
 
     The tree is written into the arrays of ``nodes`` from id ``i`` on.
@@ -304,7 +295,7 @@ def _build_tree(XT: np.ndarray, gh: np.ndarray, idx: np.ndarray,
                 if keep is not None:
                     S = S.ravel().compress(keep.ravel()).reshape(
                         n_features, -1)
-                found = _best_split(XT, gh, S, cols, G, H, params, work)
+                found = _best_split(XT, gh, S, cols, G, H, params)
         if found is None:
             nodes.left[i] = nodes.right[i] = i
             nodes.value[i] = params.learning_rate * leaf_weight(
@@ -380,8 +371,6 @@ def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
                     (np.intp, float, float, np.intp, np.intp, float)),
                   roots, ends, depth)
     gh = np.empty(n, dtype=complex)
-    work = tuple(np.empty(X.size, dtype)
-                 for dtype in (np.intp, complex, float))
     free = 0
     for r in range(params.rounds):
         p = sigmoid(margins)
@@ -400,8 +389,7 @@ def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
             nodes = _map_nodes(
                 nodes, lambda a: np.concatenate([a, np.zeros_like(a)]))
         roots[r] = free
-        free = _build_tree(XT, gh, idx, order, keep, params, rng, nodes, free,
-                           work)
+        free = _build_tree(XT, gh, idx, order, keep, params, rng, nodes, free)
         ends[r] = free
         if r + 1 < params.rounds:              # the last update is unread
             leaf = _leaves(nodes, roots[r:r + 1], X)

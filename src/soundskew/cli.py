@@ -5,7 +5,6 @@ Subcommands:
             run does, print per-language counts
   run       full experiment, write records.tsv / report.json / report.md
   stats     recompute H1/H2 from a run's report.json, with the run's config
-  report    render a report.json as markdown
 
 A config or report is read through its dataclasses (``runner.decode``).
 Exit codes: 0 success, 1 bad input (naming the file) or usage error, 2
@@ -51,9 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats",
                        help="recompute H1/H2 from a run's report.json")
     p.add_argument("--report", required=True)
-
-    p = sub.add_parser("report", help="render a JSON report as markdown")
-    p.add_argument("--json", dest="json_path", required=True)
     return parser
 
 
@@ -89,18 +85,14 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _load_report(path: str) -> runner.ExperimentReport:
-    """A run's report.json, read through the report dataclasses."""
-    doc = runner.read_json(path)
+def _cmd_stats(args) -> int:
+    doc = runner.read_json(args.report)
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != runner.REPORT_FORMAT_VERSION:
-        raise ConfigError(f"{path}: unsupported report version {version!r}")
-    return runner.decode(runner.ExperimentReport, doc, path)
-
-
-def _cmd_stats(args) -> int:
+        raise ConfigError(
+            f"{args.report}: unsupported report version {version!r}")
+    report = runner.decode(runner.ExperimentReport, doc, args.report)
     # The run's own partition (combat_set, size_set) groups the variables.
-    report = _load_report(args.report)
     for entry in runner.hypothesis_h1(report.records, report.config):
         if entry.result is None:
             print(f"H1 {entry.group}: untestable "
@@ -119,17 +111,10 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    report = _load_report(args.json_path)
-    sys.stdout.write(runner.report_markdown(dataclasses.asdict(report)))
-    return 0
-
-
 _COMMANDS = {
     "validate": _cmd_validate,
     "run": _cmd_run,
     "stats": _cmd_stats,
-    "report": _cmd_report,
 }
 
 

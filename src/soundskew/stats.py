@@ -5,7 +5,9 @@ beta function, evaluated by the standard continued fraction with the symmetry
 switch at x = (a + 1) / (a + b + 2).  All p-values are two-sided (for t) or
 upper-tail (for F); directionality is read off the sign of the estimate.
 Each test alone decides, from the values, when it cannot be computed: too
-few values, or all of them equal (``min == max``, not a rounded sum).
+few values, all of them equal (``min == max``, not a rounded sum), or a mean
+or sum of squares that overflows.  Overflow is read from the results, under
+``np.errstate``, so it raises ``StatsError`` rather than a numpy warning.
 """
 
 from __future__ import annotations
@@ -130,8 +132,13 @@ def summarize(values) -> GroupSummary:
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         raise StatsError(f"need at least 2 values, got {arr.size}")
-    sd = 0.0 if arr.min() == arr.max() else float(arr.std(ddof=1))
-    return GroupSummary(mean=float(arr.mean()), sd=sd, n=int(arr.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(arr.mean())
+        sd = 0.0 if arr.min() == arr.max() else float(arr.std(ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise StatsError("summarize: overflow: the mean or the sum of "
+                         "squares is not finite")
+    return GroupSummary(mean=mean, sd=sd, n=int(arr.size))
 
 
 def one_sample_t(values, mu0: float) -> TTestResult:
@@ -152,6 +159,9 @@ def two_sample_pooled_t(a, b) -> tuple[TTestResult, GroupSummary, GroupSummary]:
     pooled_var = ((sa.n - 1) * sa.sd ** 2 + (sb.n - 1) * sb.sd ** 2) / df
     if pooled_var == 0.0:
         raise StatsError("two_sample_pooled_t: zero pooled variance")
+    if not math.isfinite(pooled_var):
+        raise StatsError("two_sample_pooled_t: overflow: the pooled sum of "
+                         "squares is not finite")
     se = math.sqrt(pooled_var * (1.0 / sa.n + 1.0 / sb.n))
     t = (sa.mean - sb.mean) / se
     result = TTestResult(estimate=sa.mean - sb.mean, t=t, df=df,
@@ -169,16 +179,20 @@ def simple_ols(x, y) -> OlsResult:
     for values, name in ((x, "predictor"), (y, "response")):
         if values.min() == values.max():
             raise StatsError(f"simple_ols: constant {name}")
-    xm, ym = x.mean(), y.mean()
-    sxx = float(((x - xm) ** 2).sum())
-    if sxx == 0.0:
-        raise StatsError("simple_ols: the predictor's variance underflows")
-    sxy = float(((x - xm) * (y - ym)).sum())
-    slope = sxy / sxx
-    intercept = ym - slope * xm
-    fitted = intercept + slope * x
-    sse = float(((y - fitted) ** 2).sum())
-    sst = float(((y - ym) ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        xm, ym = x.mean(), y.mean()
+        sxx = float(((x - xm) ** 2).sum())
+        if sxx == 0.0:
+            raise StatsError("simple_ols: the predictor's variance underflows")
+        sxy = float(((x - xm) * (y - ym)).sum())
+        slope = sxy / sxx
+        intercept = ym - slope * xm
+        fitted = intercept + slope * x
+        sse = float(((y - fitted) ** 2).sum())
+        sst = float(((y - ym) ** 2).sum())
+    if not all(map(math.isfinite, (xm, ym, sxx, sse, sst))):
+        raise StatsError("simple_ols: overflow: a mean or a sum of squares "
+                         "is not finite")
     ssr = sst - sse
     df1, df2 = 1, n - 2
     if sse == 0.0:

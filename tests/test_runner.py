@@ -578,10 +578,12 @@ class TestCli:
         assert "H1 Attack" in out
         assert "H2" in out
 
-        assert cli_main(["report", "--json",
-                         str(out_dir / "report.json")]) == 0
-        rendered = capsys.readouterr().out
-        assert rendered == (out_dir / "report.md").read_text()
+        # report.md re-renders from the decoded report.json
+        path = out_dir / "report.json"
+        decoded = runner.decode(ExperimentReport,
+                                json.loads(path.read_text()), str(path))
+        assert runner.report_markdown(dataclasses.asdict(decoded)) \
+            == (out_dir / "report.md").read_text()
 
     def test_stats_uses_the_runs_partition(self, tmp_path, capsys):
         # Under the default partition Height would join Weight in "size".
@@ -626,13 +628,10 @@ class TestCli:
             TABLES_REPORT, h2=dict(REPORT["h2"], bogus=1)))),
     ])
     def test_stats_bad_report_exits_1(self, tmp_path, capsys, name, text):
-        # stats and report read a report through the same check
         path = tmp_path / "report.json"
         path.write_text(text)
-        for argv in (["stats", "--report", str(path)],
-                     ["report", "--json", str(path)]):
-            assert cli_main(argv) == 1
-            assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert cli_main(["stats", "--report", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_bad_report_message_names_the_value(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -648,7 +647,6 @@ class TestCli:
         for doc in (REPORT, TABLES_REPORT):
             path.write_text(json.dumps(doc))
             assert cli_main(["stats", "--report", str(path)]) == 0
-            assert cli_main(["report", "--json", str(path)]) == 0
 
     @pytest.mark.parametrize("argv", [
         [],
@@ -657,8 +655,9 @@ class TestCli:
         ["run", "--config", "c.json", "--bogus"],
         ["run", "--config", "c.json", "--seed", "seven"],
         ["stats", "--records", "records.tsv"],
+        ["report", "--json", "report.json"],
     ], ids=["no-command", "unknown-command", "run-no-config",
-            "unknown-option", "bad-seed", "stats-records"])
+            "unknown-option", "bad-seed", "stats-records", "report-command"])
     def test_usage_error_exits_1(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
@@ -985,17 +984,17 @@ def small_run(tmp_path_factory):
 
 
 class TestReportFile:
-    def test_decoded_report_equals_the_written_one(self, small_run, capsys):
+    def test_decoded_report_equals_the_written_one(self, small_run):
         assert small_run.h2.result is not None
         assert all(e.result is not None for e in small_run.h1)
         out_dir = small_run.config.out_dir
         path = os.path.join(out_dir, "report.json")
         with open(path, encoding="utf-8") as fh:
-            assert runner.decode(ExperimentReport, json.load(fh), path) \
-                == small_run
-        assert cli_main(["report", "--json", path]) == 0
+            decoded = runner.decode(ExperimentReport, json.load(fh), path)
+        assert decoded == small_run
         with open(os.path.join(out_dir, "report.md"), encoding="utf-8") as fh:
-            assert capsys.readouterr().out == fh.read()
+            assert runner.report_markdown(dataclasses.asdict(decoded)) \
+                == fh.read()
 
     def test_perfect_fit_report_is_read(self, tmp_path, write_corpus,
                                         capsys):
@@ -1012,12 +1011,11 @@ class TestReportFile:
         path = tmp_path / "out" / "report.json"
         assert '"F": Infinity' in path.read_text()
         assert cli_main(["stats", "--report", str(path)]) == 0
-        capsys.readouterr()
-        assert cli_main(["report", "--json", str(path)]) == 0
-        assert capsys.readouterr().out \
+        decoded = runner.decode(ExperimentReport,
+                                json.loads(path.read_text()), str(path))
+        assert decoded == report
+        assert runner.report_markdown(dataclasses.asdict(decoded)) \
             == (tmp_path / "out" / "report.md").read_text()
-        assert runner.decode(ExperimentReport, json.loads(path.read_text()),
-                             str(path)) == report
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1037,12 +1035,10 @@ class TestReportFile:
         report = tmp_path / "report.json"
         report.write_text(json.dumps(doc))
         fits = fits_annotation(value, report_field_type(path))
-        for argv in (["stats", "--report", str(report)],
-                     ["report", "--json", str(report)]):
-            code = cli_main(argv)
-            err = capsys.readouterr().err
-            # exit 0 only for a value of the field's type, which the
-            # dataclass's own checks may still reject
-            assert code == 1 or code == 0 and fits, (path, value, err)
-            if code == 1:
-                assert err.startswith(f"error: {report}: ")
+        code = cli_main(["stats", "--report", str(report)])
+        err = capsys.readouterr().err
+        # exit 0 only for a value of the field's type, which the dataclass's
+        # own checks may still reject
+        assert code == 1 or code == 0 and fits, (path, value, err)
+        if code == 1:
+            assert err.startswith(f"error: {report}: ")

@@ -156,12 +156,8 @@ def test_presorted_search_equals_per_node_sort(problem):
     idx = np.flatnonzero(in_node)
     order = np.argsort(X.T, axis=1, kind="stable")
     S = order[in_node[order]].reshape(X.shape[1], len(idx))
-    # Buffers of junk: a read of an entry the search did not write shows.
-    work = (np.full(X.size, -1, np.intp), np.full(X.size, np.nan + 0j),
-            np.full(X.size, np.nan))
     found = _best_split(np.ascontiguousarray(X.T), g + 1j * h, S, cols,
-                        float(g[idx].sum()), float(h[idx].sum()), params,
-                        work)
+                        float(g[idx].sum()), float(h[idx].sum()), params)
     assert found == oracle_best_split(X[idx], g[idx], h[idx], cols, params)
 
 

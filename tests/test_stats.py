@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,29 @@ class TestDegenerateSamples:
             simple_ols(varied, [v] * n)
         with pytest.raises(StatsError, match="constant predictor"):
             simple_ols([v] * n, varied)
+
+
+class TestOverflow:
+    """A mean or sum of squares that overflows raises, and numpy does not
+    warn: the squared deviations of values near 1e200 once gave sd = inf,
+    so t = 0 and p = 1, and a regression failed as ``x ... got nan``."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: one_sample_t([1e200, 2e200, 3e200], 0.5),
+        lambda: two_sample_pooled_t([1e200, 2e200, 3e200], [1, 2, 3]),
+        lambda: summarize([1e300, 1.5e300, 1e308]),
+        lambda: summarize([1e308, 1e308, 1.5e308]),
+        lambda: simple_ols([1, 2, 3, 4], [1e200, 1.2e200, 1.5e200, 1.7e200]),
+        # each sample's sum of squares is finite, their pooled sum is not
+        lambda: two_sample_pooled_t([0, 1.3e154, 0, 1.3e154],
+                                    [0, 1.2e154, 0, 1.2e154]),
+    ], ids=["one-sample-t", "two-sample-t", "summarize-sd", "summarize-mean",
+            "ols-response", "pooled-sum"])
+    def test_overflow_raises_without_warning(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StatsError, match="overflow"):
+                call()
 
 
 class TestOneSampleT:
