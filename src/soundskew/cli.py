@@ -66,7 +66,31 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _keep_heap_resident() -> None:
+    """Have glibc reuse freed heap for the split search's node arrays.
+
+    At glibc's default 128 KiB thresholds the ~800 KB that a node of ~1,600
+    rows gathers is mmapped, or trimmed off the heap when freed, so every
+    large node faults its pages in afresh (30-40k minor faults in a
+    2,000-name run against 6k). Setting one threshold stops glibc adapting
+    the other, so both are set. 4 / 8 MiB ran as fast as 1 / 2 MiB and keep
+    nodes four times as large on the heap; peak RSS rose under 2%.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes  # here, so that the other subcommands do not load it
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):  # no glibc: keep the defaults
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
 def _cmd_run(args) -> int:
+    _keep_heap_resident()
     config = ExperimentConfig.from_json(args.config)
     overrides = {}
     if args.seed is not None:

@@ -1,6 +1,11 @@
+import csv
+import ctypes
 import dataclasses
+import importlib.util
 import json
 import os
+import platform
+import subprocess
 import sys
 import types
 import typing
@@ -10,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from soundskew import boost, corpus, runner, stats
+from soundskew import boost, cli, corpus, runner, stats
 from soundskew.boost import BoostParams
 from soundskew.cli import main as cli_main
 from soundskew.metrics import IterationRecord
@@ -694,6 +699,94 @@ class TestCli:
                          "--out", str(alt)]) == 0
         doc = json.loads((alt / "report.json").read_text())
         assert doc["config"]["seed"] == 7
+
+    @pytest.mark.parametrize("library", ["unloadable", "without-mallopt"])
+    def test_run_without_mallopt_writes_the_same_records(
+            self, tmp_path, capsys, monkeypatch, library):
+        config = self.write_config(tmp_path)
+        assert cli_main(["run", "--config", config,
+                         "--out", str(tmp_path / "plain")]) == 0
+        loaded = []
+
+        def fake_cdll(name):
+            loaded.append(name)
+            if library == "unloadable":
+                raise OSError(f"{name}: cannot open shared object file")
+            return types.SimpleNamespace()
+
+        monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+        assert cli_main(["run", "--config", config]) == 0
+        assert loaded == (["libc.so.6"] if sys.platform.startswith("linux")
+                          else [])
+        assert (tmp_path / "out" / "records.tsv").read_bytes() \
+            == (tmp_path / "plain" / "records.tsv").read_bytes()
+
+    def test_validate_leaves_the_allocator_alone(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def refuse():
+            raise RuntimeError("allocator helper called")
+
+        monkeypatch.setattr(cli, "_keep_heap_resident", refuse)
+        config = self.write_config(tmp_path)
+        assert cli_main(["validate", "--config", config]) == 0
+        capsys.readouterr()
+        # The same patch stops run, so it is the helper run calls.
+        assert cli_main(["run", "--config", config]) == 2
+        assert capsys.readouterr().err \
+            == "runtime failure: allocator helper called\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="sets glibc's malloc thresholds")
+    def test_run_keeps_large_node_temporaries_resident(self, tmp_path):
+        """A 2,000-name language gives split-search nodes whose temporaries
+        pass glibc's default 128 KiB thresholds; with them raised, the run
+        takes far fewer minor page faults than with the helper a no-op."""
+        path = os.path.join(os.path.dirname(__file__), "..", "demos",
+                            "make_fixture_corpus.py")
+        spec = importlib.util.spec_from_file_location("fixture_gen", path)
+        fixture_gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fixture_gen)
+        spec = fixture_gen.INVENTORIES["jpn"]
+        rng = np.random.default_rng(0)
+        with open(tmp_path / "corpus.csv", "w", newline="",
+                  encoding="utf-8") as fh:
+            rows = [fixture_gen.generate_entry(rng, "jpn", spec, i)
+                    for i in range(2000)]
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        (tmp_path / "inventory.csv").write_text(
+            "language,token,is_tone\n"
+            + "".join(f"jpn,{t},0\n" for t in spec["tokens"]),
+            encoding="utf-8")
+        config = self.write_config(
+            tmp_path, corpus_path=str(tmp_path / "corpus.csv"),
+            inventory_path=str(tmp_path / "inventory.csv"),
+            variables=corpus.ATTRIBUTE_NAMES, boost_params={"rounds": 10})
+        child = ("import sys\nimport soundskew.cli as cli\n"
+                 "if sys.argv[1] == 'no-op':\n"
+                 "    cli._keep_heap_resident = lambda: None\n"
+                 "sys.exit(cli.main(sys.argv[2:]))\n")
+        src = os.path.join(os.path.dirname(cli.__file__), "..")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        faults, records = {}, {}
+        for helper in ("as-is", "no-op"):
+            out = tmp_path / helper
+            with open(tmp_path / f"{helper}.log", "wb") as log:
+                proc = subprocess.Popen(
+                    [sys.executable, "-c", child, helper, "run", "--config",
+                     config, "--out", str(out)],
+                    env=env, stdout=log, stderr=subprocess.STDOUT)
+                _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == 0, \
+                (tmp_path / f"{helper}.log").read_text()
+            faults[helper] = usage.ru_minflt
+            records[helper] = (out / "records.tsv").read_bytes()
+        assert records["as-is"] == records["no-op"]
+        assert faults["as-is"] < faults["no-op"] / 2, faults
 
     @pytest.mark.parametrize("overrides, message", [
         ({"boost_params": {"roundz": 3}}, "'roundz'"),
