@@ -206,9 +206,9 @@ def _best_split(XT: np.ndarray, gh: np.ndarray, S: np.ndarray,
     or ``h`` alone.  The gain ``0.5 * (left + right - parent) -
     min_split_gain`` is computed in place, in that order.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values.  Only those boundary positions are scored, flattened one column
-    after another; the first maximum implements the
+    Candidate thresholds are float midpoints between consecutive distinct
+    sorted values.  Only those boundary positions are scored, flattened one
+    column after another; the first maximum implements the
     lowest-feature-then-lowest-threshold tie break.
     """
     n, m = XT.shape[1], S.shape[1]
@@ -238,7 +238,7 @@ def _best_split(XT: np.ndarray, gh: np.ndarray, S: np.ndarray,
     if not math.isfinite(best_gain) or best_gain <= 0.0:
         return None
     i = at[best]
-    threshold = float(xs[i] + xs[i + 1]) / 2.0
+    threshold = (float(xs[i]) + float(xs[i + 1])) / 2.0
     return int(cols[i // m]), threshold, best_gain
 
 
@@ -303,7 +303,7 @@ def _build_tree(XT: np.ndarray, gh: np.ndarray, idx: np.ndarray,
             i += 1
             continue
         nodes.feature[i], nodes.threshold[i], nodes.gain[i] = found
-        go_left = XT[found[0]] < found[1]
+        go_left = XT[found[0]] < np.float64(found[1])
         on_left = go_left.take(idx)
         # Children at max_depth are leaves and never read their lists.
         in_left = go_left.take(S) if depth + 1 < params.max_depth else None
@@ -336,9 +336,9 @@ def _leaves(trees: Trees, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
 def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
     """Fit a boosted ensemble; deterministic for fixed (X, y, params).
 
-    The columns are presorted in ``X``'s own dtype when every value of it
-    converts to float exactly, so the stable order is the float order; for
-    ``int16`` counts numpy's stable argsort is a radix sort.
+    ``X`` keeps its dtype if every value converts to float exactly; its one
+    copy, the feature-major ``XT``, is presorted, searched and partitioned.
+    Thresholds stay float64, so a float32 ``X`` routes like its upcast.
     """
     X = np.asarray(X)
     y = np.asarray(y, dtype=float)
@@ -349,12 +349,10 @@ def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
     if not np.all((y == 0) | (y == 1)):
         raise BoostError("labels must be 0 or 1")
     exact = X.dtype.kind in "biuf" and X.dtype.itemsize <= 4
-    # Sorting C-contiguous rows is faster than sorting the strided X.T.
-    order = np.argsort(np.ascontiguousarray(X.T, None if exact else float),
-                       axis=1, kind="stable")
-    X = np.ascontiguousarray(X, dtype=float)
+    X = np.ascontiguousarray(X, None if exact else float)
     n = X.shape[0]
     XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1, kind="stable")
     rng = np.random.default_rng(params.seed)
     base_margin = logit(params.base_score)
     margins = np.full(n, base_margin)

@@ -8,6 +8,7 @@ variable, language, seed and k always produce the same folds.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Hashable
 from dataclasses import dataclass, replace
 
@@ -63,7 +64,10 @@ def median_split(values: list[tuple[Hashable, float]]) -> dict[Hashable, str]:
     if n % 2 == 1:
         median = float(ordered[n // 2])
     else:
-        median = float(ordered[n // 2 - 1] + ordered[n // 2]) / 2.0
+        a, b = float(ordered[n // 2 - 1]), float(ordered[n // 2])
+        median = (a + b) / 2.0
+        if math.isinf(median):          # the sum overflowed; halves cannot
+            median = a / 2.0 + b / 2.0
     out = {}
     for sid, v in values:
         if v < median:

@@ -161,8 +161,13 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         """Read a config file; relative corpus and inventory paths are taken
-        from its directory."""
-        config = decode(cls, read_json(path), path)
+        from its directory.  A ``boost_params.seed`` is refused: each fit's
+        seed is derived from ``seed``, and a report would record it unused."""
+        raw = read_json(path)
+        config = decode(cls, raw, path)
+        if "seed" in raw.get("boost_params", {}):
+            raise ConfigError(f"{path}: boost_params: seed is derived per fit "
+                              f"from the top-level seed; set seed instead")
         base = os.path.dirname(os.path.abspath(path))
         return dataclasses.replace(
             config, corpus_path=os.path.join(base, config.corpus_path),

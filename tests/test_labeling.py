@@ -47,6 +47,10 @@ class TestMedianSplit:
         split = median_split(values)
         assert split == {"1": LOW, "2": LOW, "3": HIGH, "4": HIGH}
 
+    def test_even_count_midpoint_near_float_max(self):
+        values = list(enumerate([1.0e308, 1.1e308, 1.6e308, 1.7e308]))
+        assert median_split(values) == {0: LOW, 1: LOW, 2: HIGH, 3: HIGH}
+
     def test_empty_input(self):
         with pytest.raises(LabelingError):
             median_split([])

@@ -647,9 +647,13 @@ class TestCli:
             f"error: {path}: h1[0]: n must be an integer, got None")
 
     def test_smallest_report_is_read(self, tmp_path, capsys):
-        # the reports that the bad-report cases change one part of
+        # the reports that the bad-report cases change one part of, and a
+        # report whose config names a boost seed, which only config files
+        # refuse
         path = tmp_path / "report.json"
-        for doc in (REPORT, TABLES_REPORT):
+        seeded = dict(REPORT, config=dict(CONFIG_KEYS,
+                                          boost_params={"seed": 5}))
+        for doc in (REPORT, TABLES_REPORT, seeded):
             path.write_text(json.dumps(doc))
             assert cli_main(["stats", "--report", str(path)]) == 0
 
@@ -813,6 +817,8 @@ class TestCli:
         ({"boost_params": {"min_child_weight": 10 ** 400}},
          "config.json: boost_params: min_child_weight must be a finite "),
         ({"boost_params": 5}, "config.json: boost_params must be an object"),
+        # the runner derives each fit's seed, so this one would go unused
+        ({"boost_params": {"seed": 5}}, "config.json: boost_params: seed "),
         # the config's own rules name the file too
         ({"k": 1}, "k must be >= 2"),
         ({"combat_set": ["Attack"], "size_set": ["Attack"]},
@@ -830,7 +836,8 @@ class TestCli:
     ], ids=["roundz", "rounds", "k", "variables", "threat-list",
             "languages-int", "languages-str", "variables-null",
             "combat-int-item", "out-dir-int", "rounds-float", "rate-bool",
-            "lambda-nan", "weight-overflow", "params-int", "k-1",
+            "lambda-nan", "weight-overflow", "params-int", "params-seed",
+            "k-1",
             "overlapping-sets", "threat-value", "formats", "languages-empty",
             "languages-repeated", "variables-repeated", "threat-key"])
     def test_config_mistake_exits_1_naming_key(self, tmp_path, capsys,

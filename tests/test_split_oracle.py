@@ -200,11 +200,35 @@ def test_training_serializes_like_oracle(overrides):
     assert model.split_gain_log == serialized_gain_log(reference["trees"])
 
 
-def test_int16_and_float_input_give_the_same_model():
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32,
+                                   np.float32], ids=lambda t: t.__name__)
+def test_int16_and_float_input_give_the_same_model(dtype):
     X, y = oracle_problem()
     params = BoostParams(rounds=10, seed=3)
-    assert model_to_json(train(X.astype(np.int16), y, params)) \
+    assert model_to_json(train(X.astype(dtype), y, params)) \
         == model_to_json(train(X.astype(float), y, params))
+
+
+def test_float32_neighbours_route_by_their_float64_midpoint():
+    # Each midpoint lies halfway between two adjacent float32 values; cast
+    # to float32 it would round onto one of them and route both alike.
+    a = np.float32(1.0) + np.arange(4, dtype=np.float32)
+    X = np.stack([a, np.nextafter(a, np.float32(np.inf))], axis=1)
+    X = np.tile(X.reshape(-1, 1), (5, 1))
+    y = np.tile([0.0, 1.0], len(X) // 2)
+    params = BoostParams(rounds=5, max_depth=3, row_subsample=1.0,
+                         col_subsample_per_node=1.0, min_child_weight=0.0)
+    assert model_to_json(train(X, y, params)) \
+        == model_to_json(train(X.astype(float), y, params))
+
+
+def test_int16_midpoint_does_not_wrap():
+    X = np.tile(np.array([[32766], [32767]], dtype=np.int16), (4, 1))
+    y = np.tile([0.0, 1.0], 4)
+    params = BoostParams(rounds=1, row_subsample=1.0,
+                         col_subsample_per_node=1.0, min_child_weight=0.0)
+    trees = train(X, y, params).trees
+    assert trees.threshold[trees.roots[0]] == 32766.5
 
 
 @settings(max_examples=300, deadline=None)
