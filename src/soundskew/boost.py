@@ -273,6 +273,9 @@ def _build_tree(XT: np.ndarray, gh: np.ndarray, idx: np.ndarray,
     """
     n_features = XT.shape[0]
     mcw = params.min_child_weight
+    draw = params.col_subsample_per_node < 1.0
+    m = max(1, math.ceil(params.col_subsample_per_node * n_features))
+    cols = np.arange(n_features)
     # (row ids, lists, keep mask, depth, id of the split whose right child
     # this is, or -1)
     stack = [(idx, S, keep, 0, -1)]
@@ -284,13 +287,9 @@ def _build_tree(XT: np.ndarray, gh: np.ndarray, idx: np.ndarray,
         H = float(np.add.reduce(gh.imag[idx]))
         found = None
         if depth < params.max_depth and len(idx) >= 2:
-            if params.col_subsample_per_node < 1.0:
-                m = max(1, math.ceil(params.col_subsample_per_node
-                                     * n_features))
+            if draw:
                 cols = rng.choice(n_features, size=m, replace=False)
                 cols.sort()
-            else:
-                cols = np.arange(n_features)
             if H - mcw >= mcw:
                 if keep is not None:
                     S = S.ravel().compress(keep.ravel()).reshape(
@@ -315,6 +314,16 @@ def _build_tree(XT: np.ndarray, gh: np.ndarray, idx: np.ndarray,
     return i
 
 
+def _routable(X) -> np.ndarray:
+    """``X`` as a row-major 2-D array: as stored if float-exact (kind b/i/u/f,
+    <= 4 bytes, so it routes like its upcast) or float64, else as float."""
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise BoostError("X must be a 2-D matrix")
+    exact = X.dtype.kind in "biuf" and X.dtype.itemsize <= 4
+    return np.ascontiguousarray(X, None if exact else float)
+
+
 def _leaves(trees: Trees, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Leaf id of every (root, row of ``X``): ``trees.depth`` gathers.
 
@@ -322,12 +331,10 @@ def _leaves(trees: Trees, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
     result has shape ``(len(roots), len(X))``, or ``(len(roots), 1)`` (every
     row at its root) when ``trees.depth`` is 0.
     """
-    n, n_features = X.shape
-    flat = X.ravel()
-    row_start = np.arange(0, n * n_features, n_features)
+    row_start = np.arange(0, X.size, X.shape[1])
     node = roots[:, None]
     for _ in range(trees.depth):
-        x = flat.take(row_start + trees.feature.take(node))
+        x = X.take(row_start + trees.feature.take(node))
         node = np.where(x < trees.threshold.take(node),
                         trees.left.take(node), trees.right.take(node))
     return node
@@ -336,20 +343,17 @@ def _leaves(trees: Trees, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
 def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
     """Fit a boosted ensemble; deterministic for fixed (X, y, params).
 
-    ``X`` keeps its dtype if every value converts to float exactly; its one
-    copy, the feature-major ``XT``, is presorted, searched and partitioned.
-    Thresholds stay float64, so a float32 ``X`` routes like its upcast.
+    ``X`` is used in its ``_routable`` dtype; its one copy, the
+    feature-major ``XT``, is presorted, searched and partitioned.
     """
-    X = np.asarray(X)
+    X = _routable(X)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
+    if X.shape[0] == 0 or X.shape[1] == 0:
         raise BoostError("X must be a non-empty 2-D matrix")
     if y.shape != (X.shape[0],):
         raise BoostError("y length must match X rows")
     if not np.all((y == 0) | (y == 1)):
         raise BoostError("labels must be 0 or 1")
-    exact = X.dtype.kind in "biuf" and X.dtype.itemsize <= 4
-    X = np.ascontiguousarray(X, None if exact else float)
     n = X.shape[0]
     XT = np.ascontiguousarray(X.T)
     order = np.argsort(XT, axis=1, kind="stable")
@@ -402,12 +406,10 @@ def predict_margin(model: BoostModel, X: np.ndarray) -> np.ndarray:
     (scaled) leaf weights.
 
     The leaf values are added to the base margin tree by tree, as training
-    added them.  The rows are routed through a block of trees at a time,
-    about 2**16 (tree, row) pairs, so memory stays O(rows).
+    added them.  ``X`` is routed as ``_routable`` keeps it, a block of trees
+    at a time, about 2**16 (tree, row) pairs, so memory stays O(rows).
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise BoostError("X must be a 2-D matrix")
+    X = _routable(X)
     if X.shape[1] != model.n_features:
         raise BoostError(
             f"expected {model.n_features} features, got {X.shape[1]}")

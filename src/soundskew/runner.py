@@ -260,18 +260,15 @@ def _run_group(features: np.ndarray, values: np.ndarray, language: str,
         params = dataclasses.replace(config.boost_params,
                                      seed=train_seed & (2 ** 63 - 1))
         in_test = fold_of == fold
-        model = boost.train(X[~in_test], y[~in_test], params)
+        in_train = ~in_test
+        model = boost.train(X[in_train], y[in_train], params)
         pred = boost.classify(model, X[in_test])
-        truth = y[in_test]
-        counts = dict(tp=int(np.sum(pred & truth)),
-                      fp=int(np.sum(pred & ~truth)),
-                      fn=int(np.sum(~pred & truth)),
-                      tn=int(np.sum(~pred & ~truth)))
-        cm = ConfusionMatrix(**counts)
+        tn, fp, fn, tp = np.bincount(2 * y[in_test] + pred,
+                                     minlength=4).tolist()
+        cm = ConfusionMatrix(tp, fp, fn, tn)
         records.append(IterationRecord(
-            **counts, language=language, variable=variable, fold=fold,
-            seed=params.seed, accuracy=metrics.accuracy(cm),
-            fp_pct=metrics.fp_rate_skew_adjusted(cm)))
+            tp, fp, fn, tn, language, variable, fold, params.seed,
+            metrics.accuracy(cm), metrics.fp_rate_skew_adjusted(cm)))
     return records
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,25 @@ class TestPredict:
         # a single row is a 1 x n matrix, not a 1-D array
         with pytest.raises(BoostError, match="2-D"):
             predict_margin(model, np.array([1.0]))
+
+    def test_int16_rows_route_as_stored(self):
+        """An int16 matrix gets the margins of its float64 upcast, byte for
+        byte, and is routed without a float copy."""
+        rng = np.random.default_rng(7)
+        X = rng.integers(-3, 4, size=(10_000, 200)).astype(np.int16)
+        X[:, 0] = rng.integers(-2**15, 2**15, size=len(X))
+        y = (X[:, 0] > 1000) ^ (X[:, 1] + X[:, 2] > 0)
+        model = train(X[:400], y[:400], BoostParams(rounds=8, seed=3))
+        assert len({f for f, _ in model.split_gain_log}) > 3
+        want = predict_margin(model, X.astype(float))
+        tracemalloc.start()
+        try:
+            got = predict_margin(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak < X.size * 8 / 2, peak
 
 
 def oracle_margin(model, X):
