@@ -9,8 +9,8 @@ import os
 
 import numpy as np
 
-from soundskew import featurize, load_corpus, name_length
-from soundskew.corpus import ATTRIBUTE_NAMES
+from soundskew.corpus import (
+    ATTRIBUTE_NAMES, featurize, load_corpus, name_length)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 

@@ -2,7 +2,8 @@
 
 Builds the Attack classifier for the Japanese fixture names: one count
 matrix for the language, median split and balance over its rows, stratified
-folds, then a second-order boosted tree ensemble on the count features.
+folds, then a second-order boosted tree ensemble, trained as a run trains
+on the int16 counts that the loader stores.
 Prints the loss curve, the confusion matrix of one fold, and the
 highest-gain features.  The model keeps only its trees; the training loss
 after round ``r`` is recomputed from the first ``r`` of them.
@@ -13,23 +14,12 @@ import os
 
 import numpy as np
 
-from soundskew import (
-    BinaryLabeledSet,
-    BoostParams,
-    ConfusionMatrix,
-    accuracy,
-    balance,
-    classify,
-    feature_importance,
-    fp_rate_skew_adjusted,
-    load_corpus,
-    make_folds,
-    median_split,
-    predict_prob,
-    subseed,
-    train,
-)
-from soundskew.corpus import ATTRIBUTE_NAMES
+from soundskew.boost import (
+    BoostParams, classify, feature_importance, predict_prob, train)
+from soundskew.corpus import ATTRIBUTE_NAMES, load_corpus
+from soundskew.labeling import (
+    BinaryLabeledSet, balance, make_folds, median_split, subseed)
+from soundskew.metrics import ConfusionMatrix, accuracy, fp_rate_skew_adjusted
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 SEED = 20220307
@@ -45,7 +35,7 @@ def train_loss(model, rounds, X, y):
 corpus, inventories = load_corpus(
     os.path.join(DATA, "corpus.csv"), os.path.join(DATA, "inventory.csv"))
 inventory = inventories["jpn"]
-features = corpus.counts["jpn"].astype(float)
+features = corpus.counts["jpn"]
 attack = corpus.attributes[corpus.language == "jpn",
                            ATTRIBUTE_NAMES.index("Attack")]
 
@@ -67,12 +57,11 @@ print(f"trained {len(model.trees)} trees; "
       f"loss {train_loss(model, 1, X_train, y_train):.4f} -> "
       f"{train_loss(model, len(model.trees), X_train, y_train):.4f}")
 
+# A fold's counts as the runner takes them: one bincount of truth and
+# prediction, in the order tn, fp, fn, tp.
 pred = classify(model, X[in_test])
-truth = y[in_test]
-cm = ConfusionMatrix(tp=int((pred & truth).sum()),
-                     fp=int((pred & ~truth).sum()),
-                     fn=int((~pred & truth).sum()),
-                     tn=int((~pred & ~truth).sum()))
+tn, fp, fn, tp = np.bincount(2 * y[in_test] + pred, minlength=4).tolist()
+cm = ConfusionMatrix(tp, fp, fn, tn)
 print(f"fold 0: tp={cm.tp} fp={cm.fp} fn={cm.fn} tn={cm.tn}")
 print(f"accuracy {accuracy(cm):.3f}, "
       f"skew-adjusted FP% {fp_rate_skew_adjusted(cm):.3f}")

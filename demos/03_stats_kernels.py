@@ -6,7 +6,7 @@ against, then runs the two hypothesis-test shapes on synthetic FP rates.
 
 import numpy as np
 
-from soundskew import (
+from soundskew.stats import (
     f_upper_p,
     one_sample_t,
     reg_inc_beta,

@@ -7,7 +7,7 @@ name-length regressions.  Writes reports into data/out/.
 
 import os
 
-from soundskew import ExperimentConfig, emit_report, run_experiment
+from soundskew.runner import ExperimentConfig, emit_report, run_experiment
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 

@@ -21,7 +21,6 @@ import dataclasses
 import datetime
 import functools
 import json
-import math
 import os
 import sys
 import types
@@ -79,9 +78,6 @@ def decode(tp, raw, where: str):
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:                       # X | None
         return None if raw is None else decode(args[0], raw, where)
-    if origin is typing.Annotated:          # a float that may be infinite
-        return raw if raw in (math.inf, -math.inf) \
-            else decode(args[0], raw, where)
     if tp in _SCALARS:
         if _fits(tp, raw):
             return raw
@@ -100,7 +96,7 @@ def decode(tp, raw, where: str):
         return {key: decode(args[1], value, f"{where}[{key!r}]")
                 for key, value in raw.items()}
     else:
-        hints = _type_hints(tp, include_extras=True)
+        hints = _type_hints(tp)
         unknown = sorted(raw.keys() - hints.keys())
         if unknown:
             raise ConfigError(f"{where}: unknown keys: {unknown}")
@@ -477,9 +473,10 @@ def report_markdown(doc: dict) -> str:
                          f"untestable: {e['untestable_reason']} |")
         else:
             r = e["result"]
+            F = "inf" if r["F"] is None else f"{r['F']:.2f}"
             lines.append(
                 f"| {e['language']} | {e['variable']} "
-                f"| {r['df1']}, {r['df2']} | {r['F']:.2f} "
+                f"| {r['df1']}, {r['df2']} | {F} "
                 f"| {_fmt_p(r['p'])} | {r['r2']:.3f} |")
     if doc["failures"]:
         lines += ["", "## Failures", ""]
@@ -494,8 +491,8 @@ def emit_report(report: ExperimentReport) -> list[str]:
     doc = dataclasses.asdict(report)
     outputs = (
         ("tsv", "records.tsv", records_tsv(report.records)),
-        ("json", "report.json", json.dumps(doc, indent=1, sort_keys=True)
-         + "\n"),
+        ("json", "report.json", json.dumps(doc, indent=1, sort_keys=True,
+                                           allow_nan=False) + "\n"),
         ("md", "report.md", report_markdown(doc)))
     os.makedirs(report.config.out_dir, exist_ok=True)
     written = []

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Annotated
 
 import numpy as np
 
@@ -42,7 +41,7 @@ class TTestResult:
 class OlsResult:
     slope: float
     intercept: float
-    F: Annotated[float, "inf for a perfect fit"]
+    F: float | None  # None for a perfect fit (no residual), with p = 0
     df1: int
     df2: int
     p: float
@@ -196,7 +195,7 @@ def simple_ols(x, y) -> OlsResult:
     ssr = sst - sse
     df1, df2 = 1, n - 2
     if sse == 0.0:
-        return OlsResult(slope=slope, intercept=intercept, F=math.inf,
+        return OlsResult(slope=slope, intercept=intercept, F=None,
                          df1=df1, df2=df2, p=0.0, r2=1.0)
     F = (ssr / df1) / (sse / df2)
     F = max(F, 0.0)

@@ -182,6 +182,27 @@ class TestRunExperiment:
         assert [dataclasses.astuple(r) for r in full_kor] \
             == [dataclasses.astuple(r) for r in solo.records]
 
+    def test_flipping_threat_direction_mirrors_each_fold(self):
+        """Calling each variable's low class the threat swaps tp with tn and
+        fp with fn, so FP% and its mirror sum to 1.  Floats need not mirror
+        exactly: ``sigmoid(-m)`` need not equal ``1 - sigmoid(m)``, and a
+        tie at p = 0.5 goes to threat.  The bound is the measured one: on
+        the fixture at 20 and at 200 rounds 35 of 36 folds mirror, and the
+        largest deviation from 1 is 0.0118 and 0.0120."""
+        config = fast_config(boost_params=BoostParams(rounds=20))
+        low = dataclasses.replace(
+            config, threat_direction=dict.fromkeys(config.variables, "low"))
+        shipped = run_experiment(config).records
+        flipped = run_experiment(low).records
+        assert [(r.language, r.variable, r.fold, r.seed) for r in shipped] \
+            == [(r.language, r.variable, r.fold, r.seed) for r in flipped]
+        mirrored = [(r.tp, r.fp, r.fn, r.tn) == (m.tn, m.fn, m.fp, m.tp)
+                    for r, m in zip(shipped, flipped)]
+        assert len(mirrored) == 36 and sum(mirrored) >= 35
+        for r, m in zip(shipped, flipped):
+            if r.fp_pct is not None and m.fp_pct is not None:
+                assert abs(r.fp_pct + m.fp_pct - 1.0) <= 0.02, (r, m)
+
     def test_missing_attribute_group_fails_in_isolation(self, write_corpus):
         rows = [f"n{i},xx,ka,k a,{i},,{i + 1},{i + 2}" for i in range(12)]
         corpus, inventory = write_corpus(
@@ -966,6 +987,49 @@ class TestCli:
         assert str(taken) in err
         assert calls["train"] == 0
 
+    def test_run_makes_every_layer_call_the_tracer_wraps(
+            self, tmp_path, capsys, monkeypatch):
+        """The benchmark's tracer wraps the module attributes that its
+        ``LAYER_CALLS`` name.  A run that reached a layer through any other
+        binding (say a ``train`` imported into the runner) would leave that
+        layer without spans, and its per-layer metrics would not compute."""
+        bench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+        monkeypatch.syspath_prepend(bench)      # run.py imports gen.py
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+
+        def load(name):
+            spec = importlib.util.spec_from_file_location(
+                f"perfbench_{name}", os.path.join(bench, f"{name}.py"))
+            module = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, spec.name, module)
+            spec.loader.exec_module(module)
+            return module
+
+        traced, bench_run = load("traced"), load("run")
+        tracer = traced.Tracer("tier1")
+        wrapped = []
+        for module_name, attr, hook in traced.LAYER_CALLS:
+            module = sys.modules[f"soundskew.{module_name}"]
+            monkeypatch.setattr(module, attr, getattr(module, attr))
+            tracer.wrap(module, attr, f"{module_name}.{attr}", hook)
+            wrapped.append(f"{module_name}.{attr}")
+        config = self.write_config(tmp_path, languages=None,
+                                   variables=list(corpus.ATTRIBUTE_NAMES),
+                                   boost_params={"rounds": 2})
+        assert cli_main(["run", "--config", config]) == 0
+        capsys.readouterr()
+        spans = {"name": np.frombuffer(tracer.name, dtype=np.int32),
+                 "parent": np.frombuffer(tracer.parent, dtype=np.int32),
+                 "start": np.frombuffer(tracer.start, dtype=np.int64),
+                 "end": np.frombuffer(tracer.end, dtype=np.int64)}
+        spanned = {tracer.names[i] for i in np.unique(spans["name"])}
+        assert [name for name in wrapped if name not in spanned] == []
+        metrics = bench_run.layer_metrics(
+            spans, {"names": tracer.names, "counts": tracer.counts},
+            traced_wall=1.0, untraced_wall=1.0, import_s=0.0)
+        assert metrics.keys() == bench_run.PER_LAYER_UNITS.keys()
+        assert metrics["boost.train_calls"] == 36
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -1047,7 +1111,7 @@ def report_field_type(path):
         if typing.get_origin(tp) is types.UnionType:     # X | None
             tp = typing.get_args(tp)[0]
         if dataclasses.is_dataclass(tp):
-            tp = typing.get_type_hints(tp, include_extras=True)[step]
+            tp = typing.get_type_hints(tp)[step]
         else:                           # list[X], tuple[X, ...], dict[str, X]
             tp = typing.get_args(tp)[-1 if isinstance(step, str) else 0]
     return tp
@@ -1055,14 +1119,10 @@ def report_field_type(path):
 
 def fits_annotation(value, tp) -> bool:
     """Whether a JSON value has the JSON type of annotation ``tp``: a bool is
-    not a number, a float is finite unless ``Annotated``, and any object
-    fits a dataclass."""
+    not a number, a float is finite, and any object fits a dataclass."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:
         return value is None or fits_annotation(value, args[0])
-    if origin is typing.Annotated:
-        return value in (float("inf"), float("-inf")) \
-            or fits_annotation(value, args[0])
     if origin in (list, tuple):
         return isinstance(value, list) \
             and all(fits_annotation(v, args[0]) for v in value)
@@ -1107,8 +1167,9 @@ class TestReportFile:
 
     def test_perfect_fit_report_is_read(self, tmp_path, write_corpus,
                                         capsys):
-        # Attack is exactly linear in name length, so the regressions' F is
-        # infinite, and report.json holds it as Infinity.
+        # Attack is exactly linear in name length, so the regressions have
+        # no F: report.json holds null and stays strict JSON, and report.md
+        # shows inf.
         corpus_path, inventory_path = write_corpus(
             [f"x{n},xx,n{n},{' '.join('a' * n)},{10 * n},1,1,1"
              for n in (2, 3, 4)], ["xx,a,0"])
@@ -1118,13 +1179,38 @@ class TestReportFile:
             out_dir=str(tmp_path / "out")))
         emit_report(report)
         path = tmp_path / "out" / "report.json"
-        assert '"F": Infinity' in path.read_text()
+        assert '"F": null' in path.read_text()
+
+        def reject(token):
+            raise AssertionError(f"report.json holds {token}")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert [(e["result"]["F"], e["result"]["p"], e["result"]["r2"])
+                for e in doc["length_regressions"]] \
+            == [(None, 0.0, 1.0), (None, 0.0, 1.0)]
         assert cli_main(["stats", "--report", str(path)]) == 0
-        decoded = runner.decode(ExperimentReport,
-                                json.loads(path.read_text()), str(path))
+        decoded = runner.decode(ExperimentReport, doc, str(path))
         assert decoded == report
+        markdown = (tmp_path / "out" / "report.md").read_text()
+        assert "| xx | Attack | 1, 1 | inf | 0.00e+00 | 1.000 |" in markdown
         assert runner.report_markdown(dataclasses.asdict(decoded)) \
-            == (tmp_path / "out" / "report.md").read_text()
+            == markdown
+
+    def test_infinite_F_in_report_exits_1_naming_the_value(self, tmp_path,
+                                                           capsys):
+        # Earlier versions wrote a perfect fit's F as Infinity, which is
+        # not JSON.
+        fit = {"slope": 10.0, "intercept": 0.0, "F": float("inf"), "df1": 1,
+               "df2": 1, "p": 0.0, "r2": 1.0}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(dict(TABLES_REPORT, length_regressions=[
+            {"language": "xx", "variable": "Attack", "n": 3, "result": fit,
+             "untestable_reason": None}])))
+        assert '"F": Infinity' in path.read_text()
+        assert cli_main(["stats", "--report", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: length_regressions[0]: result: F must be a "
+            f"finite number, got inf\n")
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
