@@ -9,12 +9,14 @@ out of the same counts for every language.
 
 The loader reads the corpus in one streaming pass into typed arrays and looks
 each token up in its inventory once, which both validates the token and gives
-its column.  It takes ``CHUNK_ROWS`` rows at a time and checks them one
-column at a time: ids, languages, transcriptions, then every attribute cell
-of the chunk in one vectorized range test.  Only ``_append_chunk`` appends
-rows; for a chunk it declines, ``_row_error`` names the first bad row as a
-row-at-a-time loader would.  Both files are read by ``_open_csv``, which
-names the file and line of input that is not UTF-8 or not CSV.
+its column.  ``_append_chunk`` states the corpus-row rules once and is the
+only code that appends rows.  It takes ``CHUNK_ROWS`` rows at a time and
+checks them one column at a time: column counts, ids, languages and tokens,
+transcriptions, then every attribute cell of the chunk in one vectorized
+range test.  The rows of a chunk it declines go through it again one row at
+a time, and the first row it declines is named with its message.  Both
+files are read by ``_open_csv``, which names the file and line of input
+that is not UTF-8 or not CSV.
 """
 
 from __future__ import annotations
@@ -129,7 +131,8 @@ def _open_csv(path, columns: tuple[str, ...]):
 
 def load_inventories(inventory_path) -> dict[str, TokenInventory]:
     """Parse the inventory CSV into one :class:`TokenInventory` per language."""
-    per_lang: dict[str, list[tuple[str, bool]]] = {}
+    # language -> {token: is_tone}, in file order
+    per_lang: dict[str, dict[str, bool]] = {}
     with _open_csv(inventory_path, INVENTORY_COLUMNS) as reader:
         for row_no, row in enumerate(reader, start=2):
             if not row:
@@ -143,96 +146,91 @@ def load_inventories(inventory_path) -> dict[str, TokenInventory]:
                 raise CorpusError(
                     f"{inventory_path}: row {row_no}: is_tone must be 0 or 1, "
                     f"got {tone_flag!r}")
-            per_lang.setdefault(language, []).append((token, tone_flag == "1"))
+            tokens = per_lang.setdefault(language, {})
+            if token in tokens:
+                raise CorpusError(
+                    f"{inventory_path}: row {row_no}: duplicate token "
+                    f"{token!r} in the {language!r} inventory")
+            tokens[token] = tone_flag == "1"
     inventories = {}
-    for language, pairs in per_lang.items():
+    for language, tokens in per_lang.items():
         try:
             inventories[language] = TokenInventory(
-                language=language,
-                tokens=tuple(t for t, _ in pairs),
-                is_tone=tuple(f for _, f in pairs))
+                language=language, tokens=tuple(tokens),
+                is_tone=tuple(tokens.values()))
         except CorpusError as exc:
             raise CorpusError(f"{inventory_path}: {exc}") from None
     return inventories
 
 
-def _append_chunk(chunk: list[list[str]], streams, ids, codes,
-                  attributes) -> bool:
-    """Check and append a chunk of corpus rows, one column at a time.
+def _number(cell: str) -> float:
+    """``float(cell)``, or NaN for a cell that is not a number."""
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
 
-    Returns False, having appended nothing, if ``_row_error`` would name
-    any row; the caller then runs it row by row to name the first.
+
+def _append_chunk(chunk: list[list[str]], streams, ids, codes,
+                  attributes) -> str | None:
+    """Check a chunk of corpus rows one column at a time and append it.
+
+    Returns None once the chunk is appended.  Otherwise appends nothing and
+    returns what is wrong; for a one-row chunk, that is the row's message
+    from the first check it fails, in column order.
     """
-    rows = [row for row in chunk if len(row) == len(CORPUS_COLUMNS)]
-    if len(rows) + chunk.count([]) != len(chunk):
-        return False
-    new_ids = dict.fromkeys([row[0].strip() for row in rows])
+    rows = [row for row in chunk if row]
+    if bad := [row for row in rows if len(row) != len(CORPUS_COLUMNS)]:
+        return f"expected {len(CORPUS_COLUMNS)} columns, got {len(bad[0])}"
+    chunk_ids = [row[0].strip() for row in rows]
+    new_ids = dict.fromkeys(chunk_ids)
     if len(new_ids) != len(rows) or not ids.keys().isdisjoint(new_ids):
-        return False
+        return "duplicate id " + repr(next(
+            i for i in chunk_ids if i in ids or chunk_ids.count(i) > 1))
     languages = [row[1].strip() for row in rows]
     names = [row[3].split() for row in rows]
-    if not all(names):
-        return False
-    try:
-        # Each run of rows in one language: (its language's stream, the
-        # run's token indices, its names' token counts).
-        runs = []
-        for language, run in groupby(zip(languages, names), itemgetter(0)):
-            stream = streams[language]
-            index, run = stream[1], [tokens for _, tokens in run]
+    # Each run of rows in one language: (its language's stream, the run's
+    # token indices, its names' token counts).
+    runs = []
+    for language, run in groupby(zip(languages, names), itemgetter(0)):
+        if language not in streams:
+            return f"unknown language {language!r}"
+        stream = streams[language]
+        index, run = stream[1], [tokens for _, tokens in run]
+        try:
             runs.append((stream,
                          [index[token] for tokens in run for token in tokens],
                          [len(tokens) for tokens in run]))
+        except KeyError as exc:
+            return f"token {exc.args[0]!r} not in the {language!r} inventory"
+    if [] in names:
+        return (f"entry {chunk_ids[names.index([])]!r} has an empty "
+                "transcription")
+    try:
         values = [float(stripped) if (stripped := cell.strip()) else math.nan
                   for row in rows for cell in row[4:]]
-    except (KeyError, ValueError):
-        return False
+    except ValueError:
+        values = [_number(cell.strip()) for row in rows for cell in row[4:]]
     checked = np.array(values)
     width = len(ATTRIBUTE_NAMES)
     # NaN fails the range test too: a blank cell's NaN is a missing value,
-    # a "nan" cell is bad input.
-    if any(rows[i // width][4 + i % width].strip() for i in np.flatnonzero(
-            ~((checked >= 0) & (checked < math.inf))).tolist()):
-        return False
+    # a "nan" cell or one that is not a number is bad input.
+    for i in np.flatnonzero(~((checked >= 0) & (checked < math.inf))).tolist():
+        row, attr = rows[i // width], ATTRIBUTE_NAMES[i % width]
+        if cell := row[4 + i % width].strip():
+            try:
+                value = float(cell)
+            except ValueError:
+                return (f"attribute column {attr.lower()!r} is not numeric: "
+                        f"{cell!r}")
+            return (f"entry {chunk_ids[i // width]!r}: attribute {attr} = "
+                    f"{value!r} must be finite and non-negative")
     ids.update(new_ids)
     attributes.fromlist(values)
     for (code, _, token_ids, lengths), run_token_ids, run_lengths in runs:
         codes.fromlist([code] * len(run_lengths))
         token_ids.fromlist(run_token_ids)
         lengths.fromlist(run_lengths)
-    return True
-
-
-def _row_error(row: list[str], streams, ids: dict[str, None]) -> str | None:
-    """What is wrong with a corpus row, or None: ``_append_chunk``'s checks
-    on one row.  It appends nothing but the row's id to ``ids``, so that a
-    later repeat of the id is named."""
-    if len(row) != len(CORPUS_COLUMNS):
-        return f"expected {len(CORPUS_COLUMNS)} columns, got {len(row)}"
-    entry_id, language = row[0].strip(), row[1].strip()
-    if entry_id in ids:
-        return f"duplicate id {entry_id!r}"
-    ids[entry_id] = None
-    if language not in streams:
-        return f"unknown language {language!r}"
-    tokens = row[3].split()
-    for token in tokens:
-        if token not in streams[language][1]:
-            return f"token {token!r} not in the {language!r} inventory"
-    if not tokens:
-        return f"entry {entry_id!r} has an empty transcription"
-    for cell, attr in zip(row[4:], ATTRIBUTE_NAMES):
-        cell = cell.strip()
-        if not cell:
-            continue
-        try:
-            value = float(cell)
-        except ValueError:
-            return (f"attribute column {attr.lower()!r} is not numeric: "
-                    f"{cell!r}")
-        if not 0 <= value < math.inf:
-            return (f"entry {entry_id!r}: attribute {attr} = {value!r} "
-                    "must be finite and non-negative")
     return None
 
 
@@ -248,8 +246,9 @@ def load_corpus(corpus_path, inventory_path
     row but its id: each row's language code and attributes go into typed
     arrays, and its tokens, looked up once in the inventory, go into its
     language's array of token indices beside the name's token count.  Rows
-    go in a chunk at a time; no row of a chunk that fails a check goes in.
-    Each language is then featurized and measured in one call.
+    go in a chunk at a time; a chunk that fails a check is checked again one
+    row at a time, so that the error names its first bad row.  Each language
+    is then featurized and measured in one call.
     """
     inventories = load_inventories(inventory_path)
     # language -> (code, token index, token indices, token count per name)
@@ -262,14 +261,13 @@ def load_corpus(corpus_path, inventory_path
     with _open_csv(corpus_path, CORPUS_COLUMNS) as reader:
         first_row_no = 2
         while chunk := list(islice(reader, CHUNK_ROWS)):
-            if not _append_chunk(chunk, streams, ids, codes, attributes):
+            if _append_chunk(chunk, streams, ids, codes, attributes):
+                # Declined: append it a row at a time, to name the bad row.
                 for row_no, row in enumerate(chunk, start=first_row_no):
-                    if row and (message := _row_error(row, streams, ids)):
+                    if message := _append_chunk(
+                            [row], streams, ids, codes, attributes):
                         raise CorpusError(
                             f"{corpus_path}: row {row_no}: {message}")
-                raise RuntimeError(
-                    f"{corpus_path}: the chunk from row {first_row_no} "
-                    "failed a check that no row of it fails")
             first_row_no += len(chunk)
     id_column = np.array(list(ids), dtype=str)
     code_column = np.asarray(codes)

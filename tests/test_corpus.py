@@ -263,15 +263,15 @@ class TestLoadCorpus:
             load_corpus(corpus, inventory)
 
     @pytest.mark.parametrize("rows, message", [
-        (["xx,a,0", "xx,a,0"], "duplicate tokens"),
-        (["xx,T:1,1"], "no non-tone token"),
+        (["xx,a,0", "xx,b,0", "xx,a,0"],
+         "row 4: duplicate token 'a' in the 'xx' inventory"),
+        (["xx,T:1,1"], "inventory for 'xx' has no non-tone token"),
     ], ids=["duplicate", "all-tone"])
     def test_inventory_error_names_file(self, write_corpus, rows, message):
         corpus, inventory = write_corpus([], rows)
         with pytest.raises(CorpusError) as info:
             load_corpus(corpus, inventory)
-        assert str(info.value).startswith(f"{inventory}: ")
-        assert message in str(info.value)
+        assert str(info.value) == f"{inventory}: {message}"
 
     def test_empty_attribute_cell_is_missing(self, write_corpus):
         corpus, inventory = write_corpus(["n1,xx,ka,k a,,2,3,4"],
@@ -478,19 +478,68 @@ class TestLoaderChunks:
         assert str(info.value) == (
             f"{paths[0]}: row {at + 2}: duplicate id 'n{source}'")
 
+    @pytest.mark.parametrize("row_no", [2, CHUNK_ROWS + 3])
+    @pytest.mark.parametrize("row, message", [
+        ("{id},xx,nm,k a,1,1,nan,abc",
+         "entry '{id}': attribute Height = nan must be finite and "
+         "non-negative"),
+        ("{id},xx,nm,k a,abc,-1,1,1",
+         "attribute column 'attack' is not numeric: 'abc'"),
+        ("{id},zz,nm, ,1,2,3,4", "unknown language 'zz'"),
+        ("{id},xx,nm,k q,abc,2,3,4", "token 'q' not in the 'xx' inventory"),
+        ("{id},xx,nm, ,abc,2,3,4", "entry '{id}' has an empty transcription"),
+        ("n0,xx,nm,k a,1,2,3", "expected 8 columns, got 7"),
+    ], ids=["nan-then-text", "text-then-negative", "language-then-empty",
+            "token-then-text", "empty-then-text", "columns-then-id"])
+    def test_first_check_a_row_fails_names_it(self, write_corpus, row_no,
+                                             row, message):
+        """A row that breaks several rules is named by the first of its
+        checks, in column order, in the first chunk and in a later one."""
+        rows = [f"n{i},xx,nm,k a,1,2,3,4" for i in range(3 * CHUNK_ROWS)]
+        entry = f"n{row_no - 2}"
+        rows[row_no - 2] = row.format(id=entry)
+        paths = write_corpus(rows, TOY_INVENTORY)
+        with pytest.raises(CorpusError) as info:
+            load_corpus(*paths)
+        assert str(info.value) \
+            == f"{paths[0]}: row {row_no}: {message.format(id=entry)}"
+
     def test_blank_cells_stay_on_the_chunk_path(self, write_corpus,
                                                 monkeypatch):
         # "1\x1c" is 1 once stripped, as the row check strips it.
         rows = [f"n{i},xx,nm,k a,, ,1\x1c,"
                 for i in range(2 * CHUNK_ROWS + 1)]
+        sizes = []
+        append_chunk = corpus_mod._append_chunk
 
-        def no_row_path(*args):
-            raise AssertionError("a chunk was checked row by row")
-        monkeypatch.setattr(corpus_mod, "_row_error", no_row_path)
+        def sized(chunk, *args):
+            sizes.append(len(chunk))
+            return append_chunk(chunk, *args)
+        monkeypatch.setattr(corpus_mod, "_append_chunk", sized)
         corpus, _ = load_corpus(*write_corpus(rows, TOY_INVENTORY))
+        # One call per chunk, the last of one row, and no row-by-row check.
+        assert sizes == [CHUNK_ROWS, CHUNK_ROWS, 1]
         assert np.isnan(corpus.attributes).sum(axis=0).tolist() \
             == [len(rows), len(rows), 0, len(rows)]
         assert corpus.attributes[:, 2].tolist() == [1.0] * len(rows)
+
+    def test_declined_chunks_load_one_row_at_a_time(self, monkeypatch):
+        """The rows of a declined chunk are appended one at a time, and a
+        load whose every chunk is declined gives the same columns."""
+        paths = CORPUS_CSV, INVENTORY_CSV
+        expected = loaded_columns(load_corpus, paths)
+        sizes = []
+        append_chunk = corpus_mod._append_chunk
+
+        def decline_chunks(chunk, *args):
+            sizes.append(len(chunk))
+            return "declined" if len(chunk) > 1 \
+                else append_chunk(chunk, *args)
+        monkeypatch.setattr(corpus_mod, "_append_chunk", decline_chunks)
+        assert loaded_columns(load_corpus, paths) == expected
+        # 900 rows: seven chunks of 128 and one of 4, each row then alone.
+        assert sizes == [size for chunk in [CHUNK_ROWS] * 7 + [4]
+                         for size in [chunk] + [1] * chunk]
 
 
 class TestLoaderMemory:

@@ -945,18 +945,6 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             f"error: {paths[name]}: line {line}: ")
 
-    def test_declined_chunk_without_a_bad_row_exits_2(
-            self, tmp_path, capsys, monkeypatch):
-        """A chunk that fails the chunk check must fail the row check too;
-        if no row of it does, the loader is at fault and says so."""
-        monkeypatch.setattr(corpus, "_append_chunk", lambda *args: False)
-        with pytest.raises(RuntimeError, match="chunk from row 2 "):
-            corpus.load_corpus(CORPUS_CSV, INVENTORY_CSV)
-        config = self.write_config(tmp_path)
-        assert cli_main(["validate", "--config", config]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"runtime failure: {CORPUS_CSV}: ")
-
     def test_missing_file_exits_1(self, capsys):
         assert cli_main(["validate", "--config", "/nonexistent.json"]) == 1
 
