@@ -7,6 +7,11 @@ file order, plus one token-count matrix per language.  Tones are ordinary
 inventory tokens flagged ``is_tone`` so that tone-excluding name lengths fall
 out of the same counts for every language.
 
+``load_inventories`` states each inventory rule once.  Each row has three
+columns: a non-empty language, a token that is one whitespace-free word and
+an ``is_tone`` of 0 or 1.  No language repeats a token, and each has a
+non-tone token.  ``TokenInventory`` is the plain value it builds.
+
 The loader reads the corpus in one streaming pass into typed arrays and looks
 each token up in its inventory once, which both validates the token and gives
 its column.  ``_append_chunk`` states the corpus-row rules once and is the
@@ -53,21 +58,11 @@ class CorpusError(ValueError):
 class TokenInventory:
     """Ordered token set for one language; order defines feature indices."""
 
-    language: str
     tokens: tuple[str, ...]
     is_tone: tuple[bool, ...]
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.tokens) != len(self.is_tone):
-            raise CorpusError("tokens and is_tone flags must align")
-        if len(set(self.tokens)) != len(self.tokens):
-            dupes = sorted({t for t in self.tokens if self.tokens.count(t) > 1})
-            raise CorpusError(
-                f"duplicate tokens in inventory for {self.language!r}: {dupes}")
-        if not any(not t for t in self.is_tone):
-            raise CorpusError(
-                f"inventory for {self.language!r} has no non-tone token")
         object.__setattr__(
             self, "index", {t: i for i, t in enumerate(self.tokens)})
 
@@ -130,7 +125,11 @@ def _open_csv(path, columns: tuple[str, ...]):
 
 
 def load_inventories(inventory_path) -> dict[str, TokenInventory]:
-    """Parse the inventory CSV into one :class:`TokenInventory` per language."""
+    """Parse the inventory CSV into one :class:`TokenInventory` per language.
+
+    The only check of the inventory rules.  Each ``CorpusError`` names the
+    file and the bad row, or the language that has no non-tone token.
+    """
     # language -> {token: is_tone}, in file order
     per_lang: dict[str, dict[str, bool]] = {}
     with _open_csv(inventory_path, INVENTORY_COLUMNS) as reader:
@@ -142,25 +141,29 @@ def load_inventories(inventory_path) -> dict[str, TokenInventory]:
                     f"{inventory_path}: row {row_no}: expected "
                     f"{len(INVENTORY_COLUMNS)} columns, got {len(row)}")
             language, token, tone_flag = (c.strip() for c in row)
-            if tone_flag not in ("0", "1"):
-                raise CorpusError(
-                    f"{inventory_path}: row {row_no}: is_tone must be 0 or 1, "
-                    f"got {tone_flag!r}")
             tokens = per_lang.setdefault(language, {})
-            if token in tokens:
-                raise CorpusError(
-                    f"{inventory_path}: row {row_no}: duplicate token "
-                    f"{token!r} in the {language!r} inventory")
-            tokens[token] = tone_flag == "1"
-    inventories = {}
+            if not language:
+                problem = "empty language"
+            elif token.split() != [token]:
+                # A transcription splits on whitespace, so no name could
+                # count such a token.
+                problem = f"token {token!r} is not one whitespace-free word"
+            elif tone_flag not in ("0", "1"):
+                problem = f"is_tone must be 0 or 1, got {tone_flag!r}"
+            elif token in tokens:
+                problem = (f"duplicate token {token!r} in the {language!r} "
+                           "inventory")
+            else:
+                tokens[token] = tone_flag == "1"
+                continue
+            raise CorpusError(f"{inventory_path}: row {row_no}: {problem}")
     for language, tokens in per_lang.items():
-        try:
-            inventories[language] = TokenInventory(
-                language=language, tokens=tuple(tokens),
-                is_tone=tuple(tokens.values()))
-        except CorpusError as exc:
-            raise CorpusError(f"{inventory_path}: {exc}") from None
-    return inventories
+        if all(tokens.values()):
+            raise CorpusError(f"{inventory_path}: inventory for {language!r} "
+                              "has no non-tone token")
+    return {language: TokenInventory(tokens=tuple(tokens),
+                                     is_tone=tuple(tokens.values()))
+            for language, tokens in per_lang.items()}
 
 
 def _number(cell: str) -> float:
@@ -183,6 +186,8 @@ def _append_chunk(chunk: list[list[str]], streams, ids, codes,
     if bad := [row for row in rows if len(row) != len(CORPUS_COLUMNS)]:
         return f"expected {len(CORPUS_COLUMNS)} columns, got {len(bad[0])}"
     chunk_ids = [row[0].strip() for row in rows]
+    if "" in chunk_ids:
+        return "empty id"
     new_ids = dict.fromkeys(chunk_ids)
     if len(new_ids) != len(rows) or not ids.keys().isdisjoint(new_ids):
         return "duplicate id " + repr(next(

@@ -40,8 +40,7 @@ TOY_INVENTORIES = TOY_INVENTORY + [
 
 
 def make_inventory():
-    return TokenInventory(language="xx",
-                          tokens=("a", "i", "k", "p", "T:4"),
+    return TokenInventory(tokens=("a", "i", "k", "p", "T:4"),
                           is_tone=(False, False, False, False, True))
 
 
@@ -105,6 +104,8 @@ def oracle_load_corpus(corpus_path, inventory_path):
                     f"{corpus_path}: row {row_no}: expected "
                     f"{len(CORPUS_COLUMNS)} columns, got {len(row)}")
             entry_id, language = row[0].strip(), row[1].strip()
+            if not entry_id:
+                raise CorpusError(f"{corpus_path}: row {row_no}: empty id")
             if entry_id in seen_ids:
                 raise CorpusError(
                     f"{corpus_path}: row {row_no}: duplicate id {entry_id!r}")
@@ -166,14 +167,6 @@ def loaded(request, write_corpus):
 
 
 class TestTokenInventory:
-    def test_duplicate_tokens_rejected(self):
-        with pytest.raises(CorpusError, match="duplicate"):
-            TokenInventory("xx", ("a", "a"), (False, False))
-
-    def test_all_tone_rejected(self):
-        with pytest.raises(CorpusError, match="non-tone"):
-            TokenInventory("xx", ("T:1", "T:2"), (True, True))
-
     def test_order_defines_indices(self):
         inv = make_inventory()
         assert inv.index == {"a": 0, "i": 1, "k": 2, "p": 3, "T:4": 4}
@@ -266,7 +259,15 @@ class TestLoadCorpus:
         (["xx,a,0", "xx,b,0", "xx,a,0"],
          "row 4: duplicate token 'a' in the 'xx' inventory"),
         (["xx,T:1,1"], "inventory for 'xx' has no non-tone token"),
-    ], ids=["duplicate", "all-tone"])
+        (["xx,a,0", "xx,b"], "row 3: expected 3 columns, got 2"),
+        (["xx,a,0", "xx,b,yes"], "row 3: is_tone must be 0 or 1, got 'yes'"),
+        (["xx,a,0", "xx,b,0", "xx,a b,0"],
+         "row 4: token 'a b' is not one whitespace-free word"),
+        (["xx,a,0", "xx,b,0", "xx,,0"],
+         "row 4: token '' is not one whitespace-free word"),
+        (["xx,a,0", " ,b,0"], "row 3: empty language"),
+    ], ids=["duplicate", "all-tone", "columns", "is-tone", "spaced-token",
+            "empty-token", "empty-language"])
     def test_inventory_error_names_file(self, write_corpus, rows, message):
         corpus, inventory = write_corpus([], rows)
         with pytest.raises(CorpusError) as info:
@@ -305,9 +306,9 @@ def corpus_files(draw):
 
     Every corpus may have blank lines, padded cells (control-character
     padding too), blank attributes and an inventory language with no rows.
-    Most corpora add one kind of fault (duplicate ids, unknown languages,
-    unknown tokens, empty transcriptions, bad attribute cells or wrong
-    column counts), some all of them and some none.
+    Most corpora add one kind of fault (duplicate or blank ids, unknown
+    languages, unknown tokens, empty transcriptions, bad attribute cells or
+    wrong column counts), some all of them and some none.
     """
     kinds = ("id", "language", "token", "empty", "attribute", "columns")
     faults = draw(st.sampled_from(
@@ -334,7 +335,7 @@ def corpus_files(draw):
             st.sampled_from(tokens), max_size=5,
             min_size=0 if "empty" in faults else 1))
         j = draw(st.integers(0, i)) if "id" in faults else i
-        cells = [draw(st.sampled_from([f"n{j}", f" n{j} "])), language,
+        cells = [pick([f"n{j}", f" n{j} "], ["", " "], "id"), language,
                  "nm", draw(st.sampled_from(["", " "]))
                  + draw(st.sampled_from([" ", "  "])).join(transcription)]
         cells += [pick(["1", "2.5", " 3 ", "", " ", "0", "-0", "+4", "1_000",
@@ -489,8 +490,10 @@ class TestLoaderChunks:
         ("{id},xx,nm,k q,abc,2,3,4", "token 'q' not in the 'xx' inventory"),
         ("{id},xx,nm, ,abc,2,3,4", "entry '{id}' has an empty transcription"),
         ("n0,xx,nm,k a,1,2,3", "expected 8 columns, got 7"),
+        (" ,zz,nm,k a,1,2,3,4", "empty id"),
     ], ids=["nan-then-text", "text-then-negative", "language-then-empty",
-            "token-then-text", "empty-then-text", "columns-then-id"])
+            "token-then-text", "empty-then-text", "columns-then-id",
+            "empty-id-then-language"])
     def test_first_check_a_row_fails_names_it(self, write_corpus, row_no,
                                              row, message):
         """A row that breaks several rules is named by the first of its
@@ -580,8 +583,7 @@ class TestLoaderMemory:
 
 class TestFeaturize:
     def test_each_token_once(self):
-        inv = TokenInventory("xx", ("p", "i", "k", "a", "tɕ", "u"),
-                             (False,) * 6)
+        inv = TokenInventory(("p", "i", "k", "a", "tɕ", "u"), (False,) * 6)
         counts = featurize_names([["p", "i", "k", "a", "tɕ", "u"]], inv)
         assert counts.tolist() == [[1, 1, 1, 1, 1, 1]]
 
