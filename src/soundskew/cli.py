@@ -7,20 +7,24 @@ Subcommands:
   stats     recompute H1/H2 from a run's report.json, with the run's config
 
 A config or report is read through its dataclasses (``runner.decode``).
-Exit codes: 0 success, 1 bad input (naming the file) or usage error, 2
-runtime failure.
+Exit codes: 0 success, 1 bad input (naming the file, or a path the OS refuses
+as ``_BAD_PATH`` lists) or usage error, 2 runtime failure (ENOSPC, EIO, ...).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
 import sys
 
 from soundskew import runner, stats as stats_mod
 from soundskew.corpus import CorpusError, load_corpus
 from soundskew.runner import ConfigError, ExperimentConfig
+
+_BAD_PATH = {errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.EACCES,
+             errno.EPERM, errno.EEXIST, errno.ENAMETOOLONG, errno.ELOOP}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,12 +150,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, CorpusError, stats_mod.StatsError,
-            FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError, FileExistsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - runtime failures exit 2
+        if isinstance(exc, (ConfigError, CorpusError, stats_mod.StatsError)) \
+                or isinstance(exc, OSError) and exc.errno in _BAD_PATH:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

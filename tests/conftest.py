@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from soundskew.corpus import load_corpus
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 CORPUS_CSV = os.path.join(DATA_DIR, "corpus.csv")
 INVENTORY_CSV = os.path.join(DATA_DIR, "inventory.csv")
+BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 # The original study's dataset is behind a dead-tree shortlink; when a copy
 # is available, drop it at these paths (same CSV schemas) to enable the
@@ -44,6 +47,24 @@ def write_corpus(tmp_path):
         return str(corpus), str(inventory)
 
     return _write
+
+
+@pytest.fixture
+def load_bench(monkeypatch):
+    """Import a ``perfbench/`` script by name, for this test only, writing
+    no bytecode into ``perfbench/``."""
+    monkeypatch.syspath_prepend(BENCH_DIR)      # run.py imports gen.py
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_{name}", os.path.join(BENCH_DIR, f"{name}.py"))
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    return load
 
 
 def train_losses(model, X, y) -> list[float]:

@@ -2,37 +2,22 @@
 
 Two runs agreeing with each other (acceptance criterion 7) does not catch a
 change that alters every number deterministically; these pins do.  They are
-the benchmark's ``fixture`` pins, read from ``perfbench/golden.json``, so
-that Tier-1 fails on any change to the records, to the report (hypothesis
-tests and name-length regressions) or to a fitted model's serialization.
+the benchmark's ``fixture`` pins, read from ``perfbench/golden.json`` and
+compared through the benchmark's own hashing, so that Tier-1 fails on any
+change to the records, to the report (hypothesis tests and name-length
+regressions) or to a fitted model's serialization.
 """
 
-import hashlib
 import json
-import os
 
 from soundskew import boost
 from soundskew.cli import main as cli_main
 from tests.conftest import CORPUS_CSV, DATA_DIR, INVENTORY_CSV
 
-GOLDEN_JSON = os.path.join(DATA_DIR, "..", "perfbench", "golden.json")
-
-
-def sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def normalized_report(doc: dict) -> bytes:
-    """report.json without the fields that name a time or a path."""
-    doc = dict(doc, config=dict(doc["config"]))
-    doc.pop("timestamp")
-    for key in ("corpus_path", "inventory_path", "out_dir"):
-        doc["config"].pop(key)
-    return json.dumps(doc, sort_keys=True).encode("utf-8")
-
 
 def test_shipped_config_at_20_rounds_matches_pins(tmp_path, monkeypatch,
-                                                  capsys):
+                                                  capsys, load_bench):
+    bench_run = load_bench("run")
     with open(f"{DATA_DIR}/config.json", encoding="utf-8") as fh:
         config = json.load(fh)
     config.update(corpus_path=CORPUS_CSV, inventory_path=INVENTORY_CSV,
@@ -53,11 +38,12 @@ def test_shipped_config_at_20_rounds_matches_pins(tmp_path, monkeypatch,
     assert cli_main(["run", "--config", str(path)]) == 0
     capsys.readouterr()
 
-    with open(GOLDEN_JSON, encoding="utf-8") as fh:
+    with open(bench_run.GOLDEN_PATH, encoding="utf-8") as fh:
         pins = json.load(fh)["fixture"]
+    sha256 = bench_run.sha256
     records = (tmp_path / "out" / "records.tsv").read_bytes()
     assert sha256(records) == pins["records.tsv"]
     report = json.loads((tmp_path / "out" / "report.json").read_bytes())
-    assert sha256(normalized_report(report)) == pins["report.json"]
+    assert sha256(bench_run.normalized_report(report)) == pins["report.json"]
     assert sha256(boost.model_to_json(models[0]).encode("utf-8")) \
         == pins["model"]

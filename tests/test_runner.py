@@ -1,6 +1,7 @@
 import csv
 import ctypes
 import dataclasses
+import errno
 import importlib.util
 import json
 import os
@@ -537,17 +538,37 @@ class TestCli:
             assert cli_main(argv) == 1
             assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
-    @pytest.mark.parametrize("languages, untestable", [
-        (["jpn"], {"jpn", "combined"}), (None, {"jpn"})])
+    # The Attack cell of each case's i-th jpn row; None keeps the cell.
+    JPN_ATTACK = {
+        "constant": lambda i: "50",
+        # squared, 1e200 overflows the regression's sums of squares
+        "1e200": lambda i: "1e200" if i == 0 else None,
+        # the sum of two central values overflows, so the median is taken
+        # from their halves
+        "near-max": lambda i: repr(1.0e308 + i * 2.0e305),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("languages", [["jpn"], None],
+                             ids=["jpn", "all"])
+    @pytest.mark.parametrize("case, reason", [
+        ("constant", "simple_ols: constant response"),
+        ("1e200", "simple_ols: overflow: a mean or a sum of squares is not "
+                  "finite"),
+        ("near-max", "simple_ols: overflow: a mean or a sum of squares is "
+                     "not finite"),
+    ], ids=["constant", "1e200", "near-max"])
     def test_constant_attribute_is_an_untestable_regression(
-            self, tmp_path, capsys, languages, untestable):
+            self, tmp_path, capsys, case, reason, languages):
         with open(CORPUS_CSV, encoding="utf-8") as fh:
             header, *rows = fh.read().splitlines()
-        rows = [",".join(cells[:4] + ["50"] + cells[5:])
-                if cells[1] == "jpn" else ",".join(cells)
-                for cells in (row.split(",") for row in rows)]
+        rows = [row.split(",") for row in rows]
+        jpn = [cells for cells in rows if cells[1] == "jpn"]
+        for i, cells in enumerate(jpn):
+            cells[4] = self.JPN_ATTACK[case](i) or cells[4]
         path = tmp_path / "corpus.csv"
-        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        path.write_text("\n".join([header, *map(",".join, rows)]) + "\n",
+                        encoding="utf-8")
         config = self.write_config(
             tmp_path, corpus_path=str(path), languages=languages,
             boost_params={"rounds": 1, "max_depth": 1})
@@ -561,8 +582,14 @@ class TestCli:
                          parse_constant=reject)
         reasons = {e["language"]: e["untestable_reason"]
                    for e in doc["length_regressions"] if e["result"] is None}
-        assert reasons == dict.fromkeys(untestable,
-                                        "simple_ols: constant response")
+        # other languages' Attack values make the combined scope vary
+        untestable = ({"jpn"} if case == "constant" and languages is None
+                      else {"jpn", "combined"})
+        assert reasons == dict.fromkeys(untestable, reason)
+        # a constant Attack ties every value with its median, so no group
+        # is left to train; the near-float-max values still split
+        failed = [(f["language"], f["variable"]) for f in doc["failures"]]
+        assert failed == ([("jpn", "Attack")] if case == "constant" else [])
         assert "inf" not in (out_dir / "report.md").read_text()
 
     def test_stats_repeated_fp_values_are_untestable(self, tmp_path, capsys):
@@ -625,9 +652,9 @@ class TestCli:
         for entry in doc["h1"]:
             r = entry["result"]
             assert (f"H1 {entry['group']}: n={entry['n']} "
-                    f"t({r['df']})={r['t']:.3f} ") in out
+                    f"t({r['df']})={r['t']:.3f} p={r['p']:.4g}\n") in out
         r = doc["h2"]["result"]
-        assert f"t({r['df']})={r['t']:.3f} " in out
+        assert out.endswith(f"t({r['df']})={r['t']:.3f} p={r['p']:.4g}\n")
 
     @pytest.mark.parametrize("name, text", [
         ("list", "[]"),
@@ -948,13 +975,36 @@ class TestCli:
     def test_missing_file_exits_1(self, capsys):
         assert cli_main(["validate", "--config", "/nonexistent.json"]) == 1
 
-    def test_directory_input_exits_1_naming_path(self, tmp_path, capsys):
-        for argv in (["validate", "--config", str(tmp_path)],
-                     ["stats", "--report", str(tmp_path)]):
-            assert cli_main(argv) == 1
+    def test_directory_input_exits_1_naming_path(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """A path that the OS refuses is bad input, whatever the refusal:
+        a directory, a name too long, a symlink loop."""
+        config = self.write_config(
+            tmp_path, boost_params={"rounds": 1, "max_depth": 1})
+        loop = tmp_path / "loop"
+        loop.symlink_to(loop)
+        cases = [["validate", "--config", str(tmp_path)],
+                 ["stats", "--report", str(tmp_path)]]
+        for path in (tmp_path / ("x" * 300), loop / "out"):
+            cases += [["validate", "--config", str(path)],
+                      ["stats", "--report", str(path)],
+                      ["run", "--config", config, "--out", str(path)]]
+        for argv in cases:
+            assert cli_main(argv) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ")
-            assert str(tmp_path) in err
+            assert argv[-1] in err
+
+        # A fault while writing is a runtime failure.
+        def full_disk(report):
+            raise OSError(errno.ENOSPC, "No space left on device",
+                          report.config.out_dir)
+
+        monkeypatch.setattr(runner, "emit_report", full_disk)
+        assert cli_main(["run", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            f"runtime failure: [Errno {errno.ENOSPC}] No space left on "
+            f"device: '{tmp_path / 'out'}'\n")
 
     def test_run_out_existing_file_fails_before_training(
             self, tmp_path, capsys, monkeypatch):
@@ -976,24 +1026,12 @@ class TestCli:
         assert calls["train"] == 0
 
     def test_run_makes_every_layer_call_the_tracer_wraps(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys, monkeypatch, load_bench):
         """The benchmark's tracer wraps the module attributes that its
         ``LAYER_CALLS`` name.  A run that reached a layer through any other
         binding (say a ``train`` imported into the runner) would leave that
         layer without spans, and its per-layer metrics would not compute."""
-        bench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
-        monkeypatch.syspath_prepend(bench)      # run.py imports gen.py
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)
-
-        def load(name):
-            spec = importlib.util.spec_from_file_location(
-                f"perfbench_{name}", os.path.join(bench, f"{name}.py"))
-            module = importlib.util.module_from_spec(spec)
-            monkeypatch.setitem(sys.modules, spec.name, module)
-            spec.loader.exec_module(module)
-            return module
-
-        traced, bench_run = load("traced"), load("run")
+        traced, bench_run = load_bench("traced"), load_bench("run")
         tracer = traced.Tracer("tier1")
         wrapped = []
         for module_name, attr, hook in traced.LAYER_CALLS:
