@@ -1,9 +1,9 @@
 """Train one boosted model by hand and inspect it.
 
 Builds the Attack classifier for the Japanese fixture names: one count
-matrix for the language, median split and balance over its rows, stratified
-folds, then a second-order boosted tree ensemble, trained as a run trains
-on the int16 counts that the loader stores.
+matrix for the language, its rows labeled, balanced and folded as a run
+does (``label_group``), then a second-order boosted tree ensemble, trained
+as a run trains on the int16 counts that the loader stores.
 Prints the loss curve, the confusion matrix of one fold, and the
 highest-gain features.  The model keeps only its trees; the training loss
 after round ``r`` is recomputed from the first ``r`` of them.
@@ -17,8 +17,7 @@ import numpy as np
 from soundskew.boost import (
     BoostParams, classify, feature_importance, predict_prob, train)
 from soundskew.corpus import ATTRIBUTE_NAMES, load_corpus
-from soundskew.labeling import (
-    BinaryLabeledSet, balance, make_folds, median_split, subseed)
+from soundskew.labeling import label_group
 from soundskew.metrics import ConfusionMatrix, accuracy, fp_rate_skew_adjusted
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -39,16 +38,10 @@ features = corpus.counts["jpn"]
 attack = corpus.attributes[corpus.language == "jpn",
                            ATTRIBUTE_NAMES.index("Attack")]
 
-split = median_split(list(enumerate(attack.tolist())))
-samples = tuple((i, lab) for i, lab in split.items() if lab != "omitted")
-labeled = balance(BinaryLabeledSet(variable="Attack", language="jpn",
-                                   samples=samples),
-                  subseed(SEED, "jpn", "Attack", "balance"))
-folds = make_folds(labeled, 3, subseed(SEED, "jpn", "Attack", "folds"))
-print(f"{len(features)} names -> {len(labeled.samples)} after split+balance")
+rows, y, folds = label_group(attack, "jpn", "Attack", 3, SEED)
+print(f"{len(features)} names -> {len(rows)} after split+balance")
 
-X = features[[i for i, _ in labeled.samples]]
-y = np.array([lab == "high" for _, lab in labeled.samples])
+X = features[rows]
 in_test = folds == 0
 
 X_train, y_train = X[~in_test], y[~in_test]

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
-import os
 import sys
 
 from soundskew import runner, stats as stats_mod
@@ -103,7 +102,7 @@ def _cmd_run(args) -> int:
         overrides["out_dir"] = args.out
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    os.makedirs(config.out_dir, exist_ok=True)
+    runner.make_out_dir(config.out_dir)
     report = runner.run_experiment(config)
     written = runner.emit_report(report)
     print(f"{len(report.records)} iterations, "

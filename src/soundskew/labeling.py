@@ -1,8 +1,8 @@
 """Median-split labeling, class balancing, and stratified fold assignment.
 
-The stage order is fixed: median_split -> balance -> make_folds, so every
-fold is approximately balanced.  Everything is seeded; the same corpus,
-variable, language, seed and k always produce the same folds.
+``label_group`` runs the stage chain on one column: median_split -> balance
+-> make_folds, so every fold is approximately balanced.  Everything is
+seeded; the same column, variable, language, seed and k give the same folds.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Hashable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +23,9 @@ class LabelingError(ValueError):
 
 @dataclass(frozen=True)
 class BinaryLabeledSet:
-    """Balanced binary dataset for one (language, variable) pair.
+    """The (row, label) pairs of one column: ``row`` indexes the language's
+    feature matrix and ``label`` is "low" or "high"."""
 
-    ``samples`` holds (row, label) pairs: ``row`` indexes the language's
-    feature matrix and ``label`` is "low" or "high".
-    """
-
-    variable: str
-    language: str
     samples: tuple[tuple[int, str], ...]
 
 
@@ -83,26 +78,18 @@ def balance(labeled: BinaryLabeledSet, seed: int) -> BinaryLabeledSet:
     """Down-sample the majority class uniformly at random to the minority size.
 
     The minority class is untouched and the relative order of retained
-    samples is preserved.  An already balanced set is returned unchanged.
+    samples is preserved, so an already balanced set keeps every sample.
     """
     low_idx = [i for i, (_, lab) in enumerate(labeled.samples) if lab == LOW]
     high_idx = [i for i, (_, lab) in enumerate(labeled.samples) if lab == HIGH]
     if not low_idx or not high_idx:
-        raise LabelingError(
-            f"balance: class with zero samples for "
-            f"({labeled.language}, {labeled.variable})")
-    if len(low_idx) == len(high_idx):
-        return labeled
-    if len(low_idx) > len(high_idx):
-        majority, target = low_idx, len(high_idx)
-    else:
-        majority, target = high_idx, len(low_idx)
-    rng = np.random.default_rng(seed)
-    keep = set(rng.choice(len(majority), size=target, replace=False).tolist())
-    dropped = {majority[i] for i in range(len(majority)) if i not in keep}
-    samples = tuple(s for i, s in enumerate(labeled.samples)
-                    if i not in dropped)
-    return replace(labeled, samples=samples)
+        raise LabelingError("balance: class with zero samples")
+    minority, majority = sorted((low_idx, high_idx), key=len)
+    keep = np.random.default_rng(seed).choice(
+        len(majority), size=len(minority), replace=False).tolist()
+    dropped = set(majority) - {majority[i] for i in keep}
+    return BinaryLabeledSet(tuple(s for i, s in enumerate(labeled.samples)
+                                  if i not in dropped))
 
 
 def make_folds(labeled: BinaryLabeledSet, k: int, seed: int) -> np.ndarray:
@@ -125,3 +112,18 @@ def make_folds(labeled: BinaryLabeledSet, k: int, seed: int) -> np.ndarray:
                 f"need at least k={k}")
         folds[pos[rng.permutation(len(pos))]] = np.arange(len(pos)) % k
     return folds
+
+
+def label_group(values: np.ndarray, language: str, variable: str, k: int,
+                seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kept rows of a column (NaN: blank) in ascending order, whether
+    each is "high", and each one's fold in [0, k).  Each stage is called by
+    its module-global name, so a wrapper set on it sees every call."""
+    rows = np.flatnonzero(~np.isnan(values)).tolist()
+    split = median_split(list(zip(rows, values[rows].tolist())))
+    labeled = balance(BinaryLabeledSet(tuple(
+        (i, lab) for i, lab in split.items() if lab != OMITTED)),
+        subseed(seed, language, variable, "balance"))
+    fold_of = make_folds(labeled, k, subseed(seed, language, variable, "folds"))
+    kept, labels = zip(*labeled.samples)
+    return np.array(kept), np.array(labels) == HIGH, fold_of

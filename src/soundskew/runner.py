@@ -2,13 +2,13 @@
 
 The loaded corpus is columns in file order plus one count matrix per
 language, which all of the language's variables share.  Each (language,
-variable) group runs median_split -> balance -> make_folds on rows of that
-matrix, then trains and evaluates one boosted model per fold.  Hypothesis
-tests run on the per-iteration skew-adjusted FP rates; name-length
-regressions run on the full corpus (no median or balance filtering), on the
-corpus's length column.  Everything downstream of the config is
-deterministic; sub-seeds are derived per group so removing a language never
-perturbs the others.
+variable) group takes its rows, labels and folds from
+``labeling.label_group``, then trains and evaluates one boosted model per
+fold on those rows of the matrix.  Hypothesis tests run on the per-iteration
+skew-adjusted FP rates; name-length regressions run on the full corpus (no
+median or balance filtering), on the corpus's length column.  Everything
+downstream of the config is deterministic; sub-seeds are derived per group
+so removing a language never perturbs the others.
 
 The dataclasses are the file formats: a config file is read by ``decode``,
 ``report.json`` is ``dataclasses.asdict(report)`` and is read back by
@@ -32,7 +32,6 @@ import numpy as np
 from soundskew import boost, corpus as corpus_mod, labeling, metrics, stats
 from soundskew.boost import BoostParams
 from soundskew.corpus import ATTRIBUTE_NAMES, Corpus
-from soundskew.labeling import BinaryLabeledSet, subseed
 from soundskew.metrics import ConfusionMatrix, IterationRecord
 
 REPORT_FORMAT_VERSION = 1
@@ -235,29 +234,18 @@ def _run_group(features: np.ndarray, values: np.ndarray, language: str,
                ) -> list[IterationRecord]:
     """Run one group on a language's count matrix and its ``variable``
     column (NaN: blank), one value per matrix row."""
-    rows = np.flatnonzero(~np.isnan(values)).tolist()
-    split = labeling.median_split(list(zip(rows, values[rows].tolist())))
-    samples = tuple((i, lab) for i, lab in split.items()
-                    if lab != labeling.OMITTED)
-    labeled = labeling.balance(
-        BinaryLabeledSet(variable=variable, language=language,
-                         samples=samples),
-        subseed(config.seed, language, variable, "balance"))
-    fold_of = labeling.make_folds(
-        labeled, config.k, subseed(config.seed, language, variable, "folds"))
-
-    threat = config.threat_class(variable)
-    X = features[[i for i, _ in labeled.samples]]
-    y = np.array([lab == threat for _, lab in labeled.samples])
+    rows, high, fold_of = labeling.label_group(
+        values, language, variable, config.k, config.seed)
+    X = features[rows]
+    y = high == (config.threat_class(variable) == "high")
     records = []
     for fold in range(config.k):
-        train_seed = subseed(config.seed, language, variable, "train",
-                             str(fold))
+        train_seed = labeling.subseed(config.seed, language, variable,
+                                      "train", str(fold))
         params = dataclasses.replace(config.boost_params,
                                      seed=train_seed & (2 ** 63 - 1))
         in_test = fold_of == fold
-        in_train = ~in_test
-        model = boost.train(X[in_train], y[in_train], params)
+        model = boost.train(X[~in_test], y[~in_test], params)
         pred = boost.classify(model, X[in_test])
         tn, fp, fn, tp = np.bincount(2 * y[in_test] + pred,
                                      minlength=4).tolist()
@@ -486,6 +474,16 @@ def report_markdown(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def make_out_dir(path: str) -> None:
+    """``os.makedirs(path, exist_ok=True)``; where ``path`` is a link that
+    leads nowhere, the error is ``stat``'s (ELOOP for a loop), not EEXIST."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except FileExistsError:
+        os.stat(path)
+        raise
+
+
 def emit_report(report: ExperimentReport) -> list[str]:
     """Write the config's formats into its out_dir; returns written paths."""
     doc = dataclasses.asdict(report)
@@ -494,7 +492,7 @@ def emit_report(report: ExperimentReport) -> list[str]:
         ("json", "report.json", json.dumps(doc, indent=1, sort_keys=True,
                                            allow_nan=False) + "\n"),
         ("md", "report.md", report_markdown(doc)))
-    os.makedirs(report.config.out_dir, exist_ok=True)
+    make_out_dir(report.config.out_dir)
     written = []
     for fmt, name, text in outputs:
         if fmt in report.config.formats:

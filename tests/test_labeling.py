@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from soundskew.labeling import (
     BinaryLabeledSet,
     LabelingError,
     balance,
+    label_group,
     make_folds,
     median_split,
     subseed,
@@ -19,8 +22,7 @@ def make_set(n_low, n_high):
     """Rows 0..n_low-1 are low, the next n_high rows are high."""
     samples = [(i, LOW) for i in range(n_low)]
     samples += [(n_low + i, HIGH) for i in range(n_high)]
-    return BinaryLabeledSet(variable="Attack", language="xx",
-                            samples=tuple(samples))
+    return BinaryLabeledSet(tuple(samples))
 
 
 def oracle_make_folds(labeled, k, seed):
@@ -33,6 +35,28 @@ def oracle_make_folds(labeled, k, seed):
         for pos, idx in enumerate(order):
             assignment[ids[idx]] = pos % k
     return assignment
+
+
+def oracle_label_group(values, language, variable, k, seed):
+    """The runner's chain before ``label_group``, on (row, label) tuples."""
+    present = dict(filter(lambda rv: not math.isnan(rv[1]),
+                          zip(range(len(values)), values.tolist())))
+    split = median_split(list(present.items()))
+    labeled = balance(
+        BinaryLabeledSet(tuple((i, lab) for i, lab in split.items()
+                               if lab != OMITTED)),
+        subseed(seed, language, variable, "balance"))
+    folds = make_folds(labeled, k, subseed(seed, language, variable, "folds"))
+    return ([i for i, _ in labeled.samples],
+            [lab == HIGH for _, lab in labeled.samples], folds.tolist())
+
+
+def outcome(chain, *args):
+    """A chain's result, or its ``LabelingError`` text."""
+    try:
+        return chain(*args)
+    except LabelingError as exc:
+        return str(exc)
 
 
 class TestMedianSplit:
@@ -93,7 +117,7 @@ class TestBalance:
 
     def test_empty_class_rejected(self):
         samples = tuple((i, HIGH) for i in range(4))
-        labeled = BinaryLabeledSet("Attack", "xx", samples)
+        labeled = BinaryLabeledSet(samples)
         with pytest.raises(LabelingError):
             balance(labeled, seed=0)
 
@@ -162,12 +186,48 @@ class TestMakeFolds:
         rng = np.random.default_rng(order_seed)
         rng.shuffle(labels)
         rows = rng.permutation(10 * len(labels))[:len(labels)]
-        labeled = BinaryLabeledSet(
-            "Attack", "xx", tuple(zip(rows.tolist(), labels)))
+        labeled = BinaryLabeledSet(tuple(zip(rows.tolist(), labels)))
         folds = make_folds(labeled, k, seed)
         oracle = oracle_make_folds(labeled, k, seed)
         assert [int(f) for f in folds] \
             == [oracle[row] for row, _ in labeled.samples]
+
+
+class TestLabelGroup:
+    # A drawn length keeps long columns common, so that most draws get
+    # through every stage; the cells are blanks and ties of ten values.
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.integers(0, 80).flatmap(lambda n: st.lists(
+               st.sampled_from([math.nan] + [float(v) for v in range(10)]),
+               min_size=n, max_size=n)),
+           k=st.integers(2, 6),
+           language=st.sampled_from(["jpn", "kor"]),
+           variable=st.sampled_from(["Attack", "Size"]),
+           seed=st.integers())
+    def test_matches_tuple_oracle(self, values, k, language, variable, seed):
+        column = np.array(values, dtype=float)
+        expected = outcome(oracle_label_group, column, language, variable,
+                           k, seed)
+        got = outcome(label_group, column, language, variable, k, seed)
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        rows, high, folds = got
+        assert rows.dtype.kind == "i" and high.dtype == bool
+        assert (rows.tolist(), high.tolist(), folds.tolist()) == expected
+        assert np.all(np.diff(rows) > 0)
+
+    @pytest.mark.parametrize("values, message", [
+        ([math.nan] * 6, "median_split: empty input"),
+        ([2.0, math.nan, 2.0, 2.0], "balance: class with zero samples"),
+        ([1.0, math.nan, 2.0, 8.0, 9.0],
+         "make_folds: class 'low' has 2 samples, need at least k=3"),
+    ], ids=["all-nan", "all-tied", "class-below-k"])
+    def test_degenerate_column_fails_as_the_oracle(self, values, message):
+        column = np.array(values)
+        assert outcome(label_group, column, "jpn", "Attack", 3, 0) \
+            == outcome(oracle_label_group, column, "jpn", "Attack", 3, 0) \
+            == message
 
 
 class TestSubseed:

@@ -978,7 +978,8 @@ class TestCli:
     def test_directory_input_exits_1_naming_path(self, tmp_path, capsys,
                                                  monkeypatch):
         """A path that the OS refuses is bad input, whatever the refusal:
-        a directory, a name too long, a symlink loop."""
+        a directory, a name too long, a symlink loop, which names itself as
+        one even where ``--out`` is the loop."""
         config = self.write_config(
             tmp_path, boost_params={"rounds": 1, "max_depth": 1})
         loop = tmp_path / "loop"
@@ -989,11 +990,14 @@ class TestCli:
             cases += [["validate", "--config", str(path)],
                       ["stats", "--report", str(path)],
                       ["run", "--config", config, "--out", str(path)]]
+        cases.append(["run", "--config", config, "--out", str(loop)])
         for argv in cases:
             assert cli_main(argv) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ")
             assert argv[-1] in err
+            if argv[-1].startswith(str(loop)):
+                assert os.strerror(errno.ELOOP) in err, argv
 
         # A fault while writing is a runtime failure.
         def full_disk(report):
