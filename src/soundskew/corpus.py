@@ -41,7 +41,7 @@ ATTRIBUTE_NAMES = ("Attack", "Defend", "Height", "Weight")
 
 # CSV columns, in order, for the two input files.
 CORPUS_COLUMNS = ("id", "language", "name", "transcription",
-                  "attack", "defend", "height", "weight")
+                  *(name.lower() for name in ATTRIBUTE_NAMES))
 INVENTORY_COLUMNS = ("language", "token", "is_tone")
 
 # Corpus rows read and checked at a time: enough to run each column's

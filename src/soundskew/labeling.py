@@ -92,20 +92,19 @@ def balance(labeled: BinaryLabeledSet, seed: int) -> BinaryLabeledSet:
                                   if i not in dropped))
 
 
-def make_folds(labeled: BinaryLabeledSet, k: int, seed: int) -> np.ndarray:
+def make_folds(high: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Stratified k-fold assignment via a seeded shuffle within each class.
 
-    Returns each sample's fold in [0, k), in sample order.  Each class (low,
-    then high) is shuffled and dealt round-robin over the k folds, so fold
-    sizes per class differ by at most one.
+    Returns each sample's fold in [0, k), given its class as the bool
+    ``high``.  Each class (low, then high) is shuffled and dealt round-robin
+    over the k folds, so fold sizes per class differ by at most one.
     """
     if k < 2:
         raise LabelingError(f"make_folds: k must be >= 2, got {k}")
     rng = np.random.default_rng(seed)
-    folds = np.empty(len(labeled.samples), dtype=int)
-    for label in (LOW, HIGH):
-        pos = np.array([i for i, (_, lab) in enumerate(labeled.samples)
-                        if lab == label], dtype=int)
+    folds = np.empty(len(high), dtype=int)
+    for label, members in ((LOW, ~high), (HIGH, high)):
+        pos = np.flatnonzero(members)
         if len(pos) < k:
             raise LabelingError(
                 f"make_folds: class {label!r} has {len(pos)} samples, "
@@ -124,6 +123,7 @@ def label_group(values: np.ndarray, language: str, variable: str, k: int,
     labeled = balance(BinaryLabeledSet(tuple(
         (i, lab) for i, lab in split.items() if lab != OMITTED)),
         subseed(seed, language, variable, "balance"))
-    fold_of = make_folds(labeled, k, subseed(seed, language, variable, "folds"))
     kept, labels = zip(*labeled.samples)
-    return np.array(kept), np.array(labels) == HIGH, fold_of
+    high = np.array(labels) == HIGH
+    return np.array(kept), high, make_folds(
+        high, k, subseed(seed, language, variable, "folds"))

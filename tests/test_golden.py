@@ -1,30 +1,47 @@
-"""Stored-hash determinism check for the shipped config.
+"""Stored-hash determinism check for every benchmark workload.
 
 Two runs agreeing with each other (acceptance criterion 7) does not catch a
-change that alters every number deterministically; these pins do.  They are
-the benchmark's ``fixture`` pins, read from ``perfbench/golden.json`` and
-compared through the benchmark's own hashing, so that Tier-1 fails on any
-change to the records, to the report (hypothesis tests and name-length
-regressions) or to a fitted model's serialization.
+change that alters every number deterministically; these pins do.  Each case
+runs one of ``perfbench/run.py``'s workloads through ``cli.main`` on the
+inputs the benchmark writes for it at its pinned seed, and compares the
+records, the report (hypothesis tests and name-length regressions) and the
+first fitted model's serialization with ``perfbench/golden.json``, through
+the benchmark's own hashing.  So Tier-1 fails on any change that moves a
+pin, and a change that moves one on purpose edits one copy.
 """
 
 import json
+import os
+
+import pytest
 
 from soundskew import boost
 from soundskew.cli import main as cli_main
-from tests.conftest import CORPUS_CSV, DATA_DIR, INVENTORY_CSV
+from tests.conftest import BENCH_DIR, DATA_DIR
+
+with open(os.path.join(BENCH_DIR, "golden.json"), encoding="utf-8") as fh:
+    GOLDEN = json.load(fh)
 
 
-def test_shipped_config_at_20_rounds_matches_pins(tmp_path, monkeypatch,
-                                                  capsys, load_bench):
+@pytest.mark.parametrize("name", GOLDEN)
+def test_workload_matches_pins(name, tmp_path, monkeypatch, capsys,
+                               load_bench):
     bench_run = load_bench("run")
-    with open(f"{DATA_DIR}/config.json", encoding="utf-8") as fh:
-        config = json.load(fh)
-    config.update(corpus_path=CORPUS_CSV, inventory_path=INVENTORY_CSV,
-                  out_dir=str(tmp_path / "out"),
-                  boost_params={"rounds": 20})
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    assert list(GOLDEN) == list(bench_run.WORKLOADS)   # each one is pinned
+    workload = bench_run.WORKLOADS[name]
+    if workload.names is None:          # the shipped corpus and config
+        with open(os.path.join(DATA_DIR, "config.json"),
+                  encoding="utf-8") as fh:
+            base = json.load(fh)
+        for key in ("corpus_path", "inventory_path"):
+            base[key] = os.path.join(DATA_DIR, base[key])
+    else:
+        paths = bench_run.gen.write_corpus(
+            str(tmp_path / "input"), workload.names, workload.copies,
+            bench_run.DEFAULT_SEED, os.path.dirname(bench_run.BENCH_DIR))
+        base = dict(zip(("corpus_path", "inventory_path"), paths))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**base, **workload.config}))
 
     models = []
     real_train = boost.train
@@ -35,15 +52,14 @@ def test_shipped_config_at_20_rounds_matches_pins(tmp_path, monkeypatch,
         return model
 
     monkeypatch.setattr(boost, "train", recording_train)
-    assert cli_main(["run", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
     capsys.readouterr()
 
-    with open(bench_run.GOLDEN_PATH, encoding="utf-8") as fh:
-        pins = json.load(fh)["fixture"]
+    pins = GOLDEN[name]
     sha256 = bench_run.sha256
-    records = (tmp_path / "out" / "records.tsv").read_bytes()
-    assert sha256(records) == pins["records.tsv"]
-    report = json.loads((tmp_path / "out" / "report.json").read_bytes())
+    assert sha256((out / "records.tsv").read_bytes()) == pins["records.tsv"]
+    report = json.loads((out / "report.json").read_bytes())
     assert sha256(bench_run.normalized_report(report)) == pins["report.json"]
     assert sha256(boost.model_to_json(models[0]).encode("utf-8")) \
         == pins["model"]

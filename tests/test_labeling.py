@@ -25,12 +25,21 @@ def make_set(n_low, n_high):
     return BinaryLabeledSet(tuple(samples))
 
 
+def high_of(labeled):
+    """A labeled set's classes as the bool array ``make_folds`` takes."""
+    return np.array([lab == HIGH for _, lab in labeled.samples], dtype=bool)
+
+
 def oracle_make_folds(labeled, k, seed):
-    """The earlier make_folds, keyed by sample key, kept as a reference."""
+    """The earlier make_folds, on (row, label) tuples and keyed by row, kept
+    as a reference, with the same error for a class smaller than ``k``."""
     rng = np.random.default_rng(seed)
     assignment = {}
     for label in (LOW, HIGH):
         ids = [sid for sid, lab in labeled.samples if lab == label]
+        if len(ids) < k:
+            raise LabelingError(f"make_folds: class {label!r} has "
+                                f"{len(ids)} samples, need at least k={k}")
         order = rng.permutation(len(ids))
         for pos, idx in enumerate(order):
             assignment[ids[idx]] = pos % k
@@ -46,9 +55,11 @@ def oracle_label_group(values, language, variable, k, seed):
         BinaryLabeledSet(tuple((i, lab) for i, lab in split.items()
                                if lab != OMITTED)),
         subseed(seed, language, variable, "balance"))
-    folds = make_folds(labeled, k, subseed(seed, language, variable, "folds"))
+    folds = oracle_make_folds(labeled, k,
+                              subseed(seed, language, variable, "folds"))
     return ([i for i, _ in labeled.samples],
-            [lab == HIGH for _, lab in labeled.samples], folds.tolist())
+            [lab == HIGH for _, lab in labeled.samples],
+            [folds[i] for i, _ in labeled.samples])
 
 
 def outcome(chain, *args):
@@ -134,7 +145,7 @@ class TestBalance:
 class TestMakeFolds:
     def test_stratified_sizes(self):
         labeled = make_set(6, 6)
-        folds = make_folds(labeled, k=3, seed=0)
+        folds = make_folds(high_of(labeled), k=3, seed=0)
         labels = np.array([lab for _, lab in labeled.samples])
         for fold in range(3):
             assert np.sum(folds == fold) == 4
@@ -142,7 +153,7 @@ class TestMakeFolds:
 
     def test_partition_property(self):
         labeled = make_set(10, 10)
-        folds = make_folds(labeled, k=3, seed=5)
+        folds = make_folds(high_of(labeled), k=3, seed=5)
         all_ids = {s[0] for s in labeled.samples}
         union = set()
         for fold in range(3):
@@ -154,7 +165,7 @@ class TestMakeFolds:
 
     def test_fold_sizes_within_one_per_class(self):
         labeled = make_set(10, 10)
-        folds = make_folds(labeled, k=3, seed=5)
+        folds = make_folds(high_of(labeled), k=3, seed=5)
         labels = np.array([lab for _, lab in labeled.samples])
         for label in (LOW, HIGH):
             sizes = [np.sum((folds == f) & (labels == label))
@@ -163,17 +174,17 @@ class TestMakeFolds:
 
     def test_same_seed_identical(self):
         labeled = make_set(9, 9)
-        assert np.array_equal(make_folds(labeled, 3, 11),
-                              make_folds(labeled, 3, 11))
+        assert np.array_equal(make_folds(high_of(labeled), 3, 11),
+                              make_folds(high_of(labeled), 3, 11))
 
     def test_k_too_large_rejected(self):
         labeled = make_set(2, 5)
         with pytest.raises(LabelingError):
-            make_folds(labeled, k=3, seed=0)
+            make_folds(high_of(labeled), k=3, seed=0)
 
     def test_k_below_two_rejected(self):
         with pytest.raises(LabelingError):
-            make_folds(make_set(5, 5), k=1, seed=0)
+            make_folds(high_of(make_set(5, 5)), k=1, seed=0)
 
     @settings(max_examples=200, deadline=None)
     @given(k=st.integers(2, 6), extra=st.tuples(st.integers(0, 20),
@@ -187,7 +198,7 @@ class TestMakeFolds:
         rng.shuffle(labels)
         rows = rng.permutation(10 * len(labels))[:len(labels)]
         labeled = BinaryLabeledSet(tuple(zip(rows.tolist(), labels)))
-        folds = make_folds(labeled, k, seed)
+        folds = make_folds(high_of(labeled), k, seed)
         oracle = oracle_make_folds(labeled, k, seed)
         assert [int(f) for f in folds] \
             == [oracle[row] for row, _ in labeled.samples]

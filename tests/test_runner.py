@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import types
@@ -790,7 +791,8 @@ class TestCli:
     @pytest.mark.skipif(not sys.platform.startswith("linux")
                         or platform.libc_ver()[0] != "glibc",
                         reason="sets glibc's malloc thresholds")
-    def test_run_keeps_large_node_temporaries_resident(self, tmp_path):
+    @pytest.mark.parametrize("where", ["checkout", "deep"])
+    def test_run_keeps_large_node_temporaries_resident(self, tmp_path, where):
         """A 2,000-name language gives split-search nodes whose temporaries
         pass glibc's default 128 KiB thresholds; with them raised, the run
         takes far fewer minor page faults than with the helper a no-op.
@@ -798,7 +800,9 @@ class TestCli:
         Both runs are counted above a child that only imports the CLI.
         Imports take most of the as-is run's faults, so without that base
         the verdict would turn on where the heap happens to lie, which
-        moves with the checkout's path."""
+        moves with the checkout's path.  So the children import the
+        checkout's ``src/``, or a copy of it under a deeper path, and each
+        checks that it imported the one it was given."""
         path = os.path.join(os.path.dirname(__file__), "..", "demos",
                             "make_fixture_corpus.py")
         spec = importlib.util.spec_from_file_location("fixture_gen", path)
@@ -821,13 +825,20 @@ class TestCli:
             tmp_path, corpus_path=str(tmp_path / "corpus.csv"),
             inventory_path=str(tmp_path / "inventory.csv"),
             variables=corpus.ATTRIBUTE_NAMES, boost_params={"rounds": 10})
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        if where == "deep":
+            copy = tmp_path / "a/deeper/path/to/a/copy/of/the/checkout/src"
+            shutil.copytree(src, copy,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            src = str(copy)
         child = ("import sys\nimport soundskew.cli as cli\n"
+                 f"assert cli.__file__.startswith({src + os.sep!r}), "
+                 "cli.__file__\n"
                  "if sys.argv[1] == 'import-only':\n"
                  "    sys.exit(0)\n"
                  "if sys.argv[1] == 'no-op':\n"
                  "    cli._keep_heap_resident = lambda: None\n"
                  "sys.exit(cli.main(sys.argv[2:]))\n")
-        src = os.path.join(os.path.dirname(cli.__file__), "..")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         faults, records = {}, {}
