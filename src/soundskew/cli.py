@@ -4,7 +4,8 @@ Subcommands:
   validate  parse corpus + inventory from a config, check its languages as
             run does, print per-language counts
   run       full experiment, write records.tsv / report.json / report.md
-  stats     recompute H1/H2 from a run's report.json, with the run's config
+  stats     recompute H1/H2 from a run's report.json, with the run's config,
+            once each record's accuracy and fp_pct match its counts
 
 A config or report is read through its dataclasses (``runner.decode``).
 Exit codes: 0 success, 1 bad input (naming the file, or a path the OS refuses
@@ -18,7 +19,7 @@ import dataclasses
 import errno
 import sys
 
-from soundskew import runner, stats as stats_mod
+from soundskew import metrics, runner, stats as stats_mod
 from soundskew.corpus import CorpusError, load_corpus
 from soundskew.runner import ConfigError, ExperimentConfig
 
@@ -119,6 +120,19 @@ def _cmd_stats(args) -> int:
         raise ConfigError(
             f"{args.report}: unsupported report version {version!r}")
     report = runner.decode(runner.ExperimentReport, doc, args.report)
+    # H1 and H2 read fp_pct, so a record must hold what its counts give.
+    for i, record in enumerate(report.records):
+        where = f"{args.report}: records[{i}]"
+        try:
+            derived = {"accuracy": metrics.accuracy(record),
+                       "fp_pct": metrics.fp_rate_skew_adjusted(record)}
+        except metrics.MetricsError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        for name, value in derived.items():
+            stored = getattr(record, name)
+            if stored != value:
+                raise ConfigError(f"{where}: {name} {stored!r} does not "
+                                  f"match its counts ({value!r})")
     # The run's own partition (combat_set, size_set) groups the variables.
     for entry in runner.hypothesis_h1(report.records, report.config):
         if entry.result is None:

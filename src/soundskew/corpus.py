@@ -8,7 +8,7 @@ inventory tokens flagged ``is_tone`` so that tone-excluding name lengths fall
 out of the same counts for every language.
 
 ``load_inventories`` states each inventory rule once.  Each row has three
-columns: a non-empty language, a token that is one whitespace-free word and
+columns: a language and a token that are each one whitespace-free word, and
 an ``is_tone`` of 0 or 1.  No language repeats a token, and each has a
 non-tone token.  ``TokenInventory`` is the plain value it builds.
 
@@ -144,6 +144,10 @@ def load_inventories(inventory_path) -> dict[str, TokenInventory]:
             tokens = per_lang.setdefault(language, {})
             if not language:
                 problem = "empty language"
+            elif language.split() != [language]:
+                # records.tsv is tab-separated, one record a line
+                problem = (f"language {language!r} is not one "
+                           "whitespace-free word")
             elif token.split() != [token]:
                 # A transcription splits on whitespace, so no name could
                 # count such a token.

@@ -60,11 +60,12 @@ def _fits(tp, raw) -> bool:
 
 def read_json(path: str):
     """The JSON value in the file ``path``; unreadable JSON (bad syntax or
-    UTF-8, an integer too long to parse) raises ConfigError naming it."""
+    UTF-8, an integer too long to parse, nesting deeper than the recursion
+    limit) raises ConfigError naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
 
 

@@ -266,8 +266,10 @@ class TestLoadCorpus:
         (["xx,a,0", "xx,b,0", "xx,,0"],
          "row 4: token '' is not one whitespace-free word"),
         (["xx,a,0", " ,b,0"], "row 3: empty language"),
+        (["xx,a,0", '"x\tx",b,0'],
+         "row 3: language 'x\\tx' is not one whitespace-free word"),
     ], ids=["duplicate", "all-tone", "columns", "is-tone", "spaced-token",
-            "empty-token", "empty-language"])
+            "empty-token", "empty-language", "spaced-language"])
     def test_inventory_error_names_file(self, write_corpus, rows, message):
         corpus, inventory = write_corpus([], rows)
         with pytest.raises(CorpusError) as info:

@@ -526,7 +526,8 @@ class TestCli:
         '{"k": 3',
         '{"k": ' + "1" * 5000 + "}",
         b"\xff\xfe{}",
-    ], ids=["truncated", "overlong-int", "not-utf8"])
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["truncated", "overlong-int", "not-utf8", "nested-too-deep"])
     def test_unreadable_json_exits_1_naming_file(self, tmp_path, capsys,
                                                  text):
         path = tmp_path / "bad.json"
@@ -594,7 +595,11 @@ class TestCli:
         assert "inf" not in (out_dir / "report.md").read_text()
 
     def test_stats_repeated_fp_values_are_untestable(self, tmp_path, capsys):
-        records = [dict(RECORD, variable=variable, fold=fold, fp_pct=fp)
+        # stats refuses a record whose fp_pct is not what its counts give
+        counts = {0.1: {"tp": 1, "fp": 1, "fn": 9, "tn": 9},
+                  0.6: {"tp": 6, "fp": 6, "fn": 4, "tn": 4}}
+        records = [dict(RECORD, variable=variable, fold=fold, fp_pct=fp,
+                        accuracy=0.5, **counts[fp])
                    for variable, fp in (("Attack", 0.1), ("Weight", 0.6))
                    for fold in range(3)]
         path = tmp_path / "report.json"
@@ -670,6 +675,11 @@ class TestCli:
         ("string-fp-pct",
          json.dumps(dict(REPORT, records=[dict(RECORD, fp_pct="0.5")]))),
         ("record-list", json.dumps(dict(REPORT, records=[[1]]))),
+        # a record must hold what its own counts give (fp_pct None, 1.0)
+        ("fp-pct-not-its-counts",
+         json.dumps(dict(REPORT, records=[dict(RECORD, fp_pct=0.5)]))),
+        ("accuracy-not-its-counts",
+         json.dumps(dict(REPORT, records=[dict(RECORD, accuracy=0.5)]))),
         # every part of a report is read, not only the records
         ("h1-n-null",
          json.dumps(dict(TABLES_REPORT, h1=[dict(H1_ENTRY, n=None)]))),
