@@ -429,8 +429,9 @@ def report_markdown(doc: dict) -> str:
               "| Language | Variable | Accuracy | FP% |",
               "|---|---|---|---|"]
     for a in doc["aggregates"]:
+        language = a["language"].replace("|", "\\|")
         lines.append(
-            f"| {a['language']} | {a['variable']} "
+            f"| {language} | {a['variable']} "
             f"| {_fmt_pct(a['mean_accuracy'])} "
             f"| {_fmt_pct(a['mean_fp_pct'])} |")
     lines += ["", "## H1: FP% vs 50% chance (per-iteration values)", "",
@@ -457,14 +458,15 @@ def report_markdown(doc: dict) -> str:
               "| Scope | Variable | df | F | p | R^2 |",
               "|---|---|---|---|---|---|"]
     for e in doc["length_regressions"]:
+        language = e["language"].replace("|", "\\|")
         if e["result"] is None:
-            lines.append(f"| {e['language']} | {e['variable']} | - | - | - | "
+            lines.append(f"| {language} | {e['variable']} | - | - | - | "
                          f"untestable: {e['untestable_reason']} |")
         else:
             r = e["result"]
             F = "inf" if r["F"] is None else f"{r['F']:.2f}"
             lines.append(
-                f"| {e['language']} | {e['variable']} "
+                f"| {language} | {e['variable']} "
                 f"| {r['df1']}, {r['df2']} | {F} "
                 f"| {_fmt_p(r['p'])} | {r['r2']:.3f} |")
     if doc["failures"]:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from soundskew.boost import model_to_json, predict_prob
+from soundskew.boost import MODEL_FORMAT_VERSION, predict_prob
 from soundskew.corpus import load_corpus
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -84,14 +84,39 @@ def train_losses(model, X, y) -> list[float]:
     return losses
 
 
-def json_trees(model) -> list[dict]:
-    """The model's trees in their serialized nested node form."""
-    return json.loads(model_to_json(model))["trees"]
+def model_document(model) -> dict:
+    """The model as a nested document: each tree of ``model.trees`` in the
+    nested node form of an XGBoost JSON dump, built recursively."""
+    t = model.trees
+    feature, threshold, gain, left, right, value = (
+        a.tolist() for a in (t.feature, t.threshold, t.gain, t.left, t.right,
+                             t.value))
+
+    def node(i: int) -> dict:
+        if left[i] == i:
+            return {"weight": value[i]}
+        return {"feature": feature[i], "threshold": threshold[i],
+                "gain": gain[i], "left": node(left[i]),
+                "right": node(right[i])}
+
+    return {
+        "format_version": MODEL_FORMAT_VERSION,
+        "params": dataclasses.asdict(model.params),
+        "n_features": model.n_features,
+        "base_margin": model.base_margin,
+        "trees": [node(root) for root in t.roots.tolist()],
+    }
+
+
+def serialized(document: dict) -> str:
+    """A nested model document as text.  Compare models by this text, not
+    by their dicts, so that ``-0.0`` against ``0.0`` and NaN differ."""
+    return json.dumps(document, indent=1, sort_keys=True)
 
 
 def tree_output(node: dict, X: np.ndarray) -> np.ndarray:
     """Oracle: the weight of the leaf each row of ``X`` reaches in a
-    serialized tree, routed recursively, ``x[feature] < threshold`` left."""
+    nested tree, routed recursively, ``x[feature] < threshold`` left."""
     out = np.empty(X.shape[0], dtype=float)
 
     def route(node: dict, idx: np.ndarray) -> None:
@@ -107,7 +132,7 @@ def tree_output(node: dict, X: np.ndarray) -> np.ndarray:
 
 
 def serialized_gain_log(trees: list[dict]) -> list[tuple[int, float]]:
-    """(feature, gain) of every split of serialized trees, in preorder."""
+    """(feature, gain) of every split of nested trees, in preorder."""
     log = []
 
     def walk(node: dict) -> None:

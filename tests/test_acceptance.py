@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from soundskew import runner
-from soundskew.boost import BoostParams, leaf_weight, model_to_json, train
+from soundskew.boost import BoostParams, leaf_weight, train
 from soundskew.corpus import load_corpus
 from soundskew.labeling import HIGH, LOW, OMITTED, median_split
 from soundskew.metrics import ConfusionMatrix, accuracy, fp_rate_skew_adjusted
@@ -32,7 +32,8 @@ from tests.conftest import (
     INVENTORY_CSV,
     PAPER_CORPUS_CSV,
     PAPER_INVENTORY_CSV,
-    json_trees,
+    model_document,
+    serialized,
     train_losses,
 )
 from tests.test_stats import beta_quadrature
@@ -106,14 +107,14 @@ def test_criterion_3_boost_properties():
         rounds=1, max_depth=1, learning_rate=1.0, l2_lambda=1.0,
         min_child_weight=0.0, row_subsample=1.0,
         col_subsample_per_node=1.0))
-    tree = json_trees(simple)[0]
+    tree = model_document(simple)["trees"][0]
     assert abs(tree["left"]["weight"] - leaf_weight(2.0, 1.0, 1.0)) <= 1e-12
     assert abs(tree["right"]["weight"] - leaf_weight(-2.0, 1.0, 1.0)) <= 1e-12
 
     # bit-identical models across repeated runs
     params = BoostParams(rounds=25, seed=77)
-    assert model_to_json(train(X, y, params)) \
-        == model_to_json(train(X, y, params))
+    assert serialized(model_document(train(X, y, params))) \
+        == serialized(model_document(train(X, y, params)))
 
     # zero-column invariance (column subsampling off, the only regime
     # where the seeded column sampler cannot shift)

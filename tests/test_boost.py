@@ -1,6 +1,8 @@
 import dataclasses
-import json
+import glob
+import inspect
 import math
+import os
 import sys
 import tracemalloc
 
@@ -10,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from soundskew.boost import (
-    MODEL_FORMAT_VERSION,
     BoostError,
     BoostParams,
     Trees,
@@ -24,7 +25,8 @@ from soundskew.boost import (
     train,
 )
 from tests.conftest import (
-    json_trees,
+    model_document,
+    serialized,
     serialized_gain_log,
     train_losses,
     tree_output,
@@ -160,7 +162,7 @@ class TestTrain:
                              l2_lambda=1.0, min_child_weight=0.0,
                              **NO_SAMPLING)
         model = train(X, y, params)
-        tree = json_trees(model)[0]
+        tree = model_document(model)["trees"][0]
         assert tree["feature"] == 0
         assert tree["threshold"] == pytest.approx(0.5)
         # each side: 4 samples at prob 0.5 -> |G| = 2, H = 1
@@ -189,8 +191,8 @@ class TestTrain:
         X = rng.integers(0, 4, size=(80, 12)).astype(float)
         y = (X[:, 0] > 1).astype(int)
         params = BoostParams(rounds=25, seed=99)
-        assert model_to_json(train(X, y, params)) \
-            == model_to_json(train(X, y, params))
+        assert serialized(model_document(train(X, y, params))) \
+            == serialized(model_document(train(X, y, params)))
 
     def test_training_loss_non_increasing_without_subsampling(self):
         rng = np.random.default_rng(5)
@@ -219,7 +221,7 @@ class TestTrain:
             return 0 if "weight" in node \
                 else 1 + max(depth(node["left"]), depth(node["right"]))
 
-        assert all(depth(t) <= 3 for t in json_trees(model))
+        assert all(depth(t) <= 3 for t in model_document(model)["trees"])
 
     def test_tree_deeper_than_recursion_limit(self):
         X, y, model = chain_model()
@@ -240,7 +242,7 @@ class TestTrain:
                              **NO_SAMPLING)
         model = train(X, y, params)
         margins = np.full(50, model.base_margin)
-        for tree in json_trees(model):
+        for tree in model_document(model)["trees"]:
             p = 1.0 / (1.0 + np.exp(-margins))
             g, h = p - y, p * (1 - p)
             fd = np.array([finite_difference_grad_hess(label, margin)
@@ -318,9 +320,9 @@ class TestPredict:
 
 
 def oracle_margin(model, X):
-    """Base margin plus each serialized tree's recursive output, in order."""
+    """Base margin plus each nested tree's recursive output, in order."""
     margins = np.full(X.shape[0], model.base_margin)
-    for tree in json_trees(model):
+    for tree in model_document(model)["trees"]:
         margins += tree_output(tree, X)
     return margins
 
@@ -349,13 +351,14 @@ def models_and_rows(draw):
     model = train(X, y, params)
     rows = draw(arrays(float, (draw(st.integers(1, 20)), f),
                        elements=st.sampled_from(np.arange(-1.0, 5.5, 0.5))))
-    at = [t for tree in json_trees(model) for t in thresholds(tree)]
+    at = [t for tree in model_document(model)["trees"]
+          for t in thresholds(tree)]
     at_threshold = np.repeat(np.array(at).reshape(-1, 1), f, axis=1)
     return model, np.vstack([rows, at_threshold])
 
 
 class TestTreeArrays:
-    """The array trees against the recursive router on their JSON form."""
+    """The array trees against the recursive router on their nested form."""
 
     @settings(max_examples=150, deadline=None)
     @given(models_and_rows())
@@ -371,12 +374,13 @@ class TestTreeArrays:
         for r in range(len(model.trees) + 1):
             prefix = dataclasses.replace(model, trees=model.trees[:r])
             assert len(prefix.trees) == r
-            assert json_trees(prefix) == json_trees(model)[:r]
+            assert model_document(prefix)["trees"] \
+                == model_document(model)["trees"][:r]
             assert predict_margin(prefix, X).tobytes() \
                 == oracle_margin(prefix, X).tobytes()
             # preorder is the order in which training made the splits
             assert prefix.split_gain_log \
-                == serialized_gain_log(json_trees(prefix))
+                == serialized_gain_log(model_document(prefix)["trees"])
 
     def test_many_rows_are_routed_in_blocks_of_trees(self):
         rng = np.random.default_rng(5)
@@ -394,32 +398,6 @@ class TestTreeArrays:
             model.trees[::2]
 
 
-def nested_model_json(model) -> str:
-    """The serialization that the stack-based ``model_to_json`` replaced:
-    the trees as nested node dicts, built recursively, through
-    ``json.dumps``."""
-    t = model.trees
-    feature, threshold, gain, left, right, value = (
-        a.tolist() for a in (t.feature, t.threshold, t.gain, t.left, t.right,
-                             t.value))
-
-    def node(i: int) -> dict:
-        if left[i] == i:
-            return {"weight": value[i]}
-        return {"feature": feature[i], "threshold": threshold[i],
-                "gain": gain[i], "left": node(left[i]),
-                "right": node(right[i])}
-
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "params": dataclasses.asdict(model.params),
-        "n_features": model.n_features,
-        "base_margin": model.base_margin,
-        "trees": [node(root) for root in t.roots.tolist()],
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)
-
-
 class TestModelToJson:
     @settings(max_examples=100, deadline=None)
     @given(problem=models_and_rows(), data=st.data())
@@ -434,7 +412,7 @@ class TestModelToJson:
         for m in (model, dataclasses.replace(
                 model, base_margin=data.draw(st.floats()),
                 trees=dataclasses.replace(t, **floats)[:rounds])):
-            assert model_to_json(m) == nested_model_json(m)
+            assert model_to_json(m) == serialized(model_document(m))
 
     def test_chain_deeper_than_recursion_limit(self):
         model = chain_model()[2]
@@ -442,9 +420,21 @@ class TestModelToJson:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(10_000)   # the oracle recurses per level
         try:
-            assert text == nested_model_json(model)
+            assert text == serialized(model_document(model))
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_only_this_class_and_the_model_pin_call_the_writer(self):
+        """Every other test sees a model through ``model_document``."""
+        calls = {}
+        for path in glob.glob(os.path.join(os.path.dirname(__file__),
+                                           "*.py")):
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read().replace(inspect.getsource(TestModelToJson),
+                                         "")
+            calls[os.path.basename(path)] = text.count("model_to_json(")
+        assert {name: n for name, n in calls.items() if n} \
+            == {"test_golden.py": 1}
 
 
 class TestFeatureImportance:
@@ -462,7 +452,8 @@ class TestFeatureImportance:
         imp = feature_importance(model)
         assert imp[0] > 0
         assert imp[1] == 0.0
-        assert imp[0] == pytest.approx(json_trees(model)[0]["gain"])
+        assert imp[0] \
+            == pytest.approx(model_document(model)["trees"][0]["gain"])
 
     def test_totals_match_training_gain_log(self):
         rng = np.random.default_rng(9)

@@ -2,10 +2,10 @@ import csv
 import ctypes
 import dataclasses
 import errno
-import importlib.util
 import json
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -644,6 +644,28 @@ class TestCli:
         assert runner.report_markdown(dataclasses.asdict(decoded)) \
             == (out_dir / "report.md").read_text()
 
+    def test_pipe_in_language_stays_one_markdown_cell(self, tmp_path, capsys,
+                                                      write_corpus):
+        rows = []                       # the fixture's jpn rows, as j|p
+        for source, column in ((CORPUS_CSV, 1), (INVENTORY_CSV, 0)):
+            with open(source, encoding="utf-8") as fh:
+                cells = [line.split(",") for line in fh.read().splitlines()]
+            rows.append([",".join([*c[:column], "j|p", *c[column + 1:]])
+                         for c in cells if c[column] == "jpn"])
+        corpus_path, inventory_path = write_corpus(*rows)
+        config = self.write_config(
+            tmp_path, corpus_path=corpus_path, inventory_path=inventory_path,
+            languages=["j|p"])
+        assert cli_main(["run", "--config", config]) == 0
+        capsys.readouterr()
+        text = (tmp_path / "out" / "report.md").read_text()
+        assert "| j\\|p | Attack |" in text
+        tables = re.findall(r"(?m)(?:^\|.*\n)+", text)
+        assert len(tables) == 3
+        for table in tables:        # cells end at pipes no backslash escapes
+            assert len({len(re.split(r"(?<!\\)\|", row))
+                        for row in table.splitlines()}) == 1, table
+
     def test_stats_uses_the_runs_partition(self, tmp_path, capsys):
         # Under the default partition Height would join Weight in "size".
         config = self.write_config(
@@ -802,7 +824,8 @@ class TestCli:
                         or platform.libc_ver()[0] != "glibc",
                         reason="sets glibc's malloc thresholds")
     @pytest.mark.parametrize("where", ["checkout", "deep"])
-    def test_run_keeps_large_node_temporaries_resident(self, tmp_path, where):
+    def test_run_keeps_large_node_temporaries_resident(self, tmp_path, where,
+                                                       load_bench):
         """A 2,000-name language gives split-search nodes whose temporaries
         pass glibc's default 128 KiB thresholds; with them raised, the run
         takes far fewer minor page faults than with the helper a no-op.
@@ -813,11 +836,8 @@ class TestCli:
         moves with the checkout's path.  So the children import the
         checkout's ``src/``, or a copy of it under a deeper path, and each
         checks that it imported the one it was given."""
-        path = os.path.join(os.path.dirname(__file__), "..", "demos",
-                            "make_fixture_corpus.py")
-        spec = importlib.util.spec_from_file_location("fixture_gen", path)
-        fixture_gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(fixture_gen)
+        fixture_gen = load_bench("gen").load_fixture_module(
+            os.path.join(os.path.dirname(__file__), ".."))
         spec = fixture_gen.INVENTORIES["jpn"]
         rng = np.random.default_rng(0)
         with open(tmp_path / "corpus.csv", "w", newline="",

@@ -5,12 +5,12 @@ which sorts every node's rows afresh, sums ``g`` and ``h`` separately and
 searches every node it reaches.  They live here only as references: the
 presorted column blocks, packed gradient pairs, skipped searches and lazy
 partitions in ``soundskew.boost`` must give the same split, gain and
-serialized model bit for bit, not merely approximately.  The oracle
-trees are nested dicts in ``model_to_json``'s node form, routed by the
-recursive ``tree_output``.
+model bit for bit, not merely approximately.  The oracle trees are nested
+dicts in the node form of the tests' nested view of a model,
+``conftest.model_document``, routed by the recursive ``tree_output``, and
+models are compared as the ``serialized`` text of that view.
 """
 
-import json
 import math
 from dataclasses import asdict
 
@@ -25,11 +25,15 @@ from soundskew.boost import (
     _best_split,
     leaf_weight,
     logit,
-    model_to_json,
     sigmoid,
     train,
 )
-from tests.conftest import serialized_gain_log, tree_output
+from tests.conftest import (
+    model_document,
+    serialized,
+    serialized_gain_log,
+    tree_output,
+)
 
 
 def oracle_best_split(X, g, h, cols, params):
@@ -101,7 +105,7 @@ def oracle_build_tree(X, g, h, idx, depth, params, rng):
 
 
 def oracle_train(X, y, params):
-    """The fitted model as the document ``model_to_json`` writes."""
+    """The fitted model as the document ``model_document`` builds."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
@@ -124,10 +128,6 @@ def oracle_train(X, y, params):
     return {"format_version": MODEL_FORMAT_VERSION, "params": asdict(params),
             "n_features": X.shape[1], "base_margin": base_margin,
             "trees": trees}
-
-
-def serialized(document):
-    return json.dumps(document, indent=1, sort_keys=True)
 
 
 @st.composite
@@ -161,18 +161,6 @@ def test_presorted_search_equals_per_node_sort(problem):
     assert found == oracle_best_split(X[idx], g[idx], h[idx], cols, params)
 
 
-def test_subsampled_training_serializes_like_oracle():
-    rng = np.random.default_rng(7)
-    X = rng.integers(0, 5, size=(150, 12)).astype(float)
-    y = (X[:, 0] + X[:, 3] + rng.integers(0, 3, size=150) > 5).astype(float)
-    params = BoostParams(rounds=15, row_subsample=0.8,
-                         col_subsample_per_node=0.8, seed=3)
-    model = train(X, y, params)
-    reference = oracle_train(X, y, params)
-    assert model_to_json(model) == serialized(reference)
-    assert model.split_gain_log == serialized_gain_log(reference["trees"])
-
-
 def oracle_problem():
     rng = np.random.default_rng(7)
     X = rng.integers(0, 5, size=(150, 12))
@@ -189,14 +177,15 @@ def oracle_problem():
     {"max_depth": 6},
     {"rounds": 1},
     {"row_subsample": 1.0, "col_subsample_per_node": 1.0},
+    {"rounds": 15},
 ], ids=["lambda0", "mcw0", "mcw5", "gamma", "depth1", "depth6", "rounds1",
-        "no-subsample"])
+        "no-subsample", "subsampled"])
 def test_training_serializes_like_oracle(overrides):
     X, y = oracle_problem()
     params = BoostParams(**{"rounds": 10, "seed": 3, **overrides})
     model = train(X.astype(float), y, params)
     reference = oracle_train(X, y, params)
-    assert model_to_json(model) == serialized(reference)
+    assert serialized(model_document(model)) == serialized(reference)
     assert model.split_gain_log == serialized_gain_log(reference["trees"])
 
 
@@ -205,8 +194,8 @@ def test_training_serializes_like_oracle(overrides):
 def test_int16_and_float_input_give_the_same_model(dtype):
     X, y = oracle_problem()
     params = BoostParams(rounds=10, seed=3)
-    assert model_to_json(train(X.astype(dtype), y, params)) \
-        == model_to_json(train(X.astype(float), y, params))
+    assert serialized(model_document(train(X.astype(dtype), y, params))) \
+        == serialized(model_document(train(X.astype(float), y, params)))
 
 
 def test_float32_neighbours_route_by_their_float64_midpoint():
@@ -218,8 +207,8 @@ def test_float32_neighbours_route_by_their_float64_midpoint():
     y = np.tile([0.0, 1.0], len(X) // 2)
     params = BoostParams(rounds=5, max_depth=3, row_subsample=1.0,
                          col_subsample_per_node=1.0, min_child_weight=0.0)
-    assert model_to_json(train(X, y, params)) \
-        == model_to_json(train(X.astype(float), y, params))
+    assert serialized(model_document(train(X, y, params))) \
+        == serialized(model_document(train(X.astype(float), y, params)))
 
 
 def test_int16_midpoint_does_not_wrap():
