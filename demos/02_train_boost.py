@@ -3,7 +3,8 @@
 Builds the Attack classifier for the Japanese fixture names: one count
 matrix for the language, its rows labeled, balanced and folded as a run
 does (``label_group``), then a second-order boosted tree ensemble, trained
-as a run trains on the int16 counts that the loader stores.
+as a run trains fold 0 (``fit_seed``) on the int16 counts that the loader
+stores, so its counts are the shipped run's jpn/Attack fold 0 record.
 Prints the loss curve, the confusion matrix of one fold, and the
 highest-gain features.  The model keeps only its trees; the training loss
 after round ``r`` is recomputed from the first ``r`` of them.
@@ -19,6 +20,7 @@ from soundskew.boost import (
 from soundskew.corpus import ATTRIBUTE_NAMES, load_corpus
 from soundskew.labeling import label_group
 from soundskew.metrics import ConfusionMatrix, accuracy, fp_rate_skew_adjusted
+from soundskew.runner import fit_seed
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 SEED = 20220307
@@ -45,7 +47,8 @@ X = features[rows]
 in_test = folds == 0
 
 X_train, y_train = X[~in_test], y[~in_test]
-model = train(X_train, y_train, BoostParams(seed=SEED))
+model = train(X_train, y_train,
+              BoostParams(seed=fit_seed(SEED, "jpn", "Attack", 0)))
 print(f"trained {len(model.trees)} trees; "
       f"loss {train_loss(model, 1, X_train, y_train):.4f} -> "
       f"{train_loss(model, len(model.trees), X_train, y_train):.4f}")

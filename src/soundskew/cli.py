@@ -4,10 +4,10 @@ Subcommands:
   validate  parse corpus + inventory from a config, check its languages as
             run does, print per-language counts
   run       full experiment, write records.tsv / report.json / report.md
-  stats     recompute H1/H2 from a run's report.json, with the run's config,
-            once each record's accuracy and fp_pct match its counts
+  stats     recompute H1/H2 from a run's report.json with the run's config,
+            and print them as report.md's H1 and H2 sections
 
-A config or report is read through its dataclasses (``runner.decode``).
+Every rule of the config and report formats is in ``runner``, none here.
 Exit codes: 0 success, 1 bad input (naming the file, or a path the OS refuses
 as ``_BAD_PATH`` lists) or usage error, 2 runtime failure (ENOSPC, EIO, ...).
 """
@@ -19,7 +19,7 @@ import dataclasses
 import errno
 import sys
 
-from soundskew import metrics, runner, stats as stats_mod
+from soundskew import runner, stats as stats_mod
 from soundskew.corpus import CorpusError, load_corpus
 from soundskew.runner import ConfigError, ExperimentConfig
 
@@ -114,41 +114,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    doc = runner.read_json(args.report)
-    version = doc.get("version") if isinstance(doc, dict) else None
-    if version != runner.REPORT_FORMAT_VERSION:
-        raise ConfigError(
-            f"{args.report}: unsupported report version {version!r}")
-    report = runner.decode(runner.ExperimentReport, doc, args.report)
-    # H1 and H2 read fp_pct, so a record must hold what its counts give.
-    for i, record in enumerate(report.records):
-        where = f"{args.report}: records[{i}]"
-        try:
-            derived = {"accuracy": metrics.accuracy(record),
-                       "fp_pct": metrics.fp_rate_skew_adjusted(record)}
-        except metrics.MetricsError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-        for name, value in derived.items():
-            stored = getattr(record, name)
-            if stored != value:
-                raise ConfigError(f"{where}: {name} {stored!r} does not "
-                                  f"match its counts ({value!r})")
+    report = runner.read_report(args.report)
     # The run's own partition (combat_set, size_set) groups the variables.
-    for entry in runner.hypothesis_h1(report.records, report.config):
-        if entry.result is None:
-            print(f"H1 {entry.group}: untestable "
-                  f"({entry.untestable_reason})")
-        else:
-            r = entry.result
-            print(f"H1 {entry.group}: n={entry.n} t({r.df})={r.t:.3f} "
-                  f"p={r.p:.4g}")
-    h2 = runner.hypothesis_h2(report.records, report.config)
-    if h2.result is None:
-        print(f"H2: untestable ({h2.untestable_reason})")
-    else:
-        print(f"H2: combat M={h2.combat.mean:.4f} SD={h2.combat.sd:.4f} "
-              f"vs size M={h2.size.mean:.4f} SD={h2.size.sd:.4f}; "
-              f"t({h2.result.df})={h2.result.t:.3f} p={h2.result.p:.4g}")
+    print(*runner.hypothesis_sections(
+        runner.hypothesis_h1(report.records, report.config),
+        runner.hypothesis_h2(report.records, report.config)), sep="\n")
     return 0
 
 

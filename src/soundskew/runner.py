@@ -12,7 +12,8 @@ so removing a language never perturbs the others.
 
 The dataclasses are the file formats: a config file is read by ``decode``,
 ``report.json`` is ``dataclasses.asdict(report)`` and is read back by
-``decode``, and ``records.tsv`` has one row per ``IterationRecord``.
+``read_report``, and ``records.tsv`` has one row per ``IterationRecord``.
+``soundskew stats`` prints report.md's H1/H2 text, ``hypothesis_sections``.
 """
 
 from __future__ import annotations
@@ -230,6 +231,52 @@ class ExperimentReport:
     timestamp: str = ""
 
 
+def read_report(path: str) -> ExperimentReport:
+    """Read a ``report.json`` of this format version as ``decode`` does,
+    and refuse a record that H1 and H2 would misread (its ``accuracy`` or
+    ``fp_pct`` is not what its counts give, it repeats a (language,
+    variable, fold), or the run has no such group or fold)."""
+    doc = read_json(path)
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != REPORT_FORMAT_VERSION:
+        raise ConfigError(f"{path}: unsupported report version {version!r}")
+    report = decode(ExperimentReport, doc, path)
+    config, first = report.config, {}
+    for i, record in enumerate(report.records):
+        where = f"{path}: records[{i}]"
+        if record.language not in report.languages:
+            raise ConfigError(f"{where}: language {record.language!r} is "
+                              f"not in languages {list(report.languages)}")
+        if record.variable not in config.variables:
+            raise ConfigError(f"{where}: variable {record.variable!r} is not "
+                              f"in config.variables {list(config.variables)}")
+        if not 0 <= record.fold < config.k:
+            raise ConfigError(f"{where}: fold {record.fold} is outside "
+                              f"[0, {config.k})")
+        key = (record.language, record.variable, record.fold)
+        if key in first:
+            raise ConfigError(f"{where}: {record.language}/{record.variable}"
+                              f"/{record.fold} repeats records[{first[key]}]")
+        first[key] = i
+        try:
+            derived = {"accuracy": metrics.accuracy(record),
+                       "fp_pct": metrics.fp_rate_skew_adjusted(record)}
+        except metrics.MetricsError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        for name, value in derived.items():
+            stored = getattr(record, name)
+            if stored != value:
+                raise ConfigError(f"{where}: {name} {stored!r} does not "
+                                  f"match its counts ({value!r})")
+    return report
+
+
+def fit_seed(seed: int, language: str, variable: str, fold: int) -> int:
+    """The seed of a run's model for ``fold`` of (language, variable)."""
+    return labeling.subseed(seed, language, variable, "train",
+                            str(fold)) & (2 ** 63 - 1)
+
+
 def _run_group(features: np.ndarray, values: np.ndarray, language: str,
                variable: str, config: ExperimentConfig
                ) -> list[IterationRecord]:
@@ -241,10 +288,9 @@ def _run_group(features: np.ndarray, values: np.ndarray, language: str,
     y = high == (config.threat_class(variable) == "high")
     records = []
     for fold in range(config.k):
-        train_seed = labeling.subseed(config.seed, language, variable,
-                                      "train", str(fold))
-        params = dataclasses.replace(config.boost_params,
-                                     seed=train_seed & (2 ** 63 - 1))
+        params = dataclasses.replace(
+            config.boost_params,
+            seed=fit_seed(config.seed, language, variable, fold))
         in_test = fold_of == fold
         model = boost.train(X[~in_test], y[~in_test], params)
         pred = boost.classify(model, X[in_test])
@@ -403,10 +449,6 @@ def _fmt_pct(value: float | None) -> str:
     return "NA" if value is None else f"{100.0 * value:.2f}%"
 
 
-def _fmt_p(p: float) -> str:
-    return f"{p:.3g}" if p >= 1e-3 else f"{p:.2e}"
-
-
 def _tsv_cell(value) -> str:
     if value is None:
         return "NA"
@@ -421,59 +463,63 @@ def records_tsv(records: list[IterationRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_markdown(doc: dict) -> str:
-    """Render the report dict as markdown tables (accuracy/FP% and OLS)."""
+def hypothesis_sections(h1: list[HypothesisEntry], h2: H2Entry
+                        ) -> list[str]:
+    """The lines of report.md's H1 and H2 sections, which ``soundskew stats``
+    prints for the entries it recomputes."""
+    lines = ["## H1: FP% vs 50% chance (per-iteration values)", "",
+             "| Group | n | t | df | p |", "|---|---|---|---|---|"]
+    for e in h1:
+        r = e.result
+        cells = (f"- | - | untestable: {e.untestable_reason}" if r is None
+                 else f"{r.t:.3f} | {r.df} | {r.p:.4g}")
+        lines.append(f"| {e.group} | {e.n} | {cells} |")
+    lines += ["", "## H2: combat FP% vs size FP%", ""]
+    if h2.result is None:
+        lines.append(f"Untestable: {h2.untestable_reason}")
+    else:
+        r, ca, sz = h2.result, h2.combat, h2.size
+        lines.append(
+            f"combat (M = {_fmt_pct(ca.mean)}, SD = {_fmt_pct(ca.sd)}) "
+            f"vs size (M = {_fmt_pct(sz.mean)}, SD = {_fmt_pct(sz.sd)}); "
+            f"t({r.df}) = {r.t:.3f}, p = {r.p:.4g}")
+    return lines
+
+
+def report_markdown(report: ExperimentReport) -> str:
+    """Render the report as markdown tables (accuracy/FP%, H1 and H2, OLS)."""
     lines = ["# Experiment report", "",
-             f"Generated: {doc['timestamp']}", ""]
+             f"Generated: {report.timestamp}", ""]
     lines += ["## Accuracy and skew-adjusted FP rate (mean over folds)", "",
               "| Language | Variable | Accuracy | FP% |",
               "|---|---|---|---|"]
-    for a in doc["aggregates"]:
-        language = a["language"].replace("|", "\\|")
+    for a in report.aggregates:
+        language = a.language.replace("|", "\\|")
         lines.append(
-            f"| {language} | {a['variable']} "
-            f"| {_fmt_pct(a['mean_accuracy'])} "
-            f"| {_fmt_pct(a['mean_fp_pct'])} |")
-    lines += ["", "## H1: FP% vs 50% chance (per-iteration values)", "",
-              "| Group | n | t | df | p |", "|---|---|---|---|---|"]
-    for e in doc["h1"]:
-        if e["result"] is None:
-            lines.append(f"| {e['group']} | {e['n']} | - | - | "
-                         f"untestable: {e['untestable_reason']} |")
-        else:
-            r = e["result"]
-            lines.append(f"| {e['group']} | {e['n']} | {r['t']:.2f} "
-                         f"| {r['df']} | {_fmt_p(r['p'])} |")
-    lines += ["", "## H2: combat FP% vs size FP%", ""]
-    if doc["h2"]["result"] is None:
-        lines.append(f"Untestable: {doc['h2']['untestable_reason']}")
-    else:
-        r = doc["h2"]["result"]
-        ca, sz = doc["h2"]["combat"], doc["h2"]["size"]
-        lines.append(
-            f"combat (M = {_fmt_pct(ca['mean'])}, SD = {_fmt_pct(ca['sd'])}) "
-            f"vs size (M = {_fmt_pct(sz['mean'])}, SD = {_fmt_pct(sz['sd'])}); "
-            f"t({r['df']}) = {r['t']:.2f}, p = {_fmt_p(r['p'])}")
-    lines += ["", "## Name-length regressions", "",
+            f"| {language} | {a.variable} "
+            f"| {_fmt_pct(a.mean_accuracy)} "
+            f"| {_fmt_pct(a.mean_fp_pct)} |")
+    lines += ["", *hypothesis_sections(report.h1, report.h2),
+              "", "## Name-length regressions", "",
               "| Scope | Variable | df | F | p | R^2 |",
               "|---|---|---|---|---|---|"]
-    for e in doc["length_regressions"]:
-        language = e["language"].replace("|", "\\|")
-        if e["result"] is None:
-            lines.append(f"| {language} | {e['variable']} | - | - | - | "
-                         f"untestable: {e['untestable_reason']} |")
+    for e in report.length_regressions:
+        language = e.language.replace("|", "\\|")
+        if e.result is None:
+            lines.append(f"| {language} | {e.variable} | - | - | - | "
+                         f"untestable: {e.untestable_reason} |")
         else:
-            r = e["result"]
-            F = "inf" if r["F"] is None else f"{r['F']:.2f}"
+            r = e.result
+            F = "inf" if r.F is None else f"{r.F:.2f}"
             lines.append(
-                f"| {language} | {e['variable']} "
-                f"| {r['df1']}, {r['df2']} | {F} "
-                f"| {_fmt_p(r['p'])} | {r['r2']:.3f} |")
-    if doc["failures"]:
+                f"| {language} | {e.variable} "
+                f"| {r.df1}, {r.df2} | {F} "
+                f"| {r.p:.4g} | {r.r2:.3f} |")
+    if report.failures:
         lines += ["", "## Failures", ""]
-        for f in doc["failures"]:
-            lines.append(f"- {f['language']}/{f['variable']} "
-                         f"({f['stage']}): {f['reason']}")
+        for f in report.failures:
+            lines.append(f"- {f.language}/{f.variable} "
+                         f"({f.stage}): {f.reason}")
     return "\n".join(lines) + "\n"
 
 
@@ -489,12 +535,12 @@ def make_out_dir(path: str) -> None:
 
 def emit_report(report: ExperimentReport) -> list[str]:
     """Write the config's formats into its out_dir; returns written paths."""
-    doc = dataclasses.asdict(report)
     outputs = (
         ("tsv", "records.tsv", records_tsv(report.records)),
-        ("json", "report.json", json.dumps(doc, indent=1, sort_keys=True,
-                                           allow_nan=False) + "\n"),
-        ("md", "report.md", report_markdown(doc)))
+        ("json", "report.json", json.dumps(
+            dataclasses.asdict(report), indent=1, sort_keys=True,
+            allow_nan=False) + "\n"),
+        ("md", "report.md", report_markdown(report)))
     make_out_dir(report.config.out_dir)
     written = []
     for fmt, name, text in outputs:

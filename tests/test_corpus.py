@@ -232,29 +232,6 @@ class TestLoadCorpus:
         assert loaded.attributes.shape == (0, len(ATTRIBUTE_NAMES))
         assert loaded.length.shape == loaded.language.shape == (0,)
 
-    def test_unknown_token_names_token_and_row(self, write_corpus):
-        corpus, inventory = write_corpus(
-            ["n1,xx,ka,k a,1,2,3,4", "n2,xx,zz,z z,1,2,3,4"], TOY_INVENTORY)
-        with pytest.raises(CorpusError, match=r"row 3.*'z'"):
-            load_corpus(corpus, inventory)
-
-    def test_duplicate_id_rejected(self, write_corpus):
-        corpus, inventory = write_corpus(
-            ["n1,xx,ka,k a,1,2,3,4", "n1,xx,pa,p a,1,2,3,4"], TOY_INVENTORY)
-        with pytest.raises(CorpusError, match="duplicate id"):
-            load_corpus(corpus, inventory)
-
-    def test_bad_column_count_rejected(self, write_corpus):
-        corpus, inventory = write_corpus(["n1,xx,ka,k a,1,2,3"], TOY_INVENTORY)
-        with pytest.raises(CorpusError, match="row 2"):
-            load_corpus(corpus, inventory)
-
-    def test_non_numeric_attribute_rejected(self, write_corpus):
-        corpus, inventory = write_corpus(
-            ["n1,xx,ka,k a,abc,2,3,4"], TOY_INVENTORY)
-        with pytest.raises(CorpusError, match="not numeric"):
-            load_corpus(corpus, inventory)
-
     @pytest.mark.parametrize("rows, message", [
         (["xx,a,0", "xx,b,0", "xx,a,0"],
          "row 4: duplicate token 'a' in the 'xx' inventory"),
@@ -469,9 +446,10 @@ class TestLoaderChunks:
             == loaded_columns(oracle_load_corpus, paths)
 
     @pytest.mark.parametrize("source, at", [
-        (0, 2 * CHUNK_ROWS), (CHUNK_ROWS - 1, CHUNK_ROWS),
+        (0, 1), (0, 2 * CHUNK_ROWS), (CHUNK_ROWS - 1, CHUNK_ROWS),
         (CHUNK_ROWS, 2 * CHUNK_ROWS + 1)])
     def test_duplicate_of_an_earlier_chunk(self, write_corpus, source, at):
+        """An id that repeats one in an earlier chunk, or in its own."""
         ids = [f"n{source}" if i == at else f"n{i}"
                for i in range(3 * CHUNK_ROWS)]
         paths = write_corpus([f"{i},xx,nm,k a,1,2,3,4" for i in ids],

@@ -4,7 +4,10 @@ so nothing is written into the checkout.
 
 - The demos run under ``-W error``, so a numpy deprecation that could change
   a statistic fails.  Demo 04 is the shipped config's 200-round run, and its
-  ``records.tsv`` is checked against the one stored hash of the shipped run.
+  ``records.tsv`` is checked against the one stored hash of the shipped run,
+  and it prints the ``report.md`` it wrote.  Demo 02 trains that run's
+  jpn/Attack fold 0 model, and its counts are checked against that fold's
+  record.
 - The fixture generator rewrites ``data/``'s corpus and inventory byte for
   byte.
 - The benchmark self-test passes.  It runs as a child because ``Bench`` pins
@@ -58,10 +61,13 @@ def run_script(cwd, *args) -> str:
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs_without_warnings(demo, tmp_path):
     work = copy_checkout(tmp_path, "demos", *DATA_INPUTS)
-    run_script(work, "-W", "error", os.path.join("demos", demo))
+    out = run_script(work, "-W", "error", os.path.join("demos", demo))
+    if demo == "02_train_boost.py":     # the shipped jpn/Attack/0 record
+        assert "\nfold 0: tp=37 fp=15 fn=11 tn=33\n" in out
     if demo == "04_full_experiment.py":
         records = (work / "data" / "out" / "records.tsv").read_bytes()
         assert hashlib.sha256(records).hexdigest() == SHIPPED_RECORDS_SHA256
+        assert out.endswith((work / "data" / "out" / "report.md").read_text())
 
 
 def test_fixture_generator_rewrites_data(tmp_path):
