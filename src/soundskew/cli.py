@@ -8,8 +8,9 @@ Subcommands:
             and print them as report.md's H1 and H2 sections
 
 Every rule of the config and report formats is in ``runner``, none here.
-Exit codes: 0 success, 1 bad input (naming the file, or a path the OS refuses
-as ``_BAD_PATH`` lists) or usage error, 2 runtime failure (ENOSPC, EIO, ...).
+Exit codes: 0 success, also where the reader closes stdout early; 1 bad input
+(naming the file, or a path the OS refuses as ``_BAD_PATH`` lists) or usage
+error; 2 runtime failure (ENOSPC, EIO, ...).
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import os
 import sys
 
-from soundskew import runner, stats as stats_mod
+from soundskew import runner
 from soundskew.corpus import CorpusError, load_corpus
 from soundskew.runner import ConfigError, ExperimentConfig
 
@@ -132,9 +134,18 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, after the command did its work.  Point
+        # fd 1 at /dev/null, so the interpreter's last flush cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except Exception as exc:  # noqa: BLE001 - runtime failures exit 2
-        if isinstance(exc, (ConfigError, CorpusError, stats_mod.StatsError)) \
+        if isinstance(exc, (ConfigError, CorpusError)) \
                 or isinstance(exc, OSError) and exc.errno in _BAD_PATH:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from soundskew.boost import MODEL_FORMAT_VERSION, predict_prob
-from soundskew.corpus import load_corpus
+from soundskew.corpus import CORPUS_COLUMNS, INVENTORY_COLUMNS, load_corpus
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 CORPUS_CSV = os.path.join(DATA_DIR, "corpus.csv")
@@ -31,20 +32,30 @@ def fixture_corpus():
     return load_corpus(CORPUS_CSV, INVENTORY_CSV)
 
 
+def csv_rows(path) -> list[list[str]]:
+    """The data rows of a corpus or inventory CSV, as lists of cells."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
 @pytest.fixture
 def write_corpus(tmp_path):
-    """Write small corpus/inventory CSVs and return their paths."""
+    """Write a corpus and an inventory CSV and return their paths.  A row,
+    or a header, is a list of cells or a string written as is."""
 
-    def _write(corpus_rows, inventory_rows):
-        corpus = tmp_path / "corpus.csv"
-        inventory = tmp_path / "inventory.csv"
-        corpus.write_text(
-            "id,language,name,transcription,attack,defend,height,weight\n"
-            + "".join(r + "\n" for r in corpus_rows), encoding="utf-8")
-        inventory.write_text(
-            "language,token,is_tone\n"
-            + "".join(r + "\n" for r in inventory_rows), encoding="utf-8")
-        return str(corpus), str(inventory)
+    def _write(corpus_rows, inventory_rows,
+               headers=(CORPUS_COLUMNS, INVENTORY_COLUMNS)):
+        paths = str(tmp_path / "corpus.csv"), str(tmp_path / "inventory.csv")
+        for path, header, rows in zip(paths, headers,
+                                      (corpus_rows, inventory_rows)):
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                for row in [header, *rows]:
+                    if isinstance(row, str):
+                        fh.write(row + "\n")
+                    else:
+                        writer.writerow(row)
+        return paths
 
     return _write
 

@@ -11,7 +11,6 @@ from soundskew.corpus import (
     ATTRIBUTE_NAMES,
     CHUNK_ROWS,
     CORPUS_COLUMNS,
-    INVENTORY_COLUMNS,
     Corpus,
     CorpusError,
     TokenInventory,
@@ -20,7 +19,7 @@ from soundskew.corpus import (
     load_inventories,
     name_length,
 )
-from tests.conftest import CORPUS_CSV, INVENTORY_CSV
+from tests.conftest import CORPUS_CSV, INVENTORY_CSV, csv_rows
 
 TOY_INVENTORY = [
     "xx,a,0", "xx,i,0", "xx,k,0", "xx,p,0", "xx,T:4,1",
@@ -149,9 +148,8 @@ def oracle_load_corpus(corpus_path, inventory_path):
 def transcriptions_by_language(corpus_path) -> dict[str, list[list[str]]]:
     """Each language's transcriptions, in file order, read with csv."""
     out: dict[str, list[list[str]]] = {}
-    with open(corpus_path, newline="", encoding="utf-8") as fh:
-        for row in list(csv.reader(fh))[1:]:
-            out.setdefault(row[1], []).append(row[3].split())
+    for row in csv_rows(corpus_path):
+        out.setdefault(row[1], []).append(row[3].split())
     return out
 
 
@@ -281,7 +279,7 @@ ORACLE_INVENTORY = {"xx": ("a", "k", "T:4"), "yyy": ("t", "a", "T:1"),
 
 @st.composite
 def corpus_files(draw):
-    """(inventory rows, corpus rows) of a random corpus, malformed or not.
+    """(corpus rows, inventory rows) of a random corpus, malformed or not.
 
     Every corpus may have blank lines, padded cells (control-character
     padding too), blank attributes and an inventory language with no rows.
@@ -323,7 +321,7 @@ def corpus_files(draw):
                        "attribute") for _ in ATTRIBUTE_NAMES]
         rows.append({"row": cells, "short": cells[:-1],
                      "long": cells + ["x"]}[kind])
-    return inventory, rows
+    return rows, inventory
 
 
 def loaded_columns(load, paths):
@@ -344,15 +342,8 @@ class TestLoaderOracle:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(files=corpus_files())
-    def test_matches_per_row_loader(self, tmp_path, files):
-        inventory, rows = files
-        paths = tmp_path / "corpus.csv", tmp_path / "inventory.csv"
-        for path, header, lines in zip(
-                paths, (CORPUS_COLUMNS, INVENTORY_COLUMNS), (rows, inventory)):
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(lines)
+    def test_matches_per_row_loader(self, write_corpus, files):
+        paths = write_corpus(*files)
         assert loaded_columns(load_corpus, paths) \
             == loaded_columns(oracle_load_corpus, paths)
 
@@ -367,7 +358,7 @@ BOUNDARIES = (CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS)
 
 @st.composite
 def chunked_corpus_files(draw):
-    """(inventory rows, corpus rows) of a corpus over two chunks long.
+    """(corpus rows, inventory rows) of a corpus over two chunks long.
 
     A drawn block of good rows repeats with renamed ids; its attribute
     cells may be padded, with control characters too.  Rows at the chunk
@@ -417,19 +408,7 @@ def chunked_corpus_files(draw):
             "nan": "nan", "negative": "-1", "text": "abc"}[fault]
     elif fault in ("short", "long"):
         rows[at] = row[:-1] if fault == "short" else row + ["x"]
-    return inventory, rows
-
-
-def write_corpus_files(tmp_path, inventory, rows):
-    """Write a corpus and its inventory CSV; return their paths."""
-    paths = tmp_path / "corpus.csv", tmp_path / "inventory.csv"
-    for path, header, lines in zip(
-            paths, (CORPUS_COLUMNS, INVENTORY_COLUMNS), (rows, inventory)):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(lines)
-    return paths
+    return rows, inventory
 
 
 class TestLoaderChunks:
@@ -440,8 +419,8 @@ class TestLoaderChunks:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(files=chunked_corpus_files())
-    def test_matches_per_row_loader(self, tmp_path, files):
-        paths = write_corpus_files(tmp_path, *files)
+    def test_matches_per_row_loader(self, write_corpus, files):
+        paths = write_corpus(*files)
         assert loaded_columns(load_corpus, paths) \
             == loaded_columns(oracle_load_corpus, paths)
 
@@ -526,7 +505,7 @@ class TestLoaderChunks:
 
 
 class TestLoaderMemory:
-    def test_peak_per_row(self, tmp_path):
+    def test_peak_per_row(self, write_corpus):
         """The loader keeps no Python object per row but its id.
 
         Four renamed copies of the fixture, 3,600 rows in 12 languages.  A
@@ -535,22 +514,11 @@ class TestLoaderMemory:
         at about 310 B.
         """
         copies = 4
-        with open(CORPUS_CSV, newline="", encoding="utf-8") as fh:
-            header, *rows = csv.reader(fh)
-        with open(INVENTORY_CSV, newline="", encoding="utf-8") as fh:
-            inventory_header, *inventory = csv.reader(fh)
-        paths = tmp_path / "corpus.csv", tmp_path / "inventory.csv"
-        with open(paths[0], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for c in range(copies):
-                writer.writerows([f"{r[0]}-{c}", f"{r[1]}{c}", *r[2:]]
-                                 for r in rows)
-        with open(paths[1], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(inventory_header)
-            for c in range(copies):
-                writer.writerows([f"{r[0]}{c}", *r[1:]] for r in inventory)
+        rows, inventory = csv_rows(CORPUS_CSV), csv_rows(INVENTORY_CSV)
+        paths = write_corpus(
+            [[f"{r[0]}-{c}", f"{r[1]}{c}", *r[2:]]
+             for c in range(copies) for r in rows],
+            [[f"{r[0]}{c}", *r[1:]] for c in range(copies) for r in inventory])
         tracemalloc.start()
         try:
             corpus, _ = load_corpus(*paths)

@@ -6,8 +6,10 @@ runs one of ``perfbench/run.py``'s workloads through ``cli.main`` on the
 inputs the benchmark writes for it at its pinned seed, and compares the
 records, the report (hypothesis tests and name-length regressions) and the
 first fitted model's serialization with ``perfbench/golden.json``, through
-the benchmark's own hashing.  So Tier-1 fails on any change that moves a
-pin, and a change that moves one on purpose edits one copy.
+the benchmark's own hashing.  The model is serialized through the tests'
+nested view, whose text ``TestModelToJson`` checks equals the writer's.  So
+Tier-1 fails on any change that moves a pin, and a change that moves one on
+purpose edits one copy.
 """
 
 import json
@@ -17,7 +19,7 @@ import pytest
 
 from soundskew import boost
 from soundskew.cli import main as cli_main
-from tests.conftest import BENCH_DIR, DATA_DIR
+from tests.conftest import BENCH_DIR, DATA_DIR, model_document, serialized
 
 with open(os.path.join(BENCH_DIR, "golden.json"), encoding="utf-8") as fh:
     GOLDEN = json.load(fh)
@@ -61,5 +63,5 @@ def test_workload_matches_pins(name, tmp_path, monkeypatch, capsys,
     assert sha256((out / "records.tsv").read_bytes()) == pins["records.tsv"]
     report = json.loads((out / "report.json").read_bytes())
     assert sha256(bench_run.normalized_report(report)) == pins["report.json"]
-    assert sha256(boost.model_to_json(models[0]).encode("utf-8")) \
+    assert sha256(serialized(model_document(models[0])).encode("utf-8")) \
         == pins["model"]

@@ -1,4 +1,3 @@
-import csv
 import ctypes
 import dataclasses
 import errno
@@ -30,7 +29,7 @@ from soundskew.runner import (
     hypothesis_h2,
     run_experiment,
 )
-from tests.conftest import CORPUS_CSV, INVENTORY_CSV
+from tests.conftest import CORPUS_CSV, INVENTORY_CSV, csv_rows
 
 FAST_BOOST = BoostParams(rounds=20, max_depth=3)
 
@@ -51,36 +50,12 @@ H1_ENTRY = {"group": "Attack", "n": 0, "n_excluded": 1, "result": None,
             "untestable_reason": "fewer than 2 defined FP values"}
 TABLES_REPORT = dict(REPORT, aggregates=[AGGREGATE], h1=[H1_ENTRY])
 
-# The JSON type that each config key takes; any other type is bad input.
-CONFIG_JSON_TYPES = {
-    "corpus_path": str, "inventory_path": str, "languages": list,
-    "variables": list, "threat_direction": dict, "combat_set": list,
-    "size_set": list, "k": int, "seed": int, "boost_params": dict,
-    "out_dir": str, "formats": list}
-BOOST_JSON_TYPES = {f.name: int if f.type == "int" else float
-                    for f in dataclasses.fields(BoostParams)}
-
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6)
-
-
-def fits_json_type(value, kind) -> bool:
-    """Whether ``value`` has the JSON type of a config key of type ``kind``.
-
-    A list must hold strings; a bool is not a number.
-    """
-    if isinstance(value, bool):
-        return False
-    if kind is list:
-        return isinstance(value, list) \
-            and all(isinstance(v, str) for v in value)
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, kind)
 
 
 def fast_config(**overrides):
@@ -251,25 +226,22 @@ class TestRunExperiment:
         # variables and by the per-language and combined regression scopes
         assert calls == {"featurize": 3, "name_length": 3}
 
-    def test_interleaved_corpus_keeps_file_order(self, tmp_path):
-        with open(CORPUS_CSV, encoding="utf-8") as fh:
-            header, *rows = fh.read().splitlines()
+    def test_interleaved_corpus_keeps_file_order(self, write_corpus):
+        rows = csv_rows(CORPUS_CSV)
         by_lang = {}
         for row in rows:
-            by_lang.setdefault(row.split(",")[1], []).append(row)
+            by_lang.setdefault(row[1], []).append(row)
         interleaved = [row for group in zip(*by_lang.values())
                        for row in group]
         assert sorted(interleaved) == sorted(rows) != interleaved
-        path = tmp_path / "corpus.csv"
-        path.write_text("\n".join([header, *interleaved]) + "\n",
-                        encoding="utf-8")
+        paths = write_corpus(interleaved, csv_rows(INVENTORY_CSV))
         languages = tuple(reversed(by_lang))
         params = BoostParams(rounds=2, max_depth=2)
         report = run_experiment(fast_config(
-            corpus_path=str(path), languages=languages,
-            boost_params=params))
+            corpus_path=paths[0], inventory_path=paths[1],
+            languages=languages, boost_params=params))
 
-        loaded, _ = corpus.load_corpus(str(path), INVENTORY_CSV)
+        loaded, _ = corpus.load_corpus(*paths)
         combined = {e.variable: e.result for e in report.length_regressions
                     if e.language == "combined"}
         for variable in report.config.variables:
@@ -415,8 +387,7 @@ class TestLengthRegression:
         results = runner.length_regression(loaded, config, ("jpn",))
         jpn = {e.variable: e for e in results if e.language == "jpn"}
         # lengths recounted from the transcriptions, not the loader's column
-        with open(CORPUS_CSV, encoding="utf-8") as fh:
-            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        rows = csv_rows(CORPUS_CSV)
         inv = inventories["jpn"]
         x = np.array([sum(not inv.is_tone[inv.index[t]] for t in r[3].split())
                       for r in rows if r[1] == "jpn"], dtype=float)
@@ -501,15 +472,15 @@ class TestCli:
         assert "jpn" in out
 
     @pytest.mark.parametrize("case", ["unknown-language", "header-only"])
-    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, case):
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys,
+                                               write_corpus, case):
         if case == "unknown-language":
             config = self.write_config(tmp_path, languages=["xyz"])
             message = (f"error: {INVENTORY_CSV}: no inventory for "
                        "configured language 'xyz'\n")
         else:
-            path = tmp_path / "corpus.csv"
-            path.write_text(",".join(corpus.CORPUS_COLUMNS) + "\n")
-            config = self.write_config(tmp_path, corpus_path=str(path),
+            path, _ = write_corpus([], [])
+            config = self.write_config(tmp_path, corpus_path=path,
                                        languages=None)
             message = f"error: {path}: corpus contains no entries\n"
         for command in ("validate", "run"):
@@ -561,19 +532,16 @@ class TestCli:
                      "not finite"),
     ], ids=["constant", "1e200", "near-max"])
     def test_constant_attribute_is_an_untestable_regression(
-            self, tmp_path, capsys, case, reason, languages):
-        with open(CORPUS_CSV, encoding="utf-8") as fh:
-            header, *rows = fh.read().splitlines()
-        rows = [row.split(",") for row in rows]
+            self, tmp_path, capsys, write_corpus, case, reason, languages):
+        rows = csv_rows(CORPUS_CSV)
         jpn = [cells for cells in rows if cells[1] == "jpn"]
         for i, cells in enumerate(jpn):
             cells[4] = self.JPN_ATTACK[case](i) or cells[4]
-        path = tmp_path / "corpus.csv"
-        path.write_text("\n".join([header, *map(",".join, rows)]) + "\n",
-                        encoding="utf-8")
+        corpus_path, inventory_path = write_corpus(rows,
+                                                   csv_rows(INVENTORY_CSV))
         config = self.write_config(
-            tmp_path, corpus_path=str(path), languages=languages,
-            boost_params={"rounds": 1, "max_depth": 1})
+            tmp_path, corpus_path=corpus_path, inventory_path=inventory_path,
+            languages=languages, boost_params={"rounds": 1, "max_depth": 1})
         assert cli_main(["run", "--config", config]) == 0
 
         def reject(token):
@@ -638,13 +606,11 @@ class TestCli:
 
     def test_pipe_in_language_stays_one_markdown_cell(self, tmp_path, capsys,
                                                       write_corpus):
-        rows = []                       # the fixture's jpn rows, as j|p
-        for source, column in ((CORPUS_CSV, 1), (INVENTORY_CSV, 0)):
-            with open(source, encoding="utf-8") as fh:
-                cells = [line.split(",") for line in fh.read().splitlines()]
-            rows.append([",".join([*c[:column], "j|p", *c[column + 1:]])
-                         for c in cells if c[column] == "jpn"])
-        corpus_path, inventory_path = write_corpus(*rows)
+        corpus_path, inventory_path = write_corpus(   # jpn's rows, as j|p
+            [[r[0], "j|p", *r[2:]] for r in csv_rows(CORPUS_CSV)
+             if r[1] == "jpn"],
+            [["j|p", *r[1:]] for r in csv_rows(INVENTORY_CSV)
+             if r[0] == "jpn"])
         config = self.write_config(
             tmp_path, corpus_path=corpus_path, inventory_path=inventory_path,
             languages=["j|p"])
@@ -803,18 +769,16 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_count_beyond_int16_exits_1_naming_file(self, tmp_path, capsys,
-                                                    command):
-        with open(CORPUS_CSV, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        cells = lines[1].split(",")
-        cells[3] = " ".join(["a"] * 32768)
-        lines[1] = ",".join(cells)
-        corpus_path = tmp_path / "corpus.csv"
-        corpus_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        config = self.write_config(tmp_path, corpus_path=str(corpus_path))
+                                                    write_corpus, command):
+        rows = csv_rows(CORPUS_CSV)
+        rows[0][3] = " ".join(["a"] * 32768)
+        corpus_path, inventory_path = write_corpus(rows,
+                                                   csv_rows(INVENTORY_CSV))
+        config = self.write_config(tmp_path, corpus_path=corpus_path,
+                                   inventory_path=inventory_path)
         assert cli_main([command, "--config", config]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {corpus_path}: entry '{cells[0]}': ")
+        assert err.startswith(f"error: {corpus_path}: entry '{rows[0][0]}': ")
         assert "32768 times" in err
 
     def test_run_seed_and_out_overrides(self, tmp_path, capsys):
@@ -824,6 +788,38 @@ class TestCli:
                          "--out", str(alt)]) == 0
         doc = json.loads((alt / "report.json").read_text())
         assert doc["config"]["seed"] == 7
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["validate", "run", "stats"])
+    def test_closed_stdout_exits_0_quietly(self, tmp_path, small_run,
+                                           command, unbuffered):
+        """A reader that closes stdout early, as ``| head -0`` does, is no
+        fault: the command has done its work, so it exits 0, silent.  A
+        buffered stdout fails at its flush, an unbuffered one at a print."""
+        config = self.write_config(tmp_path)
+        report = os.path.join(small_run.config.out_dir, "report.json")
+        argv = {"validate": ["--config", config], "run": ["--config", config],
+                "stats": ["--report", report]}[command]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__)),
+             *filter(None, [os.environ.get("PYTHONPATH")])]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "soundskew.cli", command, *argv],
+                env=env, stdout=write_end, stderr=subprocess.PIPE,
+                timeout=300)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        if command == "run":
+            assert sorted(os.listdir(tmp_path / "out")) \
+                == ["records.tsv", "report.json", "report.md"]
 
     @pytest.mark.parametrize("library", ["unloadable", "without-mallopt"])
     def test_run_without_mallopt_writes_the_same_records(
@@ -866,9 +862,10 @@ class TestCli:
     @pytest.mark.parametrize("where", ["checkout", "deep"])
     def test_run_keeps_large_node_temporaries_resident(self, tmp_path, where,
                                                        load_bench):
-        """A 2,000-name language gives split-search nodes whose temporaries
-        pass glibc's default 128 KiB thresholds; with them raised, the run
-        takes far fewer minor page faults than with the helper a no-op.
+        """A 2,000-name language, jpn of the ``tall`` workload's input,
+        gives split-search nodes whose temporaries pass glibc's default
+        128 KiB thresholds; with them raised, the run takes far fewer minor
+        page faults than with the helper a no-op.
 
         Both runs are counted above a child that only imports the CLI.
         Imports take most of the as-is run's faults, so without that base
@@ -876,24 +873,11 @@ class TestCli:
         moves with the checkout's path.  So the children import the
         checkout's ``src/``, or a copy of it under a deeper path, and each
         checks that it imported the one it was given."""
-        fixture_gen = load_bench("gen").load_fixture_module(
+        corpus_path, inventory_path = load_bench("gen").write_corpus(
+            str(tmp_path / "input"), 2000, 1, 0,
             os.path.join(os.path.dirname(__file__), ".."))
-        spec = fixture_gen.INVENTORIES["jpn"]
-        rng = np.random.default_rng(0)
-        with open(tmp_path / "corpus.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            rows = [fixture_gen.generate_entry(rng, "jpn", spec, i)
-                    for i in range(2000)]
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        (tmp_path / "inventory.csv").write_text(
-            "language,token,is_tone\n"
-            + "".join(f"jpn,{t},0\n" for t in spec["tokens"]),
-            encoding="utf-8")
         config = self.write_config(
-            tmp_path, corpus_path=str(tmp_path / "corpus.csv"),
-            inventory_path=str(tmp_path / "inventory.csv"),
+            tmp_path, corpus_path=corpus_path, inventory_path=inventory_path,
             variables=corpus.ATTRIBUTE_NAMES, boost_params={"rounds": 10})
         src = os.path.dirname(os.path.dirname(cli.__file__))
         if where == "deep":
@@ -990,15 +974,13 @@ class TestCli:
         (4, "-3"), (4, "inf"), (5, "nan"), (3, ""), (6, "tall"),
     ], ids=["negative", "inf", "nan", "blank-transcription", "non-numeric"])
     def test_bad_corpus_row_exits_1_naming_file_and_row(
-            self, tmp_path, capsys, column, cell):
-        with open(CORPUS_CSV, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        cells = lines[5].split(",")  # file row 6, after the header
-        cells[column] = cell
-        lines[5] = ",".join(cells)
-        corpus_path = tmp_path / "corpus.csv"
-        corpus_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        config = self.write_config(tmp_path, corpus_path=str(corpus_path))
+            self, tmp_path, capsys, write_corpus, column, cell):
+        rows = csv_rows(CORPUS_CSV)
+        rows[4][column] = cell          # file row 6, after the header
+        corpus_path, inventory_path = write_corpus(rows,
+                                                   csv_rows(INVENTORY_CSV))
+        config = self.write_config(tmp_path, corpus_path=corpus_path,
+                                   inventory_path=inventory_path)
         assert cli_main(["validate", "--config", config]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {corpus_path}: row 6: ")
@@ -1126,20 +1108,18 @@ class TestCli:
     @given(data=st.data())
     def test_wrong_json_type_in_config_exits_1(self, tmp_path, capsys,
                                                data):
-        assert set(CONFIG_JSON_TYPES) \
-            == {f.name for f in dataclasses.fields(ExperimentConfig)}
-        key = data.draw(st.sampled_from(
-            sorted(CONFIG_JSON_TYPES) + sorted(BOOST_JSON_TYPES)))
-        kind = CONFIG_JSON_TYPES.get(key) or BOOST_JSON_TYPES[key]
-        # null languages means every corpus language
+        path = data.draw(st.sampled_from(
+            [(f.name,) for f in dataclasses.fields(ExperimentConfig)]
+            + [("boost_params", f.name)
+               for f in dataclasses.fields(BoostParams)]))
+        tp = field_type(ExperimentConfig, path)
         value = data.draw(JSON_VALUES.filter(
-            lambda v: not fits_json_type(v, kind)
-            and not (key == "languages" and v is None)))
+            lambda v: not fits_annotation(v, tp)))
         stumps = {"rounds": 1, "max_depth": 1}
-        if key in CONFIG_JSON_TYPES:
-            overrides = {"boost_params": stumps, key: value}
+        if len(path) == 1:
+            overrides = {"boost_params": stumps, path[0]: value}
         else:
-            overrides = {"boost_params": {**stumps, key: value}}
+            overrides = {"boost_params": {**stumps, path[1]: value}}
         config = self.write_config(tmp_path, **overrides)
         assert cli_main(["run", "--config", config]) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -1148,40 +1128,34 @@ class TestCli:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_malformed_corpus_or_inventory_exits_1_naming_file(
-            self, tmp_path, capsys, data):
-        with open(CORPUS_CSV, encoding="utf-8") as fh:
-            corpus_rows = fh.read().splitlines()[:13]
-        with open(INVENTORY_CSV, encoding="utf-8") as fh:
-            inventory_rows = [row for row in fh.read().splitlines()
-                              if not row.startswith(("cmn,", "kor,"))]
-        name, rows = data.draw(st.sampled_from(
-            [("corpus.csv", corpus_rows), ("inventory.csv", inventory_rows)]))
+            self, tmp_path, capsys, write_corpus, data):
+        # each file with its header first, so that a fault may hit either
+        files = [
+            [list(corpus.CORPUS_COLUMNS), *csv_rows(CORPUS_CSV)[:12]],
+            [list(corpus.INVENTORY_COLUMNS),
+             *(row for row in csv_rows(INVENTORY_CSV) if row[0] == "jpn")]]
+        rows = files[data.draw(st.integers(0, 1))]
         row = data.draw(st.integers(0, len(rows) - 1))
-        cells = rows[row].split(",")
+        cells = rows[row]
         column = data.draw(st.integers(0, len(cells) - 1))
         if data.draw(st.booleans()):
             del cells[column]           # a missing column
         else:
             cells[column] = data.draw(st.text(max_size=8))
-        rows = list(rows)
+        # written as is, so a drawn comma, quote or line end splits cells
         rows[row] = ",".join(cells)
-        (tmp_path / "corpus.csv").write_text(
-            "\n".join(corpus_rows) + "\n", encoding="utf-8")
-        (tmp_path / "inventory.csv").write_text(
-            "\n".join(inventory_rows) + "\n", encoding="utf-8")
-        (tmp_path / name).write_text("\n".join(rows) + "\n",
-                                     encoding="utf-8")
-        config = self.write_config(
-            tmp_path, corpus_path=str(tmp_path / "corpus.csv"),
-            inventory_path=str(tmp_path / "inventory.csv"))
+        paths = write_corpus(*(file[1:] for file in files),
+                             headers=[file[0] for file in files])
+        config = self.write_config(tmp_path, corpus_path=paths[0],
+                                   inventory_path=paths[1])
         code = cli_main(["validate", "--config", config])
         err = capsys.readouterr().err
         # A replaced cell may still be valid.  A rejection names an input
         # file: an inventory change can orphan a corpus row's token.
         assert code in (0, 1)
         if code == 1:
-            assert err.startswith((f"error: {tmp_path / 'corpus.csv'}: ",
-                                   f"error: {tmp_path / 'inventory.csv'}: "))
+            assert err.startswith((f"error: {paths[0]}: ",
+                                   f"error: {paths[1]}: "))
 
 
 def json_leaves(doc, path=()):
@@ -1195,9 +1169,10 @@ def json_leaves(doc, path=()):
         yield path, doc
 
 
-def report_field_type(path):
-    """The annotation of the report value at ``path``."""
-    tp = ExperimentReport
+def field_type(root, path):
+    """The annotation of the value at ``path`` in a document of type
+    ``root``, such as a report or a config."""
+    tp = root
     for step in path:
         if typing.get_origin(tp) is types.UnionType:     # X | None
             tp = typing.get_args(tp)[0]
@@ -1316,7 +1291,7 @@ class TestReportFile:
         parent[path[-1]] = value
         report = tmp_path / "report.json"
         report.write_text(json.dumps(doc))
-        fits = fits_annotation(value, report_field_type(path))
+        fits = fits_annotation(value, field_type(ExperimentReport, path))
         code = cli_main(["stats", "--report", str(report)])
         err = capsys.readouterr().err
         # exit 0 only for a value of the field's type, which the dataclass's
