@@ -18,9 +18,11 @@ The dataclasses are the file formats: a config file is read by ``decode``,
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import datetime
 import functools
+import itertools
 import json
 import os
 import sys
@@ -151,6 +153,8 @@ class ExperimentConfig:
         bad = set(self.formats) - {"tsv", "json", "md"}
         if bad:
             raise ConfigError(f"unknown report formats: {sorted(bad)}")
+        if not self.formats:                # a run that would write nothing
+            raise ConfigError("formats must be non-empty")
 
     def threat_class(self, variable: str) -> str:
         return self.threat_direction.get(variable, "high")
@@ -534,19 +538,34 @@ def make_out_dir(path: str) -> None:
 
 
 def emit_report(report: ExperimentReport) -> list[str]:
-    """Write the config's formats into its out_dir; returns written paths."""
+    """Write the config's formats into its out_dir; returns written paths.
+
+    Each requested file is written whole or not at all.  Each is rendered
+    into a temporary file beside its final name, ``report.json`` streamed
+    chunk by chunk rather than held as one text; only when every one is
+    written does each temporary replace its final name.  An exception
+    removes the temporaries, so a render or write fault (a non-finite
+    float in ``report.json``, a full disk) replaces no earlier file."""
     outputs = (
-        ("tsv", "records.tsv", records_tsv(report.records)),
-        ("json", "report.json", json.dumps(
-            dataclasses.asdict(report), indent=1, sort_keys=True,
-            allow_nan=False) + "\n"),
-        ("md", "report.md", report_markdown(report)))
+        ("tsv", "records.tsv", lambda: (records_tsv(report.records),)),
+        ("json", "report.json", lambda: itertools.chain(json.JSONEncoder(
+            indent=1, sort_keys=True, allow_nan=False).iterencode(
+                dataclasses.asdict(report)), ("\n",))),
+        ("md", "report.md", lambda: (report_markdown(report),)))
     make_out_dir(report.config.out_dir)
-    written = []
-    for fmt, name, text in outputs:
-        if fmt in report.config.formats:
-            path = os.path.join(report.config.out_dir, name)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            written.append(path)
-    return written
+    staged = []                                     # (temporary, final path)
+    try:
+        for fmt, name, render in outputs:
+            if fmt in report.config.formats:
+                path = os.path.join(report.config.out_dir, name)
+                staged.append((f"{path}.{os.getpid()}.tmp", path))
+                with open(staged[-1][0], "w", encoding="utf-8") as fh:
+                    fh.writelines(render())
+        for temporary, path in staged:
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary, _ in staged:
+            with contextlib.suppress(OSError):      # gone, or replaced
+                os.remove(temporary)
+        raise
+    return [path for _, path in staged]

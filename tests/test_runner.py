@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import types
 import typing
 from collections import Counter
@@ -443,6 +444,71 @@ class TestEmitReport:
                     == (agg.language, agg.variable)]
             assert np.mean([r["accuracy"] for r in recs]) \
                 == pytest.approx(agg.mean_accuracy, abs=1e-12)
+
+    def test_full_disk_leaves_the_earlier_files(self, tmp_path, small_run,
+                                                monkeypatch):
+        """ENOSPC while the last file is written replaces no earlier file
+        and leaves no temporary."""
+        report = dataclasses.replace(small_run, config=dataclasses.replace(
+            small_run.config, out_dir=str(tmp_path)))
+        emit_report(report)
+        names = ["records.tsv", "report.json", "report.md"]
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def full_disk_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if os.path.basename(path).startswith("report.md"):
+                fh.write = fh.writelines = full_disk
+            return fh
+
+        monkeypatch.setattr(runner, "open", full_disk_open, raising=False)
+        report = dataclasses.replace(report, records=report.records[:1],
+                                     timestamp="later")
+        with pytest.raises(OSError) as exc:
+            emit_report(report)
+        assert exc.value.errno == errno.ENOSPC
+        assert sorted(os.listdir(tmp_path)) == names
+        assert {name: (tmp_path / name).read_bytes()
+                for name in names} == before
+
+    def test_non_finite_float_writes_no_file(self, tmp_path, small_run):
+        """A strict-JSON fault mid-stream leaves no truncated report.json,
+        and no records.tsv written before it."""
+        aggregates = [dataclasses.replace(small_run.aggregates[0],
+                                          mean_accuracy=float("nan")),
+                      *small_run.aggregates[1:]]
+        report = dataclasses.replace(
+            small_run, aggregates=aggregates,
+            config=dataclasses.replace(small_run.config,
+                                       out_dir=str(tmp_path)))
+        with pytest.raises(ValueError, match="JSON compliant"):
+            emit_report(report)
+        assert os.listdir(tmp_path) == []
+
+    def test_peak_per_record(self, tmp_path, small_run):
+        """report.json is streamed, not held as one text.
+
+        4,000 records.  Joining the encoder's chunks into one text peaks at
+        about 2,200 B per record; streaming them at about 300 B.
+        """
+        record = small_run.records[0]
+        report = dataclasses.replace(
+            small_run, records=[dataclasses.replace(record, fold=i)
+                                for i in range(4000)],
+            config=dataclasses.replace(small_run.config, out_dir=str(tmp_path),
+                                       formats=("json",)))
+        tracemalloc.start()
+        try:
+            emit_report(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "report.json").stat().st_size \
+            > 200 * len(report.records)
+        assert peak / len(report.records) < 1000
 
     def test_reports_identical_apart_from_timestamp(self, tmp_path):
         config = fast_config(languages=("jpn",), variables=("Weight",))
@@ -948,6 +1014,7 @@ class TestCli:
         ({"threat_direction": {"Attack": "up"}},
          "threat_direction['Attack'] must be 'high' or 'low'"),
         ({"formats": ["pdf"]}, "unknown report formats: ['pdf']"),
+        ({"formats": []}, "formats must be non-empty"),
         ({"languages": []}, "languages must be non-empty when given"),
         # a repeated group would be counted twice in H1, H2 and the OLS
         ({"languages": ["jpn", "jpn"]}, "languages: repeated entries"),
@@ -960,7 +1027,8 @@ class TestCli:
             "combat-int-item", "out-dir-int", "rounds-float", "rate-bool",
             "lambda-nan", "weight-overflow", "params-int", "params-seed",
             "k-1",
-            "overlapping-sets", "threat-value", "formats", "languages-empty",
+            "overlapping-sets", "threat-value", "formats", "formats-empty",
+            "languages-empty",
             "languages-repeated", "variables-repeated", "threat-key"])
     def test_config_mistake_exits_1_naming_key(self, tmp_path, capsys,
                                                overrides, message):
