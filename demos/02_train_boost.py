@@ -3,8 +3,9 @@
 Builds the Attack classifier for the Japanese fixture names: one count
 matrix for the language, its rows labeled, balanced and folded as a run
 does (``label_group``), then a second-order boosted tree ensemble, trained
-as a run trains fold 0 (``fit_seed``) on the int16 counts that the loader
-stores, so its counts are the shipped run's jpn/Attack fold 0 record.
+and counted as a run does fold 0 (``fit_fold``, ``fit_seed``) on the int16
+counts that the loader stores, so its counts are the shipped run's
+jpn/Attack fold 0 record.
 Prints the loss curve, the confusion matrix of one fold, and the
 highest-gain features.  The model keeps only its trees; the training loss
 after round ``r`` is recomputed from the first ``r`` of them.
@@ -15,12 +16,11 @@ import os
 
 import numpy as np
 
-from soundskew.boost import (
-    BoostParams, classify, feature_importance, predict_prob, train)
+from soundskew.boost import BoostParams, feature_importance, predict_prob
 from soundskew.corpus import ATTRIBUTE_NAMES, load_corpus
 from soundskew.labeling import label_group
-from soundskew.metrics import ConfusionMatrix, accuracy, fp_rate_skew_adjusted
-from soundskew.runner import fit_seed
+from soundskew.metrics import accuracy, fp_rate_skew_adjusted
+from soundskew.runner import fit_fold, fit_seed
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 SEED = 20220307
@@ -46,18 +46,13 @@ print(f"{len(features)} names -> {len(rows)} after split+balance")
 X = features[rows]
 in_test = folds == 0
 
+# Fold 0 as the runner fits and counts it.
+model, cm = fit_fold(X, y, in_test,
+                     BoostParams(seed=fit_seed(SEED, "jpn", "Attack", 0)))
 X_train, y_train = X[~in_test], y[~in_test]
-model = train(X_train, y_train,
-              BoostParams(seed=fit_seed(SEED, "jpn", "Attack", 0)))
 print(f"trained {len(model.trees)} trees; "
       f"loss {train_loss(model, 1, X_train, y_train):.4f} -> "
       f"{train_loss(model, len(model.trees), X_train, y_train):.4f}")
-
-# A fold's counts as the runner takes them: one bincount of truth and
-# prediction, in the order tn, fp, fn, tp.
-pred = classify(model, X[in_test])
-tn, fp, fn, tp = np.bincount(2 * y[in_test] + pred, minlength=4).tolist()
-cm = ConfusionMatrix(tp, fp, fn, tn)
 print(f"fold 0: tp={cm.tp} fp={cm.fp} fn={cm.fn} tn={cm.tn}")
 print(f"accuracy {accuracy(cm):.3f}, "
       f"skew-adjusted FP% {fp_rate_skew_adjusted(cm):.3f}")

@@ -243,7 +243,7 @@ def _best_split(XT: np.ndarray, gh: np.ndarray, S: np.ndarray,
 
 
 def _build_tree(XT: np.ndarray, gh: np.ndarray, idx: np.ndarray,
-                S: np.ndarray, keep: np.ndarray | None, params: BoostParams,
+                S: np.ndarray, keep: np.ndarray, params: BoostParams,
                 rng: np.random.Generator, nodes: Trees, i: int) -> int:
     """Grow a tree over the ascending row ids ``idx``, in preorder.
 
@@ -257,10 +257,11 @@ def _build_tree(XT: np.ndarray, gh: np.ndarray, idx: np.ndarray,
 
     A node's per-feature lists, its rows once per feature sorted by (value,
     row id), are ``S[keep].reshape(n_features, -1)``: ``S`` is the parent's
-    lists and ``keep`` the mask of this node's side, or ``None`` when ``S``
-    is already this node's.  A stable mask keeps the lists sorted.  They are
-    built only when the node searches, so a leaf by depth, by size or by the
-    child-weight rule below never partitions.
+    lists and ``keep`` the mask of this node's side; at the root, ``S`` is
+    the presorted order of all rows and ``keep`` marks the round's rows.  A
+    stable mask keeps the lists sorted.  They are built only when the node
+    searches, so a leaf by depth, by size or by the child-weight rule below
+    never partitions.
 
     The totals ``G`` and ``H`` are float sums of the gathered ``g`` and
     ``h``, not a sum of ``gh``: numpy sums a float array pairwise and a
@@ -291,9 +292,7 @@ def _build_tree(XT: np.ndarray, gh: np.ndarray, idx: np.ndarray,
                 cols = rng.choice(n_features, size=m, replace=False)
                 cols.sort()
             if H - mcw >= mcw:
-                if keep is not None:
-                    S = S.ravel().compress(keep.ravel()).reshape(
-                        n_features, -1)
+                S = S.ravel().compress(keep.ravel()).reshape(n_features, -1)
                 found = _best_split(XT, gh, S, cols, G, H, params)
         if found is None:
             nodes.left[i] = nodes.right[i] = i
@@ -381,12 +380,11 @@ def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
         if rows < n:
             idx = rng.choice(n, size=rows, replace=False)
             idx.sort()
-            keep = np.zeros(n, dtype=bool)
-            keep[idx] = True
-            keep = keep.take(order)
         else:
             idx = np.arange(n)
-            keep = None
+        keep = np.zeros(n, dtype=bool)
+        keep[idx] = True
+        keep = keep.take(order)
         if free + tree_size > len(nodes.value):     # doubling fits a tree
             nodes = _map_nodes(
                 nodes, lambda a: np.concatenate([a, np.zeros_like(a)]))
@@ -425,11 +423,6 @@ def predict_margin(model: BoostModel, X: np.ndarray) -> np.ndarray:
 
 def predict_prob(model: BoostModel, X: np.ndarray) -> np.ndarray:
     return sigmoid(predict_margin(model, X))
-
-
-def classify(model: BoostModel, X: np.ndarray) -> np.ndarray:
-    """Threshold at exactly 0.5; a tie goes to the positive (threat) class."""
-    return predict_prob(model, X) >= 0.5
 
 
 def feature_importance(model: BoostModel) -> dict[int, float]:

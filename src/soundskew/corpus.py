@@ -17,9 +17,10 @@ each token up in its inventory once, which both validates the token and gives
 its column.  ``_append_chunk`` states the corpus-row rules once and is the
 only code that appends rows.  It takes ``CHUNK_ROWS`` rows at a time and
 checks them one column at a time: column counts, ids, languages and tokens,
-transcriptions, then every attribute cell of the chunk in one vectorized
-range test.  The rows of a chunk it declines go through it again one row at
-a time, and the first row it declines is named with its message.  Both
+transcriptions, then every attribute cell of the chunk, each parsed once
+by ``_number``, in one vectorized range test.  The rows of a chunk it
+declines go through it again one row at a time, and the first row it
+declines is named with its message.  Both
 files are read by ``_open_csv``, which names the file and line of input
 that is not UTF-8 or not CSV.
 """
@@ -184,7 +185,9 @@ def _append_chunk(chunk: list[list[str]], streams, ids, codes,
 
     Returns None once the chunk is appended.  Otherwise appends nothing and
     returns what is wrong; for a one-row chunk, that is the row's message
-    from the first check it fails, in column order.
+    from the first check it fails, in column order.  Each attribute cell is
+    parsed once, by ``_number`` after ``str.strip`` (``float`` alone would
+    keep the separators U+001C to U+001F).
     """
     rows = [row for row in chunk if row]
     if bad := [row for row in rows if len(row) != len(CORPUS_COLUMNS)]:
@@ -215,11 +218,7 @@ def _append_chunk(chunk: list[list[str]], streams, ids, codes,
     if [] in names:
         return (f"entry {chunk_ids[names.index([])]!r} has an empty "
                 "transcription")
-    try:
-        values = [float(stripped) if (stripped := cell.strip()) else math.nan
-                  for row in rows for cell in row[4:]]
-    except ValueError:
-        values = [_number(cell.strip()) for row in rows for cell in row[4:]]
+    values = [_number(cell.strip()) for row in rows for cell in row[4:]]
     checked = np.array(values)
     width = len(ATTRIBUTE_NAMES)
     # NaN fails the range test too: a blank cell's NaN is a missing value,

@@ -239,7 +239,9 @@ def read_report(path: str) -> ExperimentReport:
     """Read a ``report.json`` of this format version as ``decode`` does,
     and refuse a record that H1 and H2 would misread (its ``accuracy`` or
     ``fp_pct`` is not what its counts give, it repeats a (language,
-    variable, fold), or the run has no such group or fold)."""
+    variable, fold), or the run has no such group or fold).  Then refuse a
+    report that lacks a record H1 and H2 would count: each (language,
+    variable) of the run has a record for every fold or a failure."""
     doc = read_json(path)
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != REPORT_FORMAT_VERSION:
@@ -272,6 +274,13 @@ def read_report(path: str) -> ExperimentReport:
             if stored != value:
                 raise ConfigError(f"{where}: {name} {stored!r} does not "
                                   f"match its counts ({value!r})")
+    failed = {(f.language, f.variable) for f in report.failures}
+    for key in itertools.product(report.languages, config.variables,
+                                 range(config.k)):
+        if key not in first and key[:2] not in failed:
+            language, variable, fold = key
+            raise ConfigError(f"{path}: {language}/{variable}/{fold} has no "
+                              f"record, and {language}/{variable} no failure")
     return report
 
 
@@ -279,6 +288,17 @@ def fit_seed(seed: int, language: str, variable: str, fold: int) -> int:
     """The seed of a run's model for ``fold`` of (language, variable)."""
     return labeling.subseed(seed, language, variable, "train",
                             str(fold)) & (2 ** 63 - 1)
+
+
+def fit_fold(X: np.ndarray, y: np.ndarray, in_test: np.ndarray,
+             params: BoostParams) -> tuple[boost.BoostModel, ConfusionMatrix]:
+    """Train on the rows outside ``in_test`` and count the rows inside: ``y``
+    is 1 for threat, and p >= 0.5 predicts threat, so a tie counts as threat.
+    """
+    model = boost.train(X[~in_test], y[~in_test], params)
+    threat = boost.predict_prob(model, X[in_test]) >= 0.5
+    tn, fp, fn, tp = np.bincount(2 * y[in_test] + threat, minlength=4).tolist()
+    return model, ConfusionMatrix(tp, fp, fn, tn)
 
 
 def _run_group(features: np.ndarray, values: np.ndarray, language: str,
@@ -295,14 +315,9 @@ def _run_group(features: np.ndarray, values: np.ndarray, language: str,
         params = dataclasses.replace(
             config.boost_params,
             seed=fit_seed(config.seed, language, variable, fold))
-        in_test = fold_of == fold
-        model = boost.train(X[~in_test], y[~in_test], params)
-        pred = boost.classify(model, X[in_test])
-        tn, fp, fn, tp = np.bincount(2 * y[in_test] + pred,
-                                     minlength=4).tolist()
-        cm = ConfusionMatrix(tp, fp, fn, tn)
+        _, cm = fit_fold(X, y, fold_of == fold, params)
         records.append(IterationRecord(
-            tp, fp, fn, tn, language, variable, fold, params.seed,
+            cm.tp, cm.fp, cm.fn, cm.tn, language, variable, fold, params.seed,
             metrics.accuracy(cm), metrics.fp_rate_skew_adjusted(cm)))
     return records
 
@@ -537,20 +552,28 @@ def make_out_dir(path: str) -> None:
         raise
 
 
+def _report_json(report: ExperimentReport):
+    """``report.json``'s text in blocks of 1,024 encoder chunks: one write
+    per block, not per chunk, and only a block's text held at a time."""
+    chunks = json.JSONEncoder(indent=1, sort_keys=True, allow_nan=False
+                              ).iterencode(dataclasses.asdict(report))
+    for block in iter(lambda: list(itertools.islice(chunks, 1024)), []):
+        yield "".join(block)
+    yield "\n"
+
+
 def emit_report(report: ExperimentReport) -> list[str]:
     """Write the config's formats into its out_dir; returns written paths.
 
     Each requested file is written whole or not at all.  Each is rendered
     into a temporary file beside its final name, ``report.json`` streamed
-    chunk by chunk rather than held as one text; only when every one is
+    a block at a time rather than held as one text; only when every one is
     written does each temporary replace its final name.  An exception
     removes the temporaries, so a render or write fault (a non-finite
     float in ``report.json``, a full disk) replaces no earlier file."""
     outputs = (
         ("tsv", "records.tsv", lambda: (records_tsv(report.records),)),
-        ("json", "report.json", lambda: itertools.chain(json.JSONEncoder(
-            indent=1, sort_keys=True, allow_nan=False).iterencode(
-                dataclasses.asdict(report)), ("\n",))),
+        ("json", "report.json", lambda: _report_json(report)),
         ("md", "report.md", lambda: (report_markdown(report),)))
     make_out_dir(report.config.out_dir)
     staged = []                                     # (temporary, final path)

@@ -16,7 +16,6 @@ from soundskew.boost import (
     BoostParams,
     Trees,
     _score,
-    classify,
     feature_importance,
     leaf_weight,
     model_to_json,
@@ -24,6 +23,7 @@ from soundskew.boost import (
     predict_prob,
     train,
 )
+from soundskew.runner import fit_fold
 from tests.conftest import (
     model_document,
     serialized,
@@ -178,9 +178,9 @@ class TestTrain:
         rng = np.random.default_rng(3)
         X = rng.integers(0, 3, size=(20, 5)).astype(float)
         model = train(X, np.ones(20, dtype=int), BoostParams(rounds=5))
-        assert classify(model, X).all()
+        assert (predict_prob(model, X) >= 0.5).all()
         model = train(X, np.zeros(20, dtype=int), BoostParams(rounds=5))
-        assert not classify(model, X).any()
+        assert not (predict_prob(model, X) >= 0.5).any()
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(BoostError):
@@ -230,7 +230,7 @@ class TestTrain:
         for i in np.flatnonzero(t.left != np.arange(len(t.left))):
             depth[[t.left[i], t.right[i]]] = depth[i] + 1
         assert depth.max() > sys.getrecursionlimit()
-        assert (classify(model, X) == y).all()
+        assert ((predict_prob(model, X) >= 0.5) == y).all()
 
     def test_leaf_weights_are_scaled_leaf_optimum(self):
         # reconstruct (G, H) at each leaf from the training trajectory, both
@@ -276,7 +276,16 @@ class TestPredict:
         x = np.array([3.0])
         assert predict_margin(model, x[None, :]).tolist() == [0.0]
         assert predict_prob(model, x[None, :]).tolist() == [0.5]
-        assert classify(model, x[None, :]).tolist() == [True]
+        # A fold counts a tie as threat: two equal training rows labeled 0
+        # and 1 give one leaf of weight 0, so the test row's p is exactly
+        # 0.5, and its non-threat label makes it a false positive.
+        X = np.array([[1.0], [1.0], [3.0]])
+        model, cm = fit_fold(X, np.array([0, 1, 0]),
+                             np.array([False, False, True]),
+                             BoostParams(rounds=1, **NO_SAMPLING))
+        assert model.trees.value.tolist() == [0.0]
+        assert predict_prob(model, X[2:]).tolist() == [0.5]
+        assert (cm.tp, cm.fp, cm.fn, cm.tn) == (0, 1, 0, 0)
 
     def test_single_leaf_tree_weight_is_margin(self):
         model = train(np.array([[0.0], [1.0]]), np.array([0, 1]),

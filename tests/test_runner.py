@@ -35,12 +35,15 @@ from tests.conftest import CORPUS_CSV, INVENTORY_CSV, csv_rows
 FAST_BOOST = BoostParams(rounds=20, max_depth=3)
 
 # The smallest config object that decodes, a record, and a report that
-# stats and report read; TABLES_REPORT adds an aggregate and an H1 entry.
+# stats and report read, whose records fill the config's groups (each
+# variable's 3 folds); TABLES_REPORT adds an aggregate and an H1 entry.
 CONFIG_KEYS = {"corpus_path": "corpus.csv", "inventory_path": "inventory.csv"}
 RECORD = {"language": "jpn", "variable": "Attack", "fold": 0, "seed": 1,
           "tp": 1, "fp": 0, "fn": 0, "tn": 1, "accuracy": 1.0, "fp_pct": None}
+RECORDS = [dict(RECORD, variable=variable, fold=fold)
+           for variable in corpus.ATTRIBUTE_NAMES for fold in range(3)]
 REPORT = {"version": 1, "timestamp": "", "config": CONFIG_KEYS,
-          "languages": ["jpn"], "records": [RECORD], "failures": [],
+          "languages": ["jpn"], "records": RECORDS, "failures": [],
           "aggregates": [], "h1": [], "length_regressions": [],
           "h2": {"result": None, "combat": None, "size": None,
                  "untestable_reason": "none"}}
@@ -637,7 +640,9 @@ class TestCli:
                    for variable, fp in (("Attack", 0.1), ("Weight", 0.6))
                    for fold in range(3)]
         path = tmp_path / "report.json"
-        path.write_text(json.dumps(dict(REPORT, records=records)))
+        config = dict(CONFIG_KEYS, variables=["Attack", "Weight"])
+        path.write_text(json.dumps(dict(REPORT, config=config,
+                                        records=records)))
         assert cli_main(["stats", "--report", str(path)]) == 0
         out = capsys.readouterr().out
         # H1 Attack, Weight, combat and size have zero variance, as has H2
@@ -733,6 +738,10 @@ class TestCli:
                            "config.variables ['Attack', 'Defend', 'Height', "
                            "'Weight']",
         "record-fold": "records[0]: fold 3 is outside [0, 3)",
+        "record-missing":
+            "jpn/Attack/1 has no record, and jpn/Attack no failure",
+        "group-missing":
+            "jpn/Height/0 has no record, and jpn/Height no failure",
         "h1-n-null": "h1[0]: n must be an integer, got None",
         "timestamp-number": "timestamp must be a string, got 5",
         "languages-int": "languages must be a list of strings, got 7",
@@ -768,6 +777,13 @@ class TestCli:
          json.dumps(dict(REPORT, records=[dict(RECORD, variable="Speed")]))),
         ("record-fold",
          json.dumps(dict(REPORT, records=[dict(RECORD, fold=3)]))),
+        # a group of the run without all of its folds and without a failure
+        ("record-missing", json.dumps(dict(
+            REPORT, records=[r for r in RECORDS if r["fold"] != 1]))),
+        ("group-missing", json.dumps(dict(
+            REPORT, records=[r for r in RECORDS if r["variable"] == "Attack"],
+            failures=[{"language": "jpn", "variable": "Defend",
+                       "stage": "LabelingError", "reason": "too few"}]))),
         # every part of a report is read, not only the records
         ("h1-n-null",
          json.dumps(dict(TABLES_REPORT, h1=[dict(H1_ENTRY, n=None)]))),
