@@ -239,23 +239,30 @@ def read_report(path: str) -> ExperimentReport:
     """Read a ``report.json`` of this format version as ``decode`` does,
     and refuse a record that H1 and H2 would misread (its ``accuracy`` or
     ``fp_pct`` is not what its counts give, it repeats a (language,
-    variable, fold), or the run has no such group or fold).  Then refuse a
-    report that lacks a record H1 and H2 would count: each (language,
-    variable) of the run has a record for every fold or a failure."""
+    variable, fold), or the run has no such group or fold).  Then refuse
+    ``languages`` that repeat or are not the config's, and a failure that
+    names no group of the run, repeats, or names a group with records.
+    Last, refuse a report that lacks a record H1 and H2 would count: each
+    (language, variable) of the run has a record for every fold or a
+    failure."""
     doc = read_json(path)
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != REPORT_FORMAT_VERSION:
         raise ConfigError(f"{path}: unsupported report version {version!r}")
     report = decode(ExperimentReport, doc, path)
-    config, first = report.config, {}
+    config, languages, first = report.config, list(report.languages), {}
+
+    def check_group(where: str, entry) -> None:
+        if entry.language not in languages:
+            raise ConfigError(f"{where}: language {entry.language!r} is "
+                              f"not in languages {languages}")
+        if entry.variable not in config.variables:
+            raise ConfigError(f"{where}: variable {entry.variable!r} is not "
+                              f"in config.variables {list(config.variables)}")
+
     for i, record in enumerate(report.records):
         where = f"{path}: records[{i}]"
-        if record.language not in report.languages:
-            raise ConfigError(f"{where}: language {record.language!r} is "
-                              f"not in languages {list(report.languages)}")
-        if record.variable not in config.variables:
-            raise ConfigError(f"{where}: variable {record.variable!r} is not "
-                              f"in config.variables {list(config.variables)}")
+        check_group(where, record)
         if not 0 <= record.fold < config.k:
             raise ConfigError(f"{where}: fold {record.fold} is outside "
                               f"[0, {config.k})")
@@ -274,8 +281,24 @@ def read_report(path: str) -> ExperimentReport:
             if stored != value:
                 raise ConfigError(f"{where}: {name} {stored!r} does not "
                                   f"match its counts ({value!r})")
-    failed = {(f.language, f.variable) for f in report.failures}
-    for key in itertools.product(report.languages, config.variables,
+    if len(set(languages)) < len(languages):
+        raise ConfigError(f"{path}: languages: repeated entries in "
+                          f"{languages}")
+    if config.languages and languages != list(config.languages):
+        raise ConfigError(f"{path}: languages {languages} are not "
+                          f"config.languages {list(config.languages)}")
+    failed = {}
+    for i, failure in enumerate(report.failures):
+        where = f"{path}: failures[{i}]"
+        check_group(where, failure)
+        group = (failure.language, failure.variable)
+        if group in failed:
+            raise ConfigError(f"{where}: {'/'.join(group)} repeats "
+                              f"failures[{failed[group]}]")
+        if any((*group, fold) in first for fold in range(config.k)):
+            raise ConfigError(f"{where}: {'/'.join(group)} has records")
+        failed[group] = i
+    for key in itertools.product(languages, config.variables,
                                  range(config.k)):
         if key not in first and key[:2] not in failed:
             language, variable, fold = key
@@ -482,17 +505,26 @@ def records_tsv(records: list[IterationRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _table(header: tuple[str, ...], rows) -> list[str]:
+    """The lines of a report.md table: the header, the separator and one
+    line per row of cells, with ``|`` escaped in every cell."""
+    def line(row) -> str:
+        return "| " + " | ".join(str(cell).replace("|", "\\|")
+                                 for cell in row) + " |"
+
+    return [line(header), "|---" * len(header) + "|", *map(line, rows)]
+
+
 def hypothesis_sections(h1: list[HypothesisEntry], h2: H2Entry
                         ) -> list[str]:
     """The lines of report.md's H1 and H2 sections, which ``soundskew stats``
     prints for the entries it recomputes."""
     lines = ["## H1: FP% vs 50% chance (per-iteration values)", "",
-             "| Group | n | t | df | p |", "|---|---|---|---|---|"]
-    for e in h1:
-        r = e.result
-        cells = (f"- | - | untestable: {e.untestable_reason}" if r is None
-                 else f"{r.t:.3f} | {r.df} | {r.p:.4g}")
-        lines.append(f"| {e.group} | {e.n} | {cells} |")
+             *_table(("Group", "n", "t", "df", "p"), (
+                 (e.group, e.n, "-", "-", f"untestable: {e.untestable_reason}")
+                 if e.result is None else
+                 (e.group, e.n, f"{e.result.t:.3f}", e.result.df,
+                  f"{e.result.p:.4g}") for e in h1))]
     lines += ["", "## H2: combat FP% vs size FP%", ""]
     if h2.result is None:
         lines.append(f"Untestable: {h2.untestable_reason}")
@@ -510,30 +542,19 @@ def report_markdown(report: ExperimentReport) -> str:
     lines = ["# Experiment report", "",
              f"Generated: {report.timestamp}", ""]
     lines += ["## Accuracy and skew-adjusted FP rate (mean over folds)", "",
-              "| Language | Variable | Accuracy | FP% |",
-              "|---|---|---|---|"]
-    for a in report.aggregates:
-        language = a.language.replace("|", "\\|")
-        lines.append(
-            f"| {language} | {a.variable} "
-            f"| {_fmt_pct(a.mean_accuracy)} "
-            f"| {_fmt_pct(a.mean_fp_pct)} |")
+              *_table(("Language", "Variable", "Accuracy", "FP%"), (
+                  (a.language, a.variable, _fmt_pct(a.mean_accuracy),
+                   _fmt_pct(a.mean_fp_pct)) for a in report.aggregates))]
     lines += ["", *hypothesis_sections(report.h1, report.h2),
               "", "## Name-length regressions", "",
-              "| Scope | Variable | df | F | p | R^2 |",
-              "|---|---|---|---|---|---|"]
-    for e in report.length_regressions:
-        language = e.language.replace("|", "\\|")
-        if e.result is None:
-            lines.append(f"| {language} | {e.variable} | - | - | - | "
-                         f"untestable: {e.untestable_reason} |")
-        else:
-            r = e.result
-            F = "inf" if r.F is None else f"{r.F:.2f}"
-            lines.append(
-                f"| {language} | {e.variable} "
-                f"| {r.df1}, {r.df2} | {F} "
-                f"| {r.p:.4g} | {r.r2:.3f} |")
+              *_table(("Scope", "Variable", "df", "F", "p", "R^2"), (
+                  (e.language, e.variable, "-", "-", "-",
+                   f"untestable: {e.untestable_reason}") if e.result is None
+                  else (e.language, e.variable,
+                        f"{e.result.df1}, {e.result.df2}",
+                        "inf" if e.result.F is None else f"{e.result.F:.2f}",
+                        f"{e.result.p:.4g}", f"{e.result.r2:.3f}")
+                  for e in report.length_regressions))]
     if report.failures:
         lines += ["", "## Failures", ""]
         for f in report.failures:

@@ -1,9 +1,11 @@
 """Classical inference: t-tests, simple OLS with F-test, and their tail kernels.
 
-The t and F tail probabilities are computed from the regularized incomplete
-beta function, evaluated by the standard continued fraction with the symmetry
-switch at x = (a + 1) / (a + b + 2).  All p-values are two-sided (for t) or
-upper-tail (for F); directionality is read off the sign of the estimate.
+Every p-value is one tail, ``f_upper_p``: the upper tail of F(df1, df2),
+from the regularized incomplete beta function, evaluated by the standard
+continued fraction with the symmetry switch at x = (a + 1) / (a + b + 2).
+The two-sided t tail at t on df degrees is that tail at F = t² on (1, df);
+directionality is read off the sign of the estimate.  Both t-tests build
+their result in ``_t_test``.
 Each test alone decides, from the values, when it cannot be computed: too
 few values, all of them equal (``min == max``, not a rounded sum), or a mean
 or sum of squares that overflows.  Overflow is read from the results, under
@@ -106,13 +108,10 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
 
 
 def two_sided_t_p(t: float, df: int) -> float:
-    """Two-sided tail probability of the t distribution with df degrees."""
+    """Two-sided tail of the t distribution on df: F(1, df)'s tail at t²."""
     if df < 1:
         raise StatsError(f"df must be >= 1, got {df}")
-    if t == 0.0:
-        return 1.0
-    x = df / (df + t * t)
-    return reg_inc_beta(df / 2.0, 0.5, x)
+    return f_upper_p(t * t, 1, df)
 
 
 def f_upper_p(F: float, df1: int, df2: int) -> float:
@@ -121,8 +120,6 @@ def f_upper_p(F: float, df1: int, df2: int) -> float:
         raise StatsError(f"F must be >= 0, got {F}")
     if df1 < 1 or df2 < 1:
         raise StatsError("degrees of freedom must be >= 1")
-    if F == 0.0:
-        return 1.0
     x = df2 / (df2 + df1 * F)
     return reg_inc_beta(df2 / 2.0, df1 / 2.0, x)
 
@@ -140,15 +137,18 @@ def summarize(values) -> GroupSummary:
     return GroupSummary(mean=mean, sd=sd, n=int(arr.size))
 
 
+def _t_test(estimate: float, se: float, df: int) -> TTestResult:
+    """The t-test of ``estimate`` with standard error ``se`` on ``df``."""
+    t = estimate / se
+    return TTestResult(estimate=estimate, t=t, df=df, p=two_sided_t_p(t, df))
+
+
 def one_sample_t(values, mu0: float) -> TTestResult:
     """One-sample t-test of the mean against mu0 (two-sided)."""
     s = summarize(values)
     if s.sd == 0.0:
         raise StatsError("one_sample_t: zero variance in sample")
-    t = (s.mean - mu0) / (s.sd / math.sqrt(s.n))
-    df = s.n - 1
-    return TTestResult(estimate=s.mean - mu0, t=t, df=df,
-                       p=two_sided_t_p(t, df))
+    return _t_test(s.mean - mu0, s.sd / math.sqrt(s.n), s.n - 1)
 
 
 def two_sample_pooled_t(a, b) -> tuple[TTestResult, GroupSummary, GroupSummary]:
@@ -162,10 +162,7 @@ def two_sample_pooled_t(a, b) -> tuple[TTestResult, GroupSummary, GroupSummary]:
         raise StatsError("two_sample_pooled_t: overflow: the pooled sum of "
                          "squares is not finite")
     se = math.sqrt(pooled_var * (1.0 / sa.n + 1.0 / sb.n))
-    t = (sa.mean - sb.mean) / se
-    result = TTestResult(estimate=sa.mean - sb.mean, t=t, df=df,
-                         p=two_sided_t_p(t, df))
-    return result, sa, sb
+    return _t_test(sa.mean - sb.mean, se, df), sa, sb
 
 
 def simple_ols(x, y) -> OlsResult:

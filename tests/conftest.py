@@ -2,16 +2,20 @@ import csv
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import sys
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from soundskew.boost import MODEL_FORMAT_VERSION, predict_prob
 from soundskew.corpus import CORPUS_COLUMNS, INVENTORY_COLUMNS, load_corpus
+from soundskew.labeling import HIGH, LOW, OMITTED
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 CORPUS_CSV = os.path.join(DATA_DIR, "corpus.csv")
 INVENTORY_CSV = os.path.join(DATA_DIR, "inventory.csv")
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench")
@@ -25,6 +29,14 @@ PAPER_CORPUS_CSV = os.environ.get(
 PAPER_INVENTORY_CSV = os.environ.get(
     "SOUNDSKEW_PAPER_INVENTORY",
     os.path.join(DATA_DIR, "paper_inventory.csv"))
+
+
+def child_env(src: str = SRC_DIR) -> dict:
+    """This process's environment for a child Python that imports
+    ``soundskew`` from ``src``, the checkout's ``src/`` unless given:
+    ``src`` goes first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
 @pytest.fixture(scope="session")
@@ -155,3 +167,29 @@ def serialized_gain_log(trees: list[dict]) -> list[tuple[int, float]]:
     for tree in trees:
         walk(tree)
     return log
+
+
+def beta_quadrature(a, b, x):
+    """Independent oracle: adaptive quadrature of the beta density."""
+    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    return integrate.quad(lambda t: math.exp(
+        log_norm + (a - 1) * math.log(t) + (b - 1) * math.log1p(-t)),
+        0.0, x, limit=200)[0]
+
+
+def normal_equation_ols(x, y):
+    """Independent oracle: (slope, intercept, R²) by the normal equations."""
+    A = np.column_stack([np.ones(len(x)), x])
+    coef = np.linalg.solve(A.T @ A, A.T @ np.asarray(y, dtype=float))
+    sse = float(((y - A @ coef) ** 2).sum())
+    sst = float(((y - np.mean(y)) ** 2).sum())
+    return coef[1], coef[0], 1.0 - sse / sst
+
+
+def sorted_median_labels(values) -> dict:
+    """Oracle: ``median_split``'s labels, with the median found by sorting."""
+    s = sorted(v for _, v in values)
+    n = len(s)
+    med = s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
+    return {sid: LOW if v < med else HIGH if v > med else OMITTED
+            for sid, v in values}

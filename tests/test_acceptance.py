@@ -17,7 +17,7 @@ import pytest
 from soundskew import runner
 from soundskew.boost import BoostParams, leaf_weight, train
 from soundskew.corpus import load_corpus
-from soundskew.labeling import HIGH, LOW, OMITTED, median_split
+from soundskew.labeling import median_split
 from soundskew.metrics import ConfusionMatrix, accuracy, fp_rate_skew_adjusted
 from soundskew.runner import ExperimentConfig, run_experiment
 from soundskew.stats import (
@@ -32,11 +32,13 @@ from tests.conftest import (
     INVENTORY_CSV,
     PAPER_CORPUS_CSV,
     PAPER_INVENTORY_CSV,
+    beta_quadrature,
     model_document,
+    normal_equation_ols,
     serialized,
+    sorted_median_labels,
     train_losses,
 )
-from tests.test_stats import beta_quadrature
 
 # Published reference points (Table 4 of the source study): mean accuracy
 # per (language, variable) cell, as fractions.
@@ -217,12 +219,9 @@ def test_criterion_6_oracle_equivalence_suites():
         if np.ptp(x) == 0:
             continue
         y = rng.normal() * x + rng.normal(0, 1, n)
-        A = np.column_stack([np.ones(n), x])
-        coef = np.linalg.solve(A.T @ A, A.T @ y)
         result = simple_ols(x, y)
-        assert result.intercept == pytest.approx(coef[0], rel=1e-10,
-                                                 abs=1e-12)
-        assert result.slope == pytest.approx(coef[1], rel=1e-10, abs=1e-12)
+        assert (result.slope, result.intercept) == pytest.approx(
+            normal_equation_ols(x, y)[:2], rel=1e-10, abs=1e-12)
 
     # pooled two-sample t vs OLS on an indicator, 1e-10
     for _ in range(100):
@@ -242,12 +241,7 @@ def test_criterion_6_oracle_equivalence_suites():
         n = int(rng.integers(1, 60))
         vals = rng.integers(-5, 6, size=n)
         values = [(str(i), float(v)) for i, v in enumerate(vals)]
-        split = median_split(values)
-        s = sorted(v for _, v in values)
-        med = s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
-        for sid, v in values:
-            expected = LOW if v < med else HIGH if v > med else OMITTED
-            assert split[sid] == expected
+        assert median_split(values) == sorted_median_labels(values)
 
     # reg_inc_beta vs quadrature, 1e-9
     for _ in range(100):

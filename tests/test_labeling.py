@@ -16,6 +16,7 @@ from soundskew.labeling import (
     median_split,
     subseed,
 )
+from tests.conftest import sorted_median_labels
 
 
 def make_set(n_low, n_high):
@@ -96,13 +97,7 @@ class TestMedianSplit:
             n = int(rng.integers(1, 51))
             vals = rng.integers(0, 10, size=n)
             values = [(str(i), float(v)) for i, v in enumerate(vals)]
-            split = median_split(values)
-            # sort-based oracle: midpoint of central order statistics
-            s = sorted(v for _, v in values)
-            med = s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
-            for sid, v in values:
-                expected = LOW if v < med else HIGH if v > med else OMITTED
-                assert split[sid] == expected
+            assert median_split(values) == sorted_median_labels(values)
 
 
 class TestBalance:

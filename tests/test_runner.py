@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
 import typing
@@ -30,7 +31,14 @@ from soundskew.runner import (
     hypothesis_h2,
     run_experiment,
 )
-from tests.conftest import CORPUS_CSV, INVENTORY_CSV, csv_rows
+from tests.conftest import (
+    CORPUS_CSV,
+    INVENTORY_CSV,
+    SRC_DIR,
+    child_env,
+    csv_rows,
+    normal_equation_ols,
+)
 
 FAST_BOOST = BoostParams(rounds=20, max_depth=3)
 
@@ -42,6 +50,8 @@ RECORD = {"language": "jpn", "variable": "Attack", "fold": 0, "seed": 1,
           "tp": 1, "fp": 0, "fn": 0, "tn": 1, "accuracy": 1.0, "fp_pct": None}
 RECORDS = [dict(RECORD, variable=variable, fold=fold)
            for variable in corpus.ATTRIBUTE_NAMES for fold in range(3)]
+FAILURE = {"language": "jpn", "variable": "Attack", "stage": "LabelingError",
+           "reason": "too few"}
 REPORT = {"version": 1, "timestamp": "", "config": CONFIG_KEYS,
           "languages": ["jpn"], "records": RECORDS, "failures": [],
           "aggregates": [], "h1": [], "length_regressions": [],
@@ -396,11 +406,9 @@ class TestLengthRegression:
         x = np.array([sum(not inv.is_tone[inv.index[t]] for t in r[3].split())
                       for r in rows if r[1] == "jpn"], dtype=float)
         y = np.array([float(r[4]) for r in rows if r[1] == "jpn"])
-        A = np.column_stack([np.ones(len(x)), x])
-        coef = np.linalg.solve(A.T @ A, A.T @ y)
-        assert jpn["Attack"].result.slope == pytest.approx(coef[1], abs=1e-9)
-        assert jpn["Attack"].result.intercept == pytest.approx(coef[0],
-                                                               abs=1e-9)
+        result = jpn["Attack"].result
+        assert (result.slope, result.intercept) \
+            == pytest.approx(normal_equation_ols(x, y)[:2], abs=1e-9)
 
 
 class TestEmitReport:
@@ -742,6 +750,14 @@ class TestCli:
             "jpn/Attack/1 has no record, and jpn/Attack no failure",
         "group-missing":
             "jpn/Height/0 has no record, and jpn/Height no failure",
+        "failure-unknown-group":
+            "failures[0]: language 'zzz' is not in languages ['jpn']",
+        "failure-with-records": "failures[0]: jpn/Attack has records",
+        "failure-repeated": "failures[1]: jpn/Attack repeats failures[0]",
+        "languages-not-config":
+            "languages ['jpn'] are not config.languages ['jpn', 'kor']",
+        "languages-repeated":
+            "languages: repeated entries in ['jpn', 'jpn']",
         "h1-n-null": "h1[0]: n must be an integer, got None",
         "timestamp-number": "timestamp must be a string, got 5",
         "languages-int": "languages must be a list of strings, got 7",
@@ -782,8 +798,21 @@ class TestCli:
             REPORT, records=[r for r in RECORDS if r["fold"] != 1]))),
         ("group-missing", json.dumps(dict(
             REPORT, records=[r for r in RECORDS if r["variable"] == "Attack"],
-            failures=[{"language": "jpn", "variable": "Defend",
-                       "stage": "LabelingError", "reason": "too few"}]))),
+            failures=[dict(FAILURE, variable="Defend")]))),
+        # a failure that the run could not have written, and languages that
+        # are not the run's
+        ("failure-unknown-group", json.dumps(dict(
+            REPORT, failures=[dict(FAILURE, language="zzz",
+                                   variable="Speed")]))),
+        ("failure-with-records",
+         json.dumps(dict(REPORT, failures=[FAILURE]))),
+        ("failure-repeated", json.dumps(dict(
+            REPORT, records=[r for r in RECORDS if r["variable"] != "Attack"],
+            failures=[FAILURE] * 2))),
+        ("languages-not-config", json.dumps(dict(
+            REPORT, config=dict(CONFIG_KEYS, languages=["jpn", "kor"])))),
+        ("languages-repeated",
+         json.dumps(dict(REPORT, languages=["jpn", "jpn"]))),
         # every part of a report is read, not only the records
         ("h1-n-null",
          json.dumps(dict(TABLES_REPORT, h1=[dict(H1_ENTRY, n=None)]))),
@@ -883,9 +912,7 @@ class TestCli:
         report = os.path.join(small_run.config.out_dir, "report.json")
         argv = {"validate": ["--config", config], "run": ["--config", config],
                 "stats": ["--report", report]}[command]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.dirname(os.path.dirname(cli.__file__)),
-             *filter(None, [os.environ.get("PYTHONPATH")])]))
+        env = child_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -961,7 +988,7 @@ class TestCli:
         config = self.write_config(
             tmp_path, corpus_path=corpus_path, inventory_path=inventory_path,
             variables=corpus.ATTRIBUTE_NAMES, boost_params={"rounds": 10})
-        src = os.path.dirname(os.path.dirname(cli.__file__))
+        src = SRC_DIR
         if where == "deep":
             copy = tmp_path / "a/deeper/path/to/a/copy/of/the/checkout/src"
             shutil.copytree(src, copy,
@@ -975,8 +1002,6 @@ class TestCli:
                  "if sys.argv[1] == 'no-op':\n"
                  "    cli._keep_heap_resident = lambda: None\n"
                  "sys.exit(cli.main(sys.argv[2:]))\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         faults, records = {}, {}
         for helper in ("import-only", "as-is", "no-op"):
             out = tmp_path / helper
@@ -984,8 +1009,18 @@ class TestCli:
                 proc = subprocess.Popen(
                     [sys.executable, "-c", child, helper, "run", "--config",
                      config, "--out", str(out)],
-                    env=env, stdout=log, stderr=subprocess.STDOUT)
-                _, status, usage = os.wait4(proc.pid, 0)
+                    env=child_env(src), stdout=log, stderr=subprocess.STDOUT)
+                # os.wait4 for the child's own rusage, killed if it hangs
+                timer = threading.Timer(300, proc.kill)
+                timer.start()
+                try:
+                    _, status, usage = os.wait4(proc.pid, 0)
+                except BaseException:
+                    proc.kill()
+                    proc.wait()
+                    raise
+                finally:
+                    timer.cancel()
             proc.returncode = os.waitstatus_to_exitcode(status)
             assert proc.returncode == 0, \
                 (tmp_path / f"{helper}.log").read_text()

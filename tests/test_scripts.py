@@ -22,6 +22,8 @@ import sys
 
 import pytest
 
+from tests.conftest import child_env
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DATA_INPUTS = ("data/config.json", "data/corpus.csv", "data/inventory.csv")
 DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos"))
@@ -49,10 +51,7 @@ def copy_checkout(tmp_path, *paths):
 def run_script(cwd, *args) -> str:
     """Run ``python3 *args`` in ``cwd`` on the checkout's ``src/``; assert
     that it exits 0 and return its standard output."""
-    src = os.path.abspath(os.path.join(ROOT, "src"))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=child_env(),
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return proc.stdout

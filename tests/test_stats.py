@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from scipy import integrate
 
 from soundskew.stats import (
     StatsError,
@@ -16,18 +15,7 @@ from soundskew.stats import (
     two_sample_pooled_t,
     two_sided_t_p,
 )
-
-
-def beta_quadrature(a, b, x):
-    """Independent oracle: adaptive quadrature of the beta density."""
-    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-
-    def density(t):
-        return math.exp(log_norm + (a - 1) * math.log(t)
-                        + (b - 1) * math.log1p(-t))
-
-    value, _ = integrate.quad(density, 0.0, x, limit=200)
-    return value
+from tests.conftest import beta_quadrature, normal_equation_ols
 
 
 # A sample of one repeated finite float: its values are all equal, however
@@ -36,6 +24,14 @@ def beta_quadrature(a, b, x):
 REPEATED_VALUE = st.floats(min_value=-1e300, max_value=1e300,
                            allow_nan=False)
 SAMPLE_SIZE = st.integers(2, 30)
+
+
+def tail_outcome(tail, t, df):
+    """A tail's p as its exact bits, or its ``StatsError`` text."""
+    try:
+        return tail(t, df).hex()
+    except StatsError as exc:
+        return f"StatsError: {exc}"
 
 
 class TestRegIncBeta:
@@ -94,6 +90,26 @@ class TestTwoSidedTP:
     def test_bad_df(self):
         with pytest.raises(StatsError):
             two_sided_t_p(1.0, 0)
+
+    @given(st.floats(), st.integers(1, 10_000))
+    @example(0.0, 1)
+    @example(-0.0, 10_000)
+    @example(5e-324, 7)             # subnormal: t² rounds to 0
+    @example(-1e-160, 2)
+    @example(1e160, 5)              # t² overflows to inf
+    @example(math.inf, 3)
+    @example(-math.inf, 1)
+    @example(math.nan, 3)
+    def test_is_the_closed_form_t_tail(self, t, df):
+        """The tail through ``f_upper_p(t², 1, df)`` is, bit for bit, the
+        closed form of the two-sided t tail, or fails with its text."""
+        def closed_form(t, df):
+            if t == 0.0:
+                return 1.0
+            return reg_inc_beta(df / 2, 0.5, df / (df + t * t))
+
+        assert tail_outcome(two_sided_t_p, t, df) \
+            == tail_outcome(closed_form, t, df)
 
 
 class TestFUpperP:
@@ -247,16 +263,6 @@ class TestTwoSamplePooledT:
             two_sample_pooled_t([1.0], [2.0, 3.0])
         with pytest.raises(StatsError):
             two_sample_pooled_t([1.0, 1.0], [1.0, 1.0])
-
-
-def normal_equation_ols(x, y):
-    """Independent oracle: solve the normal equations directly."""
-    A = np.column_stack([np.ones(len(x)), x])
-    coef = np.linalg.solve(A.T @ A, A.T @ np.asarray(y, dtype=float))
-    fitted = A @ coef
-    sse = float(((y - fitted) ** 2).sum())
-    sst = float(((y - np.mean(y)) ** 2).sum())
-    return coef[1], coef[0], 1.0 - sse / sst
 
 
 class TestSimpleOls:
