@@ -240,11 +240,11 @@ def read_report(path: str) -> ExperimentReport:
     and refuse a record that H1 and H2 would misread (its ``accuracy`` or
     ``fp_pct`` is not what its counts give, it repeats a (language,
     variable, fold), or the run has no such group or fold).  Then refuse
-    ``languages`` that repeat or are not the config's, and a failure that
-    names no group of the run, repeats, or names a group with records.
-    Last, refuse a report that lacks a record H1 and H2 would count: each
-    (language, variable) of the run has a record for every fold or a
-    failure."""
+    ``languages`` that are empty, repeat or are not the config's, and a
+    failure that names no group of the run, repeats, or names a group with
+    records.  Last, refuse a report that lacks a record H1 and H2 would
+    count: each (language, variable) of the run has a record for every fold
+    or a failure."""
     doc = read_json(path)
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != REPORT_FORMAT_VERSION:
@@ -281,6 +281,8 @@ def read_report(path: str) -> ExperimentReport:
             if stored != value:
                 raise ConfigError(f"{where}: {name} {stored!r} does not "
                                   f"match its counts ({value!r})")
+    if not languages:
+        raise ConfigError(f"{path}: languages must be non-empty")
     if len(set(languages)) < len(languages):
         raise ConfigError(f"{path}: languages: repeated entries in "
                           f"{languages}")

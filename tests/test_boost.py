@@ -182,9 +182,15 @@ class TestTrain:
         model = train(X, np.zeros(20, dtype=int), BoostParams(rounds=5))
         assert not (predict_prob(model, X) >= 0.5).any()
 
-    def test_empty_matrix_rejected(self):
-        with pytest.raises(BoostError):
-            train(np.zeros((0, 3)), np.zeros(0), BoostParams())
+    @pytest.mark.parametrize("X, y, message", [
+        (np.zeros((0, 3)), np.zeros(0), "X must be a non-empty 2-D matrix"),
+        (np.zeros((4, 3)), np.zeros(3), "y length must match X rows"),
+        (np.zeros((2, 3)), np.array([0, 2]), "labels must be 0 or 1"),
+    ], ids=["empty-matrix", "y-length", "labels"])
+    def test_bad_input_rejected(self, X, y, message):
+        with pytest.raises(BoostError) as info:
+            train(X, y, BoostParams())
+        assert str(info.value) == message
 
     def test_bit_identical_across_runs(self):
         rng = np.random.default_rng(4)
@@ -483,6 +489,7 @@ class TestParams:
         {"row_subsample": 0.0},
         {"col_subsample_per_node": 1.0001},
         {"base_score": 1.0},
+        {"min_child_weight": -0.5},
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(BoostError):

@@ -11,6 +11,7 @@ from soundskew.corpus import (
     ATTRIBUTE_NAMES,
     CHUNK_ROWS,
     CORPUS_COLUMNS,
+    INVENTORY_COLUMNS,
     Corpus,
     CorpusError,
     TokenInventory,
@@ -235,6 +236,7 @@ class TestLoadCorpus:
          "row 4: duplicate token 'a' in the 'xx' inventory"),
         (["xx,T:1,1"], "inventory for 'xx' has no non-tone token"),
         (["xx,a,0", "xx,b"], "row 3: expected 3 columns, got 2"),
+        (["xx,a,0", "", "xx,b"], "row 4: expected 3 columns, got 2"),
         (["xx,a,0", "xx,b,yes"], "row 3: is_tone must be 0 or 1, got 'yes'"),
         (["xx,a,0", "xx,b,0", "xx,a b,0"],
          "row 4: token 'a b' is not one whitespace-free word"),
@@ -243,13 +245,30 @@ class TestLoadCorpus:
         (["xx,a,0", " ,b,0"], "row 3: empty language"),
         (["xx,a,0", '"x\tx",b,0'],
          "row 3: language 'x\\tx' is not one whitespace-free word"),
-    ], ids=["duplicate", "all-tone", "columns", "is-tone", "spaced-token",
-            "empty-token", "empty-language", "spaced-language"])
+    ], ids=["duplicate", "all-tone", "columns", "columns-after-blank-line",
+            "is-tone", "spaced-token", "empty-token", "empty-language",
+            "spaced-language"])
     def test_inventory_error_names_file(self, write_corpus, rows, message):
         corpus, inventory = write_corpus([], rows)
         with pytest.raises(CorpusError) as info:
             load_corpus(corpus, inventory)
         assert str(info.value) == f"{inventory}: {message}"
+
+    @pytest.mark.parametrize("which, columns", [
+        (0, CORPUS_COLUMNS), (1, INVENTORY_COLUMNS)],
+        ids=["corpus", "inventory"])
+    def test_empty_file_names_its_header(self, write_corpus, which, columns):
+        paths = write_corpus([], TOY_INVENTORY)
+        open(paths[which], "w").close()
+        with pytest.raises(CorpusError) as info:
+            load_corpus(*paths)
+        assert str(info.value) == (f"{paths[which]}: empty file, expected "
+                                   f"header {','.join(columns)}")
+
+    def test_blank_inventory_line_is_skipped(self, write_corpus):
+        _, inventory = write_corpus([], ["xx,a,0", "", "xx,T:4,1"])
+        assert load_inventories(inventory) == {"xx": TokenInventory(
+            tokens=("a", "T:4"), is_tone=(False, True))}
 
     def test_empty_attribute_cell_is_missing(self, write_corpus):
         corpus, inventory = write_corpus(["n1,xx,ka,k a,,2,3,4"],

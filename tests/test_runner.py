@@ -64,6 +64,12 @@ H1_ENTRY = {"group": "Attack", "n": 0, "n_excluded": 1, "result": None,
             "untestable_reason": "fewer than 2 defined FP values"}
 TABLES_REPORT = dict(REPORT, aggregates=[AGGREGATE], h1=[H1_ENTRY])
 
+
+def report_text(base=REPORT, **changes) -> str:
+    """The text of a report.json: ``base`` with ``changes``."""
+    return json.dumps(dict(base, **changes))
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(max_size=4),
@@ -424,6 +430,12 @@ class TestEmitReport:
         assert sorted(runner.RECORD_COLUMNS) \
             == sorted(f.name for f in dataclasses.fields(IterationRecord))
 
+    def test_undefined_fp_pct_is_written_na(self):
+        # RECORD's fold has no errors, so its fp_pct is None
+        assert runner.records_tsv([IterationRecord(**RECORD)]).splitlines() \
+            == ["\t".join(runner.RECORD_COLUMNS),
+                "jpn\tAttack\t0\t1\t1\t0\t0\t1\t1\tNA"]
+
     def test_empty_record_set_still_valid(self, tmp_path):
         report = run_experiment(fast_config(
             languages=("jpn",), variables=("Attack",), out_dir=str(tmp_path),
@@ -565,17 +577,14 @@ class TestCli:
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", message)
 
-    def test_validate_bad_config_exits_1(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text("{}")
-        assert cli_main(["validate", "--config", str(path)]) == 1
-
     @pytest.mark.parametrize("text", [
         '{"k": 3',
         '{"k": ' + "1" * 5000 + "}",
         b"\xff\xfe{}",
         "[" * 100_000 + "]" * 100_000,
-    ], ids=["truncated", "overlong-int", "not-utf8", "nested-too-deep"])
+        "{}",                       # JSON, but neither a config nor a report
+    ], ids=["truncated", "overlong-int", "not-utf8", "nested-too-deep",
+            "empty-object"])
     def test_unreadable_json_exits_1_naming_file(self, tmp_path, capsys,
                                                  text):
         path = tmp_path / "bad.json"
@@ -649,8 +658,7 @@ class TestCli:
                    for fold in range(3)]
         path = tmp_path / "report.json"
         config = dict(CONFIG_KEYS, variables=["Attack", "Weight"])
-        path.write_text(json.dumps(dict(REPORT, config=config,
-                                        records=records)))
+        path.write_text(report_text(config=config, records=records))
         assert cli_main(["stats", "--report", str(path)]) == 0
         out = capsys.readouterr().out
         # H1 Attack, Weight, combat and size have zero variance, as has H2
@@ -722,127 +730,113 @@ class TestCli:
     # TypeError ends its message.
     MISSING = ("'failures', 'aggregates', 'h1', 'h2', 'length_regressions', "
                "and 'languages'")
-    BAD_REPORT_MESSAGES = {
-        "list": "unsupported report version None",
-        "no-config":
-            f"missing 7 required positional arguments: 'config', {MISSING}",
-        "version": "unsupported report version 99",
-        "version-only": "missing 8 required positional arguments: 'config', "
-                        f"'records', {MISSING}",
-        "int-list": "unsupported report version None",
-        "no-tables": f"missing 6 required positional arguments: {MISSING}",
-        "negative-count": "records[0]: confusion-matrix counts must be >= 0",
-        "string-fp-pct":
-            "records[0]: fp_pct must be a finite number, got '0.5'",
-        "record-list": "records[0] must be an object, got [1]",
-        "fp-pct-not-its-counts":
-            "records[0]: fp_pct 0.5 does not match its counts (None)",
-        "accuracy-not-its-counts":
-            "records[0]: accuracy 0.5 does not match its counts (1.0)",
-        "record-repeated": "records[1]: jpn/Attack/0 repeats records[0]",
-        "record-language":
-            "records[0]: language 'kor' is not in languages ['jpn']",
-        "record-variable": "records[0]: variable 'Speed' is not in "
-                           "config.variables ['Attack', 'Defend', 'Height', "
-                           "'Weight']",
-        "record-fold": "records[0]: fold 3 is outside [0, 3)",
-        "record-missing":
-            "jpn/Attack/1 has no record, and jpn/Attack no failure",
-        "group-missing":
-            "jpn/Height/0 has no record, and jpn/Height no failure",
-        "failure-unknown-group":
-            "failures[0]: language 'zzz' is not in languages ['jpn']",
-        "failure-with-records": "failures[0]: jpn/Attack has records",
-        "failure-repeated": "failures[1]: jpn/Attack repeats failures[0]",
-        "languages-not-config":
-            "languages ['jpn'] are not config.languages ['jpn', 'kor']",
-        "languages-repeated":
-            "languages: repeated entries in ['jpn', 'jpn']",
-        "h1-n-null": "h1[0]: n must be an integer, got None",
-        "timestamp-number": "timestamp must be a string, got 5",
-        "languages-int": "languages must be a list of strings, got 7",
-        "aggregate-count-string":
-            "aggregates[0]: n_iterations must be an integer, got 'three'",
-        "h2-unknown-key": "h2: unknown keys: ['bogus']",
-    }
-
-    @pytest.mark.parametrize("name, text", [
-        ("list", "[]"),
-        ("no-config", '{"version": 1, "records": []}'),
-        ("version", '{"version": 99}'),
-        ("version-only", '{"version": 1}'),
-        ("int-list", "[1]"),
+    INIT = "ExperimentReport.__init__() missing"
+    # (name, report text, the message that stats prints after the path)
+    BAD_REPORTS = [
+        ("list", "[]", "unsupported report version None"),
+        ("no-config", '{"version": 1, "records": []}',
+         f"{INIT} 7 required positional arguments: 'config', {MISSING}"),
+        ("version", '{"version": 99}', "unsupported report version 99"),
+        ("version-only", '{"version": 1}',
+         f"{INIT} 8 required positional arguments: 'config', 'records', "
+         f"{MISSING}"),
+        ("int-list", "[1]", "unsupported report version None"),
         ("no-tables", json.dumps({"version": 1, "config": CONFIG_KEYS,
-                                  "records": []})),
-        ("negative-count",
-         json.dumps(dict(REPORT, records=[dict(RECORD, tp=-1)]))),
-        ("string-fp-pct",
-         json.dumps(dict(REPORT, records=[dict(RECORD, fp_pct="0.5")]))),
-        ("record-list", json.dumps(dict(REPORT, records=[[1]]))),
+                                  "records": []}),
+         f"{INIT} 6 required positional arguments: {MISSING}"),
+        ("negative-count", report_text(records=[dict(RECORD, tp=-1)]),
+         "records[0]: confusion-matrix counts must be >= 0"),
+        ("string-fp-pct", report_text(records=[dict(RECORD, fp_pct="0.5")]),
+         "records[0]: fp_pct must be a finite number, got '0.5'"),
+        ("record-list", report_text(records=[[1]]),
+         "records[0] must be an object, got [1]"),
         # a record must hold what its own counts give (fp_pct None, 1.0)
         ("fp-pct-not-its-counts",
-         json.dumps(dict(REPORT, records=[dict(RECORD, fp_pct=0.5)]))),
+         report_text(records=[dict(RECORD, fp_pct=0.5)]),
+         "records[0]: fp_pct 0.5 does not match its counts (None)"),
         ("accuracy-not-its-counts",
-         json.dumps(dict(REPORT, records=[dict(RECORD, accuracy=0.5)]))),
+         report_text(records=[dict(RECORD, accuracy=0.5)]),
+         "records[0]: accuracy 0.5 does not match its counts (1.0)"),
         # a record that H1 and H2 would count twice, or that the run has no
         # group or fold for
-        ("record-repeated", json.dumps(dict(REPORT, records=[RECORD] * 2))),
+        ("record-repeated", report_text(records=[RECORD] * 2),
+         "records[1]: jpn/Attack/0 repeats records[0]"),
         ("record-language",
-         json.dumps(dict(REPORT, records=[dict(RECORD, language="kor")]))),
+         report_text(records=[dict(RECORD, language="kor")]),
+         "records[0]: language 'kor' is not in languages ['jpn']"),
         ("record-variable",
-         json.dumps(dict(REPORT, records=[dict(RECORD, variable="Speed")]))),
-        ("record-fold",
-         json.dumps(dict(REPORT, records=[dict(RECORD, fold=3)]))),
+         report_text(records=[dict(RECORD, variable="Speed")]),
+         "records[0]: variable 'Speed' is not in config.variables "
+         "['Attack', 'Defend', 'Height', 'Weight']"),
+        ("record-fold", report_text(records=[dict(RECORD, fold=3)]),
+         "records[0]: fold 3 is outside [0, 3)"),
+        # a record whose metrics its counts leave undefined
+        ("record-empty-matrix",
+         report_text(records=[dict(RECORD, tp=0, tn=0)]),
+         "records[0]: accuracy of an empty matrix is undefined"),
+        ("record-one-class", report_text(records=[dict(RECORD, tp=0)]),
+         "records[0]: fp_rate_skew_adjusted needs both classes in the test "
+         "set"),
         # a group of the run without all of its folds and without a failure
-        ("record-missing", json.dumps(dict(
-            REPORT, records=[r for r in RECORDS if r["fold"] != 1]))),
-        ("group-missing", json.dumps(dict(
-            REPORT, records=[r for r in RECORDS if r["variable"] == "Attack"],
-            failures=[dict(FAILURE, variable="Defend")]))),
+        ("record-missing",
+         report_text(records=[r for r in RECORDS if r["fold"] != 1]),
+         "jpn/Attack/1 has no record, and jpn/Attack no failure"),
+        ("group-missing", report_text(
+            records=[r for r in RECORDS if r["variable"] == "Attack"],
+            failures=[dict(FAILURE, variable="Defend")]),
+         "jpn/Height/0 has no record, and jpn/Height no failure"),
         # a failure that the run could not have written, and languages that
         # are not the run's
-        ("failure-unknown-group", json.dumps(dict(
-            REPORT, failures=[dict(FAILURE, language="zzz",
-                                   variable="Speed")]))),
-        ("failure-with-records",
-         json.dumps(dict(REPORT, failures=[FAILURE]))),
-        ("failure-repeated", json.dumps(dict(
-            REPORT, records=[r for r in RECORDS if r["variable"] != "Attack"],
-            failures=[FAILURE] * 2))),
-        ("languages-not-config", json.dumps(dict(
-            REPORT, config=dict(CONFIG_KEYS, languages=["jpn", "kor"])))),
-        ("languages-repeated",
-         json.dumps(dict(REPORT, languages=["jpn", "jpn"]))),
+        ("failure-unknown-group", report_text(
+            failures=[dict(FAILURE, language="zzz", variable="Speed")]),
+         "failures[0]: language 'zzz' is not in languages ['jpn']"),
+        ("failure-with-records", report_text(failures=[FAILURE]),
+         "failures[0]: jpn/Attack has records"),
+        ("failure-repeated", report_text(
+            records=[r for r in RECORDS if r["variable"] != "Attack"],
+            failures=[FAILURE] * 2),
+         "failures[1]: jpn/Attack repeats failures[0]"),
+        ("languages-not-config", report_text(
+            config=dict(CONFIG_KEYS, languages=["jpn", "kor"])),
+         "languages ['jpn'] are not config.languages ['jpn', 'kor']"),
+        ("languages-repeated", report_text(languages=["jpn", "jpn"]),
+         "languages: repeated entries in ['jpn', 'jpn']"),
+        # a run never writes one: resolve_languages refuses an empty corpus
+        ("languages-empty", report_text(languages=[], records=[]),
+         "languages must be non-empty"),
         # every part of a report is read, not only the records
-        ("h1-n-null",
-         json.dumps(dict(TABLES_REPORT, h1=[dict(H1_ENTRY, n=None)]))),
-        ("timestamp-number", json.dumps(dict(TABLES_REPORT, timestamp=5))),
-        ("languages-int", json.dumps(dict(TABLES_REPORT, languages=7))),
-        ("aggregate-count-string", json.dumps(dict(
-            TABLES_REPORT,
-            aggregates=[dict(AGGREGATE, n_iterations="three")]))),
-        ("h2-unknown-key", json.dumps(dict(
-            TABLES_REPORT, h2=dict(REPORT["h2"], bogus=1)))),
-    ])
-    def test_stats_bad_report_exits_1(self, tmp_path, capsys, name, text):
-        """Refused, naming the file and the cause.  A missing key is named
-        by Python's TypeError, whose text before the list of missing
-        arguments differs between Python versions."""
+        ("h1-n-null", report_text(TABLES_REPORT, h1=[dict(H1_ENTRY, n=None)]),
+         "h1[0]: n must be an integer, got None"),
+        ("timestamp-number", report_text(TABLES_REPORT, timestamp=5),
+         "timestamp must be a string, got 5"),
+        ("languages-int", report_text(TABLES_REPORT, languages=7),
+         "languages must be a list of strings, got 7"),
+        ("aggregate-count-string", report_text(
+            TABLES_REPORT, aggregates=[dict(AGGREGATE, n_iterations="three")]),
+         "aggregates[0]: n_iterations must be an integer, got 'three'"),
+        ("h2-unknown-key",
+         report_text(TABLES_REPORT, h2=dict(REPORT["h2"], bogus=1)),
+         "h2: unknown keys: ['bogus']"),
+        # earlier versions wrote a perfect fit's F as Infinity, not JSON
+        ("infinite-F", report_text(TABLES_REPORT, length_regressions=[
+            {"language": "xx", "variable": "Attack", "n": 3, "result": {
+                "slope": 10.0, "intercept": 0.0, "F": float("inf"),
+                "df1": 1, "df2": 1, "p": 0.0, "r2": 1.0},
+             "untestable_reason": None}]),
+         "length_regressions[0]: result: F must be a finite number, got inf"),
+    ]
+
+    @pytest.mark.parametrize("text, message", [row[1:] for row in BAD_REPORTS],
+                             ids=[row[0] for row in BAD_REPORTS])
+    def test_stats_bad_report_exits_1(self, tmp_path, capsys, text, message):
+        """Refused with one line naming the file and the cause.  A missing
+        key is named by Python's TypeError."""
         path = tmp_path / "report.json"
         path.write_text(text)
         assert cli_main(["stats", "--report", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}: ")
-        assert captured.err.endswith(f"{self.BAD_REPORT_MESSAGES[name]}\n")
-
-    def test_bad_report_message_names_the_value(self, tmp_path, capsys):
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(
-            dict(TABLES_REPORT, h1=[dict(H1_ENTRY, n=None)])))
-        assert cli_main(["stats", "--report", str(path)]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: {path}: h1[0]: n must be an integer, got None")
+        assert captured.err == f"error: {path}: {message}\n"
 
     def test_smallest_report_is_read(self, tmp_path, capsys):
         # the reports that the bad-report cases change one part of, and a
@@ -1134,20 +1128,18 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             f"error: {paths[name]}: line {line}: ")
 
-    def test_missing_file_exits_1(self, capsys):
-        assert cli_main(["validate", "--config", "/nonexistent.json"]) == 1
-
     def test_directory_input_exits_1_naming_path(self, tmp_path, capsys,
                                                  monkeypatch):
         """A path that the OS refuses is bad input, whatever the refusal:
-        a directory, a name too long, a symlink loop, which names itself as
-        one even where ``--out`` is the loop."""
+        a directory, a missing file, a name too long, a symlink loop, which
+        names itself as one even where ``--out`` is the loop."""
         config = self.write_config(
             tmp_path, boost_params={"rounds": 1, "max_depth": 1})
         loop = tmp_path / "loop"
         loop.symlink_to(loop)
         cases = [["validate", "--config", str(tmp_path)],
-                 ["stats", "--report", str(tmp_path)]]
+                 ["stats", "--report", str(tmp_path)],
+                 ["validate", "--config", str(tmp_path / "absent.json")]]
         for path in (tmp_path / ("x" * 300), loop / "out"):
             cases += [["validate", "--config", str(path)],
                       ["stats", "--report", str(path)],
@@ -1376,22 +1368,6 @@ class TestReportFile:
         markdown = (tmp_path / "out" / "report.md").read_text()
         assert "| xx | Attack | 1, 1 | inf | 0 | 1.000 |" in markdown
         assert runner.report_markdown(decoded) == markdown
-
-    def test_infinite_F_in_report_exits_1_naming_the_value(self, tmp_path,
-                                                           capsys):
-        # Earlier versions wrote a perfect fit's F as Infinity, which is
-        # not JSON.
-        fit = {"slope": 10.0, "intercept": 0.0, "F": float("inf"), "df1": 1,
-               "df2": 1, "p": 0.0, "r2": 1.0}
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(dict(TABLES_REPORT, length_regressions=[
-            {"language": "xx", "variable": "Attack", "n": 3, "result": fit,
-             "untestable_reason": None}])))
-        assert '"F": Infinity' in path.read_text()
-        assert cli_main(["stats", "--report", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {path}: length_regressions[0]: result: F must be a "
-            f"finite number, got inf\n")
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
