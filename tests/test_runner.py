@@ -838,6 +838,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {path}: {message}\n"
 
+    def test_bad_report_message_names_the_value(self, tmp_path, capsys):
+        # a bool is not an integer, nor is a whole float or a numeral
+        path = tmp_path / "report.json"
+        for n in (None, True, 3.0, "3"):
+            path.write_text(report_text(TABLES_REPORT,
+                                        h1=[dict(H1_ENTRY, n=n)]))
+            assert cli_main(["stats", "--report", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {path}: h1[0]: n must be an integer, got {n!r}\n")
+
     def test_smallest_report_is_read(self, tmp_path, capsys):
         # the reports that the bad-report cases change one part of, and a
         # report whose config names a boost seed, which only config files
@@ -1128,18 +1138,26 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             f"error: {paths[name]}: line {line}: ")
 
+    def test_missing_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        for argv in (["validate", "--config", str(path)],
+                     ["stats", "--report", str(path)]):
+            assert cli_main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: [Errno {errno.ENOENT}] "
+                f"{os.strerror(errno.ENOENT)}: '{path}'\n")
+
     def test_directory_input_exits_1_naming_path(self, tmp_path, capsys,
                                                  monkeypatch):
         """A path that the OS refuses is bad input, whatever the refusal:
-        a directory, a missing file, a name too long, a symlink loop, which
-        names itself as one even where ``--out`` is the loop."""
+        a directory, a name too long, a symlink loop, which names itself as
+        one even where ``--out`` is the loop."""
         config = self.write_config(
             tmp_path, boost_params={"rounds": 1, "max_depth": 1})
         loop = tmp_path / "loop"
         loop.symlink_to(loop)
         cases = [["validate", "--config", str(tmp_path)],
-                 ["stats", "--report", str(tmp_path)],
-                 ["validate", "--config", str(tmp_path / "absent.json")]]
+                 ["stats", "--report", str(tmp_path)]]
         for path in (tmp_path / ("x" * 300), loop / "out"):
             cases += [["validate", "--config", str(path)],
                       ["stats", "--report", str(path)],
