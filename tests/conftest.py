@@ -13,6 +13,7 @@ from scipy import integrate
 from soundskew.boost import MODEL_FORMAT_VERSION, predict_prob
 from soundskew.corpus import CORPUS_COLUMNS, INVENTORY_COLUMNS, load_corpus
 from soundskew.labeling import HIGH, LOW, OMITTED
+from soundskew.metrics import ConfusionMatrix
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -29,6 +30,14 @@ PAPER_CORPUS_CSV = os.environ.get(
 PAPER_INVENTORY_CSV = os.environ.get(
     "SOUNDSKEW_PAPER_INVENTORY",
     os.path.join(DATA_DIR, "paper_inventory.csv"))
+
+# Published confusion matrices: a character-name classifier (threat =
+# post-evolution) and a given-name classifier (threat = male).
+NAMES_CM = ConfusionMatrix(tp=667, fn=300, fp=444, tn=479)
+GIVEN_NAMES_CM = ConfusionMatrix(tp=28918, fn=6461, fp=12623, tn=9539)
+
+# BoostParams keywords that turn row and column subsampling off.
+NO_SAMPLING = dict(row_subsample=1.0, col_subsample_per_node=1.0)
 
 
 def child_env(src: str = SRC_DIR) -> dict:

@@ -670,8 +670,9 @@ class TestCli:
                                                    command):
         config = self.write_config(tmp_path, variables=[])
         assert cli_main([command, "--config", config]) == 1
-        assert capsys.readouterr().err \
-            == f"error: {config}: variables must be non-empty when given\n"
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {config}: variables must be non-empty when given\n")
         assert not (tmp_path / "out").exists()
 
     def test_run_and_stats_and_report(self, tmp_path, capsys):
@@ -892,9 +893,9 @@ class TestCli:
         config = self.write_config(tmp_path, corpus_path=corpus_path,
                                    inventory_path=inventory_path)
         assert cli_main([command, "--config", config]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {corpus_path}: entry '{rows[0][0]}': ")
-        assert "32768 times" in err
+        assert capsys.readouterr().err == (
+            f"error: {corpus_path}: entry '{rows[0][0]}': a token occurs "
+            "32768 times, more than 32767\n")
 
     def test_run_seed_and_out_overrides(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
@@ -1035,69 +1036,96 @@ class TestCli:
         base = faults["import-only"]
         assert faults["as-is"] - base < (faults["no-op"] - base) / 2, faults
 
-    @pytest.mark.parametrize("overrides, message", [
-        ({"boost_params": {"roundz": 3}}, "'roundz'"),
-        ({"boost_params": {"rounds": 0}}, "rounds must be >= 1"),
-        ({"k": "3"}, "k must be an integer"),
-        ({"variables": ["Speed"]}, "variables: unknown attributes"),
-        # a wrong JSON type names the config file too
-        ({"threat_direction": ["Attack"]},
-         "config.json: threat_direction must be an object"),
-        ({"languages": 5}, "config.json: languages must be a list of strings"),
-        ({"languages": "jpn"},
-         "config.json: languages must be a list of strings"),
-        ({"variables": None},
-         "config.json: variables must be a list of strings"),
-        ({"combat_set": ["Attack", 1]},
-         "config.json: combat_set must be a list of strings"),
-        ({"out_dir": 5}, "config.json: out_dir must be a string"),
-        ({"boost_params": {"rounds": 2.5}},
-         "config.json: boost_params: rounds must be an integer"),
-        ({"boost_params": {"learning_rate": True}},
-         "config.json: boost_params: learning_rate must be a finite number"),
-        ({"boost_params": {"l2_lambda": float("nan")}},
-         "config.json: boost_params: l2_lambda must be a finite number"),
-        ({"boost_params": {"min_child_weight": 10 ** 400}},
-         "config.json: boost_params: min_child_weight must be a finite "),
-        ({"boost_params": 5}, "config.json: boost_params must be an object"),
+    # (name, config keys over write_config's, the message after the path)
+    BAD_CONFIGS = [
+        ("roundz", {"boost_params": {"roundz": 3}},
+         "boost_params: unknown keys: ['roundz']"),
+        ("rounds", {"boost_params": {"rounds": 0}},
+         "boost_params: rounds must be >= 1"),
+        ("k", {"k": "3"}, "k must be an integer, got '3'"),
+        ("variables", {"variables": ["Speed"]},
+         "variables: unknown attributes ['Speed']; expected a subset of "
+         "['Attack', 'Defend', 'Height', 'Weight']"),
+        # a wrong JSON type
+        ("threat-list", {"threat_direction": ["Attack"]},
+         "threat_direction must be an object, got ['Attack']"),
+        ("languages-int", {"languages": 5},
+         "languages must be a list of strings, got 5"),
+        ("languages-str", {"languages": "jpn"},
+         "languages must be a list of strings, got 'jpn'"),
+        ("variables-null", {"variables": None},
+         "variables must be a list of strings, got None"),
+        ("combat-int-item", {"combat_set": ["Attack", 1]},
+         "combat_set must be a list of strings, got ['Attack', 1]"),
+        ("out-dir-int", {"out_dir": 5}, "out_dir must be a string, got 5"),
+        ("rounds-float", {"boost_params": {"rounds": 2.5}},
+         "boost_params: rounds must be an integer, got 2.5"),
+        ("rate-bool", {"boost_params": {"learning_rate": True}},
+         "boost_params: learning_rate must be a finite number, got True"),
+        ("lambda-nan", {"boost_params": {"l2_lambda": float("nan")}},
+         "boost_params: l2_lambda must be a finite number, got nan"),
+        ("weight-overflow", {"boost_params": {"min_child_weight": 10 ** 400}},
+         "boost_params: min_child_weight must be a finite number, got "
+         f"{10 ** 400}"),
+        ("params-int", {"boost_params": 5},
+         "boost_params must be an object, got 5"),
         # the runner derives each fit's seed, so this one would go unused
-        ({"boost_params": {"seed": 5}}, "config.json: boost_params: seed "),
-        # the config's own rules name the file too
-        ({"k": 1}, "k must be >= 2"),
-        ({"combat_set": ["Attack"], "size_set": ["Attack"]},
+        ("params-seed", {"boost_params": {"seed": 5}},
+         "boost_params: seed is derived per fit from the top-level seed; set "
+         "seed instead"),
+        # the config's own rules
+        ("k-1", {"k": 1}, "k must be >= 2"),
+        ("overlapping-sets",
+         {"combat_set": ["Attack"], "size_set": ["Attack"]},
          "combat_set and size_set must be disjoint"),
-        ({"threat_direction": {"Attack": "up"}},
+        ("threat-value", {"threat_direction": {"Attack": "up"}},
          "threat_direction['Attack'] must be 'high' or 'low'"),
-        ({"formats": ["pdf"]}, "unknown report formats: ['pdf']"),
-        ({"formats": []}, "formats must be non-empty"),
-        ({"languages": []}, "languages must be non-empty when given"),
+        ("formats", {"formats": ["pdf"]}, "unknown report formats: ['pdf']"),
+        ("formats-empty", {"formats": []}, "formats must be non-empty"),
+        ("languages-empty", {"languages": []},
+         "languages must be non-empty when given"),
         # a repeated group would be counted twice in H1, H2 and the OLS
-        ({"languages": ["jpn", "jpn"]}, "languages: repeated entries"),
-        ({"variables": ["Attack", "Attack"]}, "variables: repeated entries"),
+        ("languages-repeated", {"languages": ["jpn", "jpn"]},
+         "languages: repeated entries in ['jpn', 'jpn']"),
+        ("variables-repeated", {"variables": ["Attack", "Attack"]},
+         "variables: repeated entries in ['Attack', 'Attack']"),
         # a misspelt attribute would silently keep the default direction
-        ({"threat_direction": {"attack": "low"}},
-         "threat_direction: unknown attributes ['attack']"),
-    ], ids=["roundz", "rounds", "k", "variables", "threat-list",
-            "languages-int", "languages-str", "variables-null",
-            "combat-int-item", "out-dir-int", "rounds-float", "rate-bool",
-            "lambda-nan", "weight-overflow", "params-int", "params-seed",
-            "k-1",
-            "overlapping-sets", "threat-value", "formats", "formats-empty",
-            "languages-empty",
-            "languages-repeated", "variables-repeated", "threat-key"])
+        ("threat-key", {"threat_direction": {"attack": "low"}},
+         "threat_direction: unknown attributes ['attack']; expected a subset "
+         "of ['Attack', 'Defend', 'Height', 'Weight']"),
+        ("unknown-key", {"bogus": 1}, "unknown keys: ['bogus']"),
+    ]
+
+    @pytest.mark.parametrize("overrides, message",
+                             [row[1:] for row in BAD_CONFIGS],
+                             ids=[row[0] for row in BAD_CONFIGS])
     def test_config_mistake_exits_1_naming_key(self, tmp_path, capsys,
                                                overrides, message):
+        """Refused by validate and by run with one line naming the config
+        file and the cause, before run makes its output directory."""
         config = self.write_config(tmp_path, **overrides)
-        assert cli_main(["run", "--config", config]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {config}: ")
-        assert message in err
+        for command in ("validate", "run"):
+            assert cli_main([command, "--config", config]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) \
+                == ("", f"error: {config}: {message}\n")
+            assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("column, cell", [
-        (4, "-3"), (4, "inf"), (5, "nan"), (3, ""), (6, "tall"),
-    ], ids=["negative", "inf", "nan", "blank-transcription", "non-numeric"])
+    @pytest.mark.parametrize("column, cell, message", [
+        pytest.param(4, "-3", "entry 'jpn-0004': attribute Attack = -3.0 "
+                     "must be finite and non-negative", id="negative"),
+        pytest.param(4, "inf", "entry 'jpn-0004': attribute Attack = inf "
+                     "must be finite and non-negative", id="inf"),
+        pytest.param(5, "nan", "entry 'jpn-0004': attribute Defend = nan "
+                     "must be finite and non-negative", id="nan"),
+        pytest.param(3, "", "entry 'jpn-0004' has an empty transcription",
+                     id="blank-transcription"),
+        pytest.param(6, "tall",
+                     "attribute column 'height' is not numeric: 'tall'",
+                     id="non-numeric"),
+    ])
     def test_bad_corpus_row_exits_1_naming_file_and_row(
-            self, tmp_path, capsys, write_corpus, column, cell):
+            self, tmp_path, capsys, write_corpus, column, cell, message):
         rows = csv_rows(CORPUS_CSV)
         rows[4][column] = cell          # file row 6, after the header
         corpus_path, inventory_path = write_corpus(rows,
@@ -1105,8 +1133,8 @@ class TestCli:
         config = self.write_config(tmp_path, corpus_path=corpus_path,
                                    inventory_path=inventory_path)
         assert cli_main(["validate", "--config", config]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {corpus_path}: row 6: ")
+        assert capsys.readouterr().err \
+            == f"error: {corpus_path}: row 6: {message}\n"
 
     @pytest.mark.parametrize("fault", ["not-utf8", "field-too-long"])
     @pytest.mark.parametrize("name, line, ending", [
@@ -1251,7 +1279,7 @@ class TestCli:
             overrides = {"boost_params": {**stumps, path[1]: value}}
         config = self.write_config(tmp_path, **overrides)
         assert cli_main(["run", "--config", config]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {config}: ")
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
