@@ -6,9 +6,10 @@ does (``label_group``), then a second-order boosted tree ensemble, trained
 and counted as a run does fold 0 (``fit_fold``, ``fit_seed``) on the int16
 counts that the loader stores, so its counts are the shipped run's
 jpn/Attack fold 0 record.
-Prints the loss curve, the confusion matrix of one fold, and the
-highest-gain features.  The model keeps only its trees; the training loss
-after round ``r`` is recomputed from the first ``r`` of them.
+Prints how many names each labeling stage kept, the loss curve, the
+confusion matrix of one fold, and the highest-gain features.  The model
+keeps only its trees; the training loss after round ``r`` is recomputed
+from the first ``r`` of them.
 """
 
 import dataclasses
@@ -40,8 +41,10 @@ features = corpus.counts["jpn"]
 attack = corpus.attributes[corpus.language == "jpn",
                            ATTRIBUTE_NAMES.index("Attack")]
 
-rows, y, folds = label_group(attack, "jpn", "Attack", 3, SEED)
-print(f"{len(features)} names -> {len(rows)} after split+balance")
+rows, y, folds, funnel = label_group(attack, "jpn", "Attack", 3, SEED)
+print(f"{len(features)} names: {funnel.values} with an Attack value, "
+      f"{funnel.omitted} tied with the median, {funnel.kept} kept after "
+      f"balance")
 
 X = features[rows]
 in_test = folds == 0

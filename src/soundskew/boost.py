@@ -31,15 +31,15 @@ All trees of a model are one node table in preorder, tree after tree
 (``Trees``): parallel arrays ``feature``, ``threshold``, ``gain``, ``left``,
 ``right`` and ``value``, where a leaf's children are the leaf itself.  So a
 row reaches its leaf in every tree after at most ``max_depth`` vectorized
-gathers, with no recursion: training routes all its rows through each new
-tree that way, and ``predict_margin`` routes the rows through blocks of
-trees and adds the leaf values to the base margin tree by tree.  So
-``predict_margin`` on the first ``r`` trees repeats training's margin sums,
-and training's loss curve can be recomputed bit for bit from a model and its
-training rows.  ``model_to_json`` writes the table as the nested node form
-of an XGBoost JSON dump: a leaf is ``{"weight": w}`` and a split is
-``{"feature": j, "threshold": t, "gain": g, "left": ..., "right": ...}``,
-routing ``x[j] < t`` to the left child.
+gathers, with no recursion.  One function, ``_add_leaf_values``, routes
+rows that way and adds the leaf values to their margins tree by tree:
+training calls it with each new tree, and ``predict_margin`` with all of
+them.  So ``predict_margin`` on the first ``r`` trees repeats training's
+margin sums, and training's loss curve can be recomputed bit for bit from a
+model and its training rows.  ``model_to_json`` writes the table as the
+nested node form of an XGBoost JSON dump: a leaf is ``{"weight": w}`` and a
+split is ``{"feature": j, "threshold": t, "gain": g, "left": ...,
+"right": ...}``, routing ``x[j] < t`` to the left child.
 """
 
 from __future__ import annotations
@@ -141,7 +141,11 @@ class BoostModel:
     trees: Trees
     params: BoostParams
     n_features: int
-    base_margin: float
+
+    @property
+    def base_margin(self) -> float:
+        """The margin before any tree, ``logit(params.base_score)``."""
+        return logit(self.params.base_score)
 
     @property
     def split_gain_log(self) -> list[tuple[int, float]]:
@@ -323,20 +327,22 @@ def _routable(X) -> np.ndarray:
     return np.ascontiguousarray(X, None if exact else float)
 
 
-def _leaves(trees: Trees, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Leaf id of every (root, row of ``X``): ``trees.depth`` gathers.
-
-    A leaf routes to itself, so the routes of shallower trees stay put.  The
-    result has shape ``(len(roots), len(X))``, or ``(len(roots), 1)`` (every
-    row at its root) when ``trees.depth`` is 0.
-    """
+def _add_leaf_values(trees: Trees, roots: np.ndarray, X: np.ndarray,
+                     margins: np.ndarray) -> None:
+    """Add to ``margins`` the leaf value that each row of ``X`` reaches in
+    each tree of ``roots``, tree by tree.  The trees are routed in blocks of
+    about 2**16 (tree, row) pairs, so memory stays O(rows); a leaf routes to
+    itself, so ``trees.depth`` gathers route every tree of a block."""
     row_start = np.arange(0, X.size, X.shape[1])
-    node = roots[:, None]
-    for _ in range(trees.depth):
-        x = X.take(row_start + trees.feature.take(node))
-        node = np.where(x < trees.threshold.take(node),
-                        trees.left.take(node), trees.right.take(node))
-    return node
+    step = max(1, 2**16 // max(1, X.shape[0]))
+    for s in range(0, len(roots), step):
+        node = roots[s:s + step, None]
+        for _ in range(trees.depth):
+            x = X.take(row_start + trees.feature.take(node))
+            node = np.where(x < trees.threshold.take(node),
+                            trees.left.take(node), trees.right.take(node))
+        for values in trees.value.take(node):
+            margins += values
 
 
 def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
@@ -357,8 +363,7 @@ def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
     XT = np.ascontiguousarray(X.T)
     order = np.argsort(XT, axis=1, kind="stable")
     rng = np.random.default_rng(params.seed)
-    base_margin = logit(params.base_score)
-    margins = np.full(n, base_margin)
+    margins = np.full(n, logit(params.base_score))
     rows = n
     if params.row_subsample < 1.0:
         rows = max(1, int(math.floor(params.row_subsample * n)))
@@ -392,32 +397,21 @@ def train(X: np.ndarray, y: np.ndarray, params: BoostParams) -> BoostModel:
         free = _build_tree(XT, gh, idx, order, keep, params, rng, nodes, free)
         ends[r] = free
         if r + 1 < params.rounds:              # the last update is unread
-            leaf = _leaves(nodes, roots[r:r + 1], X)
-            margins += nodes.value.take(leaf[0])
+            _add_leaf_values(nodes, roots[r:r + 1], X, margins)
     trees = _map_nodes(nodes, lambda a: a[:free].copy())
-    return BoostModel(trees=trees, params=params, n_features=X.shape[1],
-                      base_margin=base_margin)
+    return BoostModel(trees=trees, params=params, n_features=X.shape[1])
 
 
 def predict_margin(model: BoostModel, X: np.ndarray) -> np.ndarray:
-    """Raw margin of each row of the 2-D ``X``: base margin plus the sum of
-    (scaled) leaf weights.
-
-    The leaf values are added to the base margin tree by tree, as training
-    added them.  ``X`` is routed as ``_routable`` keeps it, a block of trees
-    at a time, about 2**16 (tree, row) pairs, so memory stays O(rows).
-    """
+    """Raw margin of each row of the 2-D ``X``, routed as ``_routable``
+    keeps it: the base margin plus the (scaled) leaf weights, added as
+    training adds them."""
     X = _routable(X)
     if X.shape[1] != model.n_features:
         raise BoostError(
             f"expected {model.n_features} features, got {X.shape[1]}")
-    trees = model.trees
     margins = np.full(X.shape[0], model.base_margin)
-    step = max(1, 2**16 // max(1, X.shape[0]))
-    for s in range(0, len(trees), step):
-        leaves = _leaves(trees, trees.roots[s:s + step], X)
-        for values in trees.value.take(leaves):
-            margins += values
+    _add_leaf_values(model.trees, model.trees.roots, X, margins)
     return margins
 
 

@@ -4,8 +4,9 @@ Subcommands:
   validate  parse corpus + inventory from a config, check its languages as
             run does, print per-language counts
   run       full experiment, write records.tsv / report.json / report.md
-  stats     recompute H1/H2 from a run's report.json with the run's config,
-            and print them as report.md's H1 and H2 sections
+  stats     check a run's report.json, its H1/H2 against its records under
+            the run's config, and print them as report.md's H1 and H2
+            sections
 
 Every rule of the config and report formats is in ``runner``, none here.
 Exit codes: 0 success, also where the reader closes stdout early; 1 bad input
@@ -54,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the config's output directory")
 
     p = sub.add_parser("stats",
-                       help="recompute H1/H2 from a run's report.json")
+                       help="check and print H1/H2 of a run's report.json")
     p.add_argument("--report", required=True)
     return parser
 
@@ -116,11 +117,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    # read_report has checked h1 and h2 against the records, grouped by the
+    # run's own partition (combat_set, size_set).
     report = runner.read_report(args.report)
-    # The run's own partition (combat_set, size_set) groups the variables.
-    print(*runner.hypothesis_sections(
-        runner.hypothesis_h1(report.records, report.config),
-        runner.hypothesis_h2(report.records, report.config)), sep="\n")
+    print(*runner.hypothesis_sections(report.h1, report.h2), sep="\n")
     return 0
 
 

@@ -1,8 +1,9 @@
 """Median-split labeling, class balancing, and stratified fold assignment.
 
 ``label_group`` runs the stage chain on one column: median_split -> balance
--> make_folds, so every fold is approximately balanced.  Everything is
-seeded; the same column, variable, language, seed and k give the same folds.
+-> make_folds, so every fold is approximately balanced, and counts the rows
+that survive each stage as a ``Funnel``.  Everything is seeded; the same
+column, variable, language, seed and k give the same folds.
 """
 
 from __future__ import annotations
@@ -27,6 +28,17 @@ class BinaryLabeledSet:
     feature matrix and ``label`` is "low" or "high"."""
 
     samples: tuple[tuple[int, str], ...]
+
+
+@dataclass(frozen=True)
+class Funnel:
+    """How many rows of a column each stage of ``label_group`` saw:
+    ``values`` were not blank, ``omitted`` of them tied the median, and
+    ``kept`` were left after balance."""
+
+    values: int
+    omitted: int
+    kept: int
 
 
 def subseed(master_seed: int, *parts: str) -> int:
@@ -114,16 +126,20 @@ def make_folds(high: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def label_group(values: np.ndarray, language: str, variable: str, k: int,
-                seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                seed: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Funnel]:
     """The kept rows of a column (NaN: blank) in ascending order, whether
-    each is "high", and each one's fold in [0, k).  Each stage is called by
-    its module-global name, so a wrapper set on it sees every call."""
+    each is "high", each one's fold in [0, k), and the column's ``Funnel``.
+    Each stage is called by its module-global name, so a wrapper set on it
+    sees every call."""
     rows = np.flatnonzero(~np.isnan(values)).tolist()
     split = median_split(list(zip(rows, values[rows].tolist())))
-    labeled = balance(BinaryLabeledSet(tuple(
-        (i, lab) for i, lab in split.items() if lab != OMITTED)),
-        subseed(seed, language, variable, "balance"))
+    untied = tuple((i, lab) for i, lab in split.items() if lab != OMITTED)
+    labeled = balance(BinaryLabeledSet(untied),
+                      subseed(seed, language, variable, "balance"))
     kept, labels = zip(*labeled.samples)
     high = np.array(labels) == HIGH
+    funnel = Funnel(values=len(rows), omitted=len(rows) - len(untied),
+                    kept=len(kept))
     return np.array(kept), high, make_folds(
-        high, k, subseed(seed, language, variable, "folds"))
+        high, k, subseed(seed, language, variable, "folds")), funnel

@@ -242,9 +242,11 @@ def read_report(path: str) -> ExperimentReport:
     variable, fold), or the run has no such group or fold).  Then refuse
     ``languages`` that are empty, repeat or are not the config's, and a
     failure that names no group of the run, repeats, or names a group with
-    records.  Last, refuse a report that lacks a record H1 and H2 would
+    records.  Then refuse a report that lacks a record H1 and H2 would
     count: each (language, variable) of the run has a record for every fold
-    or a failure."""
+    or a failure.  Last, refuse stored ``aggregates``, ``h1`` or ``h2`` that
+    are not what the records and the config give, naming the first field
+    that differs."""
     doc = read_json(path)
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != REPORT_FORMAT_VERSION:
@@ -306,7 +308,35 @@ def read_report(path: str) -> ExperimentReport:
             language, variable, fold = key
             raise ConfigError(f"{path}: {language}/{variable}/{fold} has no "
                               f"record, and {language}/{variable} no failure")
+    for name, derived in (
+            ("aggregates", _aggregate(report.records)),
+            ("h1", hypothesis_h1(report.records, config)),
+            ("h2", hypothesis_h2(report.records, config))):
+        difference = _first_difference(name, getattr(report, name), derived)
+        if difference:
+            raise ConfigError(f"{path}: {difference}")
     return report
+
+
+def _first_difference(where: str, stored, derived) -> str | None:
+    """The first field, item by item, where the decoded ``stored`` is not
+    its recomputation ``derived``, as a message naming it; None if none."""
+    if dataclasses.is_dataclass(stored) and type(stored) is type(derived):
+        pairs = [(f"{where}.{f.name}", getattr(stored, f.name),
+                  getattr(derived, f.name))
+                 for f in dataclasses.fields(stored)]
+    elif isinstance(stored, list) and isinstance(derived, list):
+        if len(stored) != len(derived):
+            return (f"{where} has {len(stored)} entries, not its records' "
+                    f"{len(derived)}")
+        pairs = [(f"{where}[{i}]", *pair)
+                 for i, pair in enumerate(zip(stored, derived))]
+    elif stored == derived:
+        return None
+    else:
+        return f"{where} {stored!r} is not its records' {derived!r}"
+    return next(filter(None, itertools.starmap(_first_difference, pairs)),
+                None)
 
 
 def fit_seed(seed: int, language: str, variable: str, fold: int) -> int:
@@ -331,7 +361,7 @@ def _run_group(features: np.ndarray, values: np.ndarray, language: str,
                ) -> list[IterationRecord]:
     """Run one group on a language's count matrix and its ``variable``
     column (NaN: blank), one value per matrix row."""
-    rows, high, fold_of = labeling.label_group(
+    rows, high, fold_of, _ = labeling.label_group(
         values, language, variable, config.k, config.seed)
     X = features[rows]
     y = high == (config.threat_class(variable) == "high")
@@ -520,7 +550,7 @@ def _table(header: tuple[str, ...], rows) -> list[str]:
 def hypothesis_sections(h1: list[HypothesisEntry], h2: H2Entry
                         ) -> list[str]:
     """The lines of report.md's H1 and H2 sections, which ``soundskew stats``
-    prints for the entries it recomputes."""
+    prints for the entries it has checked against their records."""
     lines = ["## H1: FP% vs 50% chance (per-iteration values)", "",
              *_table(("Group", "n", "t", "df", "p"), (
                  (e.group, e.n, "-", "-", f"untestable: {e.untestable_reason}")

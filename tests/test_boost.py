@@ -387,8 +387,11 @@ class TestModelToJson:
                                          elements=st.floats()))
                   for name in ("threshold", "gain", "value")}
         rounds = data.draw(st.integers(0, len(t)))
+        base_score = data.draw(st.floats(0, 1, exclude_min=True,
+                                         exclude_max=True))
         for m in (model, dataclasses.replace(
-                model, base_margin=data.draw(st.floats()),
+                model, params=dataclasses.replace(model.params,
+                                                  base_score=base_score),
                 trees=dataclasses.replace(t, **floats)[:rounds])):
             assert model_to_json(m) == serialized(model_document(m))
 

@@ -9,6 +9,7 @@ from soundskew.labeling import (
     LOW,
     OMITTED,
     BinaryLabeledSet,
+    Funnel,
     LabelingError,
     balance,
     label_group,
@@ -60,7 +61,10 @@ def oracle_label_group(values, language, variable, k, seed):
                               subseed(seed, language, variable, "folds"))
     return ([i for i, _ in labeled.samples],
             [lab == HIGH for _, lab in labeled.samples],
-            [folds[i] for i, _ in labeled.samples])
+            [folds[i] for i, _ in labeled.samples],
+            Funnel(values=len(present),
+                   omitted=list(split.values()).count(OMITTED),
+                   kept=len(labeled.samples)))
 
 
 def outcome(chain, *args):
@@ -218,9 +222,10 @@ class TestLabelGroup:
         if isinstance(expected, str):
             assert got == expected
             return
-        rows, high, folds = got
+        rows, high, folds, funnel = got
         assert rows.dtype.kind == "i" and high.dtype == bool
-        assert (rows.tolist(), high.tolist(), folds.tolist()) == expected
+        assert (rows.tolist(), high.tolist(), folds.tolist(), funnel) \
+            == expected
         assert np.all(np.diff(rows) > 0)
 
     @pytest.mark.parametrize("values, message", [

@@ -1,3 +1,5 @@
+import argparse
+import csv
 import ctypes
 import dataclasses
 import errno
@@ -43,31 +45,73 @@ from tests.conftest import (
 FAST_BOOST = BoostParams(rounds=20, max_depth=3)
 
 # The smallest config object that decodes, a record, and a report that
-# stats and report read, whose records fill the config's groups (each
-# variable's 3 folds); TABLES_REPORT adds an aggregate and an H1 entry.
+# stats and report read: its records fill the config's groups (each
+# variable's 3 folds) and give testable H1 and H2, and its tables are the
+# ones they give.
 CONFIG_KEYS = {"corpus_path": "corpus.csv", "inventory_path": "inventory.csv"}
 RECORD = {"language": "jpn", "variable": "Attack", "fold": 0, "seed": 1,
           "tp": 1, "fp": 0, "fn": 0, "tn": 1, "accuracy": 1.0, "fp_pct": None}
-RECORDS = [dict(RECORD, variable=variable, fold=fold)
-           for variable in corpus.ATTRIBUTE_NAMES for fold in range(3)]
 FAILURE = {"language": "jpn", "variable": "Attack", "stage": "LabelingError",
            "reason": "too few"}
-REPORT = {"version": 1, "timestamp": "", "config": CONFIG_KEYS,
-          "languages": ["jpn"], "records": RECORDS, "failures": [],
-          "aggregates": [], "h1": [], "length_regressions": [],
-          "h2": {"result": None, "combat": None, "size": None,
-                 "untestable_reason": "none"}}
-AGGREGATE = {"language": "jpn", "variable": "Attack", "mean_accuracy": 1.0,
-             "mean_fp_pct": None, "pooled_accuracy": 1.0,
-             "pooled_fp_pct": None, "n_iterations": 1, "n_undefined_fp": 1}
-H1_ENTRY = {"group": "Attack", "n": 0, "n_excluded": 1, "result": None,
-            "untestable_reason": "fewer than 2 defined FP values"}
-TABLES_REPORT = dict(REPORT, aggregates=[AGGREGATE], h1=[H1_ENTRY])
+
+
+def with_tables(doc: dict) -> dict:
+    """The report ``doc`` with the aggregates, H1 and H2 that its records
+    and config give."""
+    records = [IterationRecord(**r) for r in doc["records"]]
+    config = runner.decode(ExperimentConfig, doc["config"], "config")
+    asdict = dataclasses.asdict
+    return dict(doc,
+                aggregates=[asdict(a) for a in runner._aggregate(records)],
+                h1=[asdict(e) for e in hypothesis_h1(records, config)],
+                h2=asdict(hypothesis_h2(records, config)))
+
+
+# Each record tests 4 threat and 4 other rows, so its fp_pct is fp / (fp +
+# fn).  Fold f has f + 1 false positives; the combat variables have 1 false
+# negative, the size ones 2.
+RECORDS = [dict(RECORD, variable=variable, fold=fp - 1, tp=4 - fn, fp=fp,
+                fn=fn, tn=4 - fp, accuracy=(8 - fp - fn) / 8,
+                fp_pct=fp / (fp + fn))
+           for fn, variable in zip((1, 1, 2, 2), corpus.ATTRIBUTE_NAMES)
+           for fp in (1, 2, 3)]
+REPORT = with_tables({
+    "version": 1, "timestamp": "", "config": CONFIG_KEYS,
+    "languages": ["jpn"], "records": RECORDS, "failures": [],
+    "length_regressions": []})
+AGGREGATE, H1_ENTRY = REPORT["aggregates"][0], REPORT["h1"][0]
 
 
 def report_text(base=REPORT, **changes) -> str:
     """The text of a report.json: ``base`` with ``changes``."""
     return json.dumps(dict(base, **changes))
+
+
+def refused_path(code: int, path) -> str:
+    """The line that the CLI prints for an OS error ``code`` on ``path``."""
+    return f"error: [Errno {code}] {os.strerror(code)}: '{path}'\n"
+
+
+def json_error(text) -> str:
+    """The text of the error that reading ``text`` as UTF-8 JSON raises, in
+    this Python's wording."""
+    try:
+        json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError("readable JSON")
+
+
+def invalid_command(name: str) -> str:
+    """argparse's message for a command that is none of the CLI's, in this
+    Python's wording."""
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument("command", choices=("validate", "run", "stats"))
+    try:
+        probe.parse_args([name])
+    except argparse.ArgumentError as exc:
+        return str(exc)
+    raise AssertionError("a valid command")
 
 
 JSON_VALUES = st.recursive(
@@ -577,25 +621,32 @@ class TestCli:
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", message)
 
-    @pytest.mark.parametrize("text", [
-        '{"k": 3',
-        '{"k": ' + "1" * 5000 + "}",
-        b"\xff\xfe{}",
-        "[" * 100_000 + "]" * 100_000,
-        "{}",                       # JSON, but neither a config nor a report
+    # (text, the message that validate prints after the path, the one that
+    # stats prints; None: the standard library's text for unreadable JSON)
+    @pytest.mark.parametrize("text, config_message, report_message", [
+        ('{"k": 3', None, None),
+        ('{"k": ' + "1" * 5000 + "}", None, None),
+        (b"\xff\xfe{}", None, None),
+        ("[" * 100_000 + "]" * 100_000, None, None),
+        # JSON, but neither a config nor a report
+        ("{}", "ExperimentConfig.__init__() missing 2 required positional "
+               "arguments: 'corpus_path' and 'inventory_path'",
+         "unsupported report version None"),
     ], ids=["truncated", "overlong-int", "not-utf8", "nested-too-deep",
             "empty-object"])
-    def test_unreadable_json_exits_1_naming_file(self, tmp_path, capsys,
-                                                 text):
+    def test_unreadable_json_exits_1_naming_file(
+            self, tmp_path, capsys, text, config_message, report_message):
         path = tmp_path / "bad.json"
         if isinstance(text, bytes):
             path.write_bytes(text)
         else:
             path.write_text(text)
-        for argv in (["validate", "--config", str(path)],
-                     ["stats", "--report", str(path)]):
+        for argv, message in (
+                (["validate", "--config", str(path)], config_message),
+                (["stats", "--report", str(path)], report_message)):
             assert cli_main(argv) == 1
-            assert capsys.readouterr().err.startswith(f"error: {path}: ")
+            assert capsys.readouterr() \
+                == ("", f"error: {path}: {message or json_error(text)}\n")
 
     # The Attack cell of each case's i-th jpn row; None keeps the cell.
     JPN_ATTACK = {
@@ -658,7 +709,8 @@ class TestCli:
                    for fold in range(3)]
         path = tmp_path / "report.json"
         config = dict(CONFIG_KEYS, variables=["Attack", "Weight"])
-        path.write_text(report_text(config=config, records=records))
+        path.write_text(json.dumps(with_tables(
+            dict(REPORT, config=config, records=records))))
         assert cli_main(["stats", "--report", str(path)]) == 0
         out = capsys.readouterr().out
         # H1 Attack, Weight, combat and size have zero variance, as has H2
@@ -806,25 +858,40 @@ class TestCli:
         ("languages-empty", report_text(languages=[], records=[]),
          "languages must be non-empty"),
         # every part of a report is read, not only the records
-        ("h1-n-null", report_text(TABLES_REPORT, h1=[dict(H1_ENTRY, n=None)]),
+        ("h1-n-null", report_text(h1=[dict(H1_ENTRY, n=None)]),
          "h1[0]: n must be an integer, got None"),
-        ("timestamp-number", report_text(TABLES_REPORT, timestamp=5),
+        ("timestamp-number", report_text(timestamp=5),
          "timestamp must be a string, got 5"),
-        ("languages-int", report_text(TABLES_REPORT, languages=7),
+        ("languages-int", report_text(languages=7),
          "languages must be a list of strings, got 7"),
         ("aggregate-count-string", report_text(
-            TABLES_REPORT, aggregates=[dict(AGGREGATE, n_iterations="three")]),
+            aggregates=[dict(AGGREGATE, n_iterations="three")]),
          "aggregates[0]: n_iterations must be an integer, got 'three'"),
         ("h2-unknown-key",
-         report_text(TABLES_REPORT, h2=dict(REPORT["h2"], bogus=1)),
+         report_text(h2=dict(REPORT["h2"], bogus=1)),
          "h2: unknown keys: ['bogus']"),
         # earlier versions wrote a perfect fit's F as Infinity, not JSON
-        ("infinite-F", report_text(TABLES_REPORT, length_regressions=[
+        ("infinite-F", report_text(length_regressions=[
             {"language": "xx", "variable": "Attack", "n": 3, "result": {
                 "slope": 10.0, "intercept": 0.0, "F": float("inf"),
                 "df1": 1, "df2": 1, "p": 0.0, "r2": 1.0},
              "untestable_reason": None}]),
          "length_regressions[0]: result: F must be a finite number, got inf"),
+        # a cited number that its records and config do not give
+        ("aggregate-not-its-records", report_text(
+            aggregates=[dict(AGGREGATE, mean_fp_pct=0.99),
+                        *REPORT["aggregates"][1:]]),
+         "aggregates[0].mean_fp_pct 0.99 is not its records' "
+         "0.6388888888888888"),
+        ("h1-not-its-records", report_text(
+            h1=[dict(H1_ENTRY, result=dict(H1_ENTRY["result"], t=9.99)),
+                *REPORT["h1"][1:]]),
+         "h1[0].result.t 9.99 is not its records' 1.889822365046135"),
+        ("h1-entry-missing", report_text(h1=REPORT["h1"][:-1]),
+         "h1 has 5 entries, not its records' 6"),
+        ("h2-not-its-records", report_text(h2=dict(
+            REPORT["h2"], result=dict(REPORT["h2"]["result"], p=1e-4))),
+         "h2.result.p 0.0001 is not its records' 0.038574816342987005"),
     ]
 
     @pytest.mark.parametrize("text, message", [row[1:] for row in BAD_REPORTS],
@@ -843,7 +910,7 @@ class TestCli:
         # a bool is not an integer, nor is a whole float or a numeral
         path = tmp_path / "report.json"
         for n in (None, True, 3.0, "3"):
-            path.write_text(report_text(TABLES_REPORT,
+            path.write_text(report_text(
                                         h1=[dict(H1_ENTRY, n=n)]))
             assert cli_main(["stats", "--report", str(path)]) == 1
             assert capsys.readouterr().err == (
@@ -856,25 +923,38 @@ class TestCli:
         path = tmp_path / "report.json"
         seeded = dict(REPORT, config=dict(CONFIG_KEYS,
                                           boost_params={"seed": 5}))
-        for doc in (REPORT, TABLES_REPORT, seeded):
+        for doc in (REPORT, seeded):
             path.write_text(json.dumps(doc))
             assert cli_main(["stats", "--report", str(path)]) == 0
 
-    @pytest.mark.parametrize("argv", [
-        [],
-        ["frobnicate"],
-        ["run"],
-        ["run", "--config", "c.json", "--bogus"],
-        ["run", "--config", "c.json", "--seed", "seven"],
-        ["stats", "--records", "records.tsv"],
-        ["report", "--json", "report.json"],
+    USAGE = "usage: soundskew [-h] {validate,run,stats} ...\n"
+    RUN_USAGE = ("usage: soundskew run [-h] --config CONFIG [--seed SEED] "
+                 "[--out OUT]\n")
+
+    @pytest.mark.parametrize("argv, usage, message", [
+        ([], USAGE,
+         "soundskew: error: the following arguments are required: command"),
+        (["frobnicate"], USAGE,
+         f"soundskew: error: {invalid_command('frobnicate')}"),
+        (["run"], RUN_USAGE, "soundskew run: error: the following arguments "
+                             "are required: --config"),
+        (["run", "--config", "c.json", "--bogus"], USAGE,
+         "soundskew: error: unrecognized arguments: --bogus"),
+        (["run", "--config", "c.json", "--seed", "seven"], RUN_USAGE,
+         "soundskew run: error: argument --seed: invalid int value: 'seven'"),
+        (["stats", "--records", "records.tsv"],
+         "usage: soundskew stats [-h] --report REPORT\n",
+         "soundskew stats: error: the following arguments are required: "
+         "--report"),
+        (["report", "--json", "report.json"], USAGE,
+         f"soundskew: error: {invalid_command('report')}"),
     ], ids=["no-command", "unknown-command", "run-no-config",
             "unknown-option", "bad-seed", "stats-records", "report-command"])
-    def test_usage_error_exits_1(self, capsys, argv):
+    def test_usage_error_exits_1(self, capsys, argv, usage, message):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == 1
-        assert "error: " in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"{usage}{message}\n")
 
     @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
     def test_help_exits_0(self, capsys, argv):
@@ -1162,18 +1242,23 @@ class TestCli:
         config = self.write_config(
             tmp_path, corpus_path=str(paths["corpus.csv"]),
             inventory_path=str(paths["inventory.csv"]))
+        if fault == "not-utf8":
+            at = paths[name].read_bytes().index(b"\xff")
+            cause = (f"'utf-8' codec can't decode byte 0xff in position "
+                     f"{at}: invalid start byte")
+        else:
+            cause = f"field larger than field limit ({csv.field_size_limit()})"
         assert cli_main(["validate", "--config", config]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: {paths[name]}: line {line}: ")
+        assert capsys.readouterr() \
+            == ("", f"error: {paths[name]}: line {line}: {cause}\n")
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "absent.json"
         for argv in (["validate", "--config", str(path)],
                      ["stats", "--report", str(path)]):
             assert cli_main(argv) == 1
-            assert capsys.readouterr().err == (
-                f"error: [Errno {errno.ENOENT}] "
-                f"{os.strerror(errno.ENOENT)}: '{path}'\n")
+            assert capsys.readouterr() \
+                == ("", refused_path(errno.ENOENT, path))
 
     def test_directory_input_exits_1_naming_path(self, tmp_path, capsys,
                                                  monkeypatch):
@@ -1184,20 +1269,19 @@ class TestCli:
             tmp_path, boost_params={"rounds": 1, "max_depth": 1})
         loop = tmp_path / "loop"
         loop.symlink_to(loop)
-        cases = [["validate", "--config", str(tmp_path)],
-                 ["stats", "--report", str(tmp_path)]]
-        for path in (tmp_path / ("x" * 300), loop / "out"):
-            cases += [["validate", "--config", str(path)],
-                      ["stats", "--report", str(path)],
-                      ["run", "--config", config, "--out", str(path)]]
-        cases.append(["run", "--config", config, "--out", str(loop)])
-        for argv in cases:
+        cases = [(["validate", "--config", str(tmp_path)], errno.EISDIR),
+                 (["stats", "--report", str(tmp_path)], errno.EISDIR)]
+        for path, code in ((tmp_path / ("x" * 300), errno.ENAMETOOLONG),
+                           (loop / "out", errno.ELOOP)):
+            cases += [(["validate", "--config", str(path)], code),
+                      (["stats", "--report", str(path)], code),
+                      (["run", "--config", config, "--out", str(path)], code)]
+        cases.append((["run", "--config", config, "--out", str(loop)],
+                      errno.ELOOP))
+        for argv, code in cases:
             assert cli_main(argv) == 1, argv
-            err = capsys.readouterr().err
-            assert err.startswith("error: ")
-            assert argv[-1] in err
-            if argv[-1].startswith(str(loop)):
-                assert os.strerror(errno.ELOOP) in err, argv
+            assert capsys.readouterr() \
+                == ("", refused_path(code, argv[-1])), argv
 
         # A fault while writing is a runtime failure.
         def full_disk(report):
@@ -1224,9 +1308,7 @@ class TestCli:
         taken.write_text("")
         config = self.write_config(tmp_path)
         assert cli_main(["run", "--config", config, "--out", str(taken)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert str(taken) in err
+        assert capsys.readouterr() == ("", refused_path(errno.EEXIST, taken))
         assert calls["train"] == 0
 
     def test_run_makes_every_layer_call_the_tracer_wraps(
