@@ -237,9 +237,10 @@ class ExperimentReport:
 
 def read_report(path: str) -> ExperimentReport:
     """Read a ``report.json`` of this format version as ``decode`` does,
-    and refuse a record that H1 and H2 would misread (its ``accuracy`` or
-    ``fp_pct`` is not what its counts give, it repeats a (language,
-    variable, fold), or the run has no such group or fold).  Then refuse
+    and refuse a record that H1 and H2 would misread (the run has no such
+    group or fold, it repeats a (language, variable, fold), or it is not
+    what ``iteration_record`` builds from its counts, its key and the
+    config's seed, naming the first field that differs).  Then refuse
     ``languages`` that are empty, repeat or are not the config's, and a
     failure that names no group of the run, repeats, or names a group with
     records.  Then refuse a report that lacks a record H1 and H2 would
@@ -274,15 +275,13 @@ def read_report(path: str) -> ExperimentReport:
                               f"/{record.fold} repeats records[{first[key]}]")
         first[key] = i
         try:
-            derived = {"accuracy": metrics.accuracy(record),
-                       "fp_pct": metrics.fp_rate_skew_adjusted(record)}
+            derived = iteration_record(record, *key,
+                                       fit_seed(config.seed, *key))
         except metrics.MetricsError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        for name, value in derived.items():
-            stored = getattr(record, name)
-            if stored != value:
-                raise ConfigError(f"{where}: {name} {stored!r} does not "
-                                  f"match its counts ({value!r})")
+        difference = _first_difference(f"records[{i}]", record, derived)
+        if difference:
+            raise ConfigError(f"{path}: {difference}")
     if not languages:
         raise ConfigError(f"{path}: languages must be non-empty")
     if len(set(languages)) < len(languages):
@@ -327,14 +326,14 @@ def _first_difference(where: str, stored, derived) -> str | None:
                  for f in dataclasses.fields(stored)]
     elif isinstance(stored, list) and isinstance(derived, list):
         if len(stored) != len(derived):
-            return (f"{where} has {len(stored)} entries, not its records' "
+            return (f"{where} has {len(stored)} entries, not the recomputed "
                     f"{len(derived)}")
         pairs = [(f"{where}[{i}]", *pair)
                  for i, pair in enumerate(zip(stored, derived))]
     elif stored == derived:
         return None
     else:
-        return f"{where} {stored!r} is not its records' {derived!r}"
+        return f"{where} is {stored!r}, not the recomputed {derived!r}"
     return next(filter(None, itertools.starmap(_first_difference, pairs)),
                 None)
 
@@ -343,6 +342,16 @@ def fit_seed(seed: int, language: str, variable: str, fold: int) -> int:
     """The seed of a run's model for ``fold`` of (language, variable)."""
     return labeling.subseed(seed, language, variable, "train",
                             str(fold)) & (2 ** 63 - 1)
+
+
+def iteration_record(cm: ConfusionMatrix, language: str, variable: str,
+                     fold: int, seed: int) -> IterationRecord:
+    """The record of ``fold`` of (language, variable), fitted with ``seed``,
+    whose test rows counted ``cm``: the counts, the key and the seed, and
+    the accuracy and FP rate that ``metrics`` gives for the counts."""
+    return IterationRecord(cm.tp, cm.fp, cm.fn, cm.tn, language, variable,
+                           fold, seed, metrics.accuracy(cm),
+                           metrics.fp_rate_skew_adjusted(cm))
 
 
 def fit_fold(X: np.ndarray, y: np.ndarray, in_test: np.ndarray,
@@ -367,13 +376,10 @@ def _run_group(features: np.ndarray, values: np.ndarray, language: str,
     y = high == (config.threat_class(variable) == "high")
     records = []
     for fold in range(config.k):
-        params = dataclasses.replace(
-            config.boost_params,
-            seed=fit_seed(config.seed, language, variable, fold))
-        _, cm = fit_fold(X, y, fold_of == fold, params)
-        records.append(IterationRecord(
-            cm.tp, cm.fp, cm.fn, cm.tn, language, variable, fold, params.seed,
-            metrics.accuracy(cm), metrics.fp_rate_skew_adjusted(cm)))
+        seed = fit_seed(config.seed, language, variable, fold)
+        _, cm = fit_fold(X, y, fold_of == fold, dataclasses.replace(
+            config.boost_params, seed=seed))
+        records.append(iteration_record(cm, language, variable, fold, seed))
     return records
 
 

@@ -47,9 +47,12 @@ FAST_BOOST = BoostParams(rounds=20, max_depth=3)
 # The smallest config object that decodes, a record, and a report that
 # stats and report read: its records fill the config's groups (each
 # variable's 3 folds) and give testable H1 and H2, and its tables are the
-# ones they give.
+# ones they give.  Each record's seed is its fit's under the config's
+# default seed, SEED.
 CONFIG_KEYS = {"corpus_path": "corpus.csv", "inventory_path": "inventory.csv"}
-RECORD = {"language": "jpn", "variable": "Attack", "fold": 0, "seed": 1,
+SEED = ExperimentConfig.seed
+RECORD = {"language": "jpn", "variable": "Attack", "fold": 0,
+          "seed": runner.fit_seed(SEED, "jpn", "Attack", 0),
           "tp": 1, "fp": 0, "fn": 0, "tn": 1, "accuracy": 1.0, "fp_pct": None}
 FAILURE = {"language": "jpn", "variable": "Attack", "stage": "LabelingError",
            "reason": "too few"}
@@ -70,9 +73,10 @@ def with_tables(doc: dict) -> dict:
 # Each record tests 4 threat and 4 other rows, so its fp_pct is fp / (fp +
 # fn).  Fold f has f + 1 false positives; the combat variables have 1 false
 # negative, the size ones 2.
-RECORDS = [dict(RECORD, variable=variable, fold=fp - 1, tp=4 - fn, fp=fp,
-                fn=fn, tn=4 - fp, accuracy=(8 - fp - fn) / 8,
-                fp_pct=fp / (fp + fn))
+RECORDS = [dict(RECORD, variable=variable, fold=fp - 1,
+                seed=runner.fit_seed(SEED, "jpn", variable, fp - 1),
+                tp=4 - fn, fp=fp, fn=fn, tn=4 - fp,
+                accuracy=(8 - fp - fn) / 8, fp_pct=fp / (fp + fn))
            for fn, variable in zip((1, 1, 2, 2), corpus.ATTRIBUTE_NAMES)
            for fp in (1, 2, 3)]
 REPORT = with_tables({
@@ -478,7 +482,8 @@ class TestEmitReport:
         # RECORD's fold has no errors, so its fp_pct is None
         assert runner.records_tsv([IterationRecord(**RECORD)]).splitlines() \
             == ["\t".join(runner.RECORD_COLUMNS),
-                "jpn\tAttack\t0\t1\t1\t0\t0\t1\t1\tNA"]
+                "jpn\tAttack\t0\t5152993916967272132\t1\t0\t0\t1\t1"
+                "\tNA"]
 
     def test_empty_record_set_still_valid(self, tmp_path):
         report = run_experiment(fast_config(
@@ -703,8 +708,9 @@ class TestCli:
         # stats refuses a record whose fp_pct is not what its counts give
         counts = {0.1: {"tp": 1, "fp": 1, "fn": 9, "tn": 9},
                   0.6: {"tp": 6, "fp": 6, "fn": 4, "tn": 4}}
-        records = [dict(RECORD, variable=variable, fold=fold, fp_pct=fp,
-                        accuracy=0.5, **counts[fp])
+        records = [dict(RECORD, variable=variable, fold=fold,
+                        seed=runner.fit_seed(SEED, "jpn", variable, fold),
+                        fp_pct=fp, accuracy=0.5, **counts[fp])
                    for variable, fp in (("Attack", 0.1), ("Weight", 0.6))
                    for fold in range(3)]
         path = tmp_path / "report.json"
@@ -803,13 +809,21 @@ class TestCli:
          "records[0]: fp_pct must be a finite number, got '0.5'"),
         ("record-list", report_text(records=[[1]]),
          "records[0] must be an object, got [1]"),
-        # a record must hold what its own counts give (fp_pct None, 1.0)
+        # a record must hold what its own counts give (fp_pct None, 1.0),
+        # and the seed that its key gives under the config's seed
         ("fp-pct-not-its-counts",
          report_text(records=[dict(RECORD, fp_pct=0.5)]),
-         "records[0]: fp_pct 0.5 does not match its counts (None)"),
+         "records[0].fp_pct is 0.5, not the recomputed None"),
         ("accuracy-not-its-counts",
          report_text(records=[dict(RECORD, accuracy=0.5)]),
-         "records[0]: accuracy 0.5 does not match its counts (1.0)"),
+         "records[0].accuracy is 0.5, not the recomputed 1.0"),
+        ("record-seed-not-its-fit",
+         report_text(records=[dict(RECORDS[0], seed=1), *RECORDS[1:]]),
+         "records[0].seed is 1, not the recomputed 5152993916967272132"),
+        ("config-seed-not-its-records",
+         report_text(config=dict(CONFIG_KEYS, seed=1)),
+         "records[0].seed is 5152993916967272132, not the recomputed "
+         "3543620084394565531"),
         # a record that H1 and H2 would count twice, or that the run has no
         # group or fold for
         ("record-repeated", report_text(records=[RECORD] * 2),
@@ -881,17 +895,17 @@ class TestCli:
         ("aggregate-not-its-records", report_text(
             aggregates=[dict(AGGREGATE, mean_fp_pct=0.99),
                         *REPORT["aggregates"][1:]]),
-         "aggregates[0].mean_fp_pct 0.99 is not its records' "
+         "aggregates[0].mean_fp_pct is 0.99, not the recomputed "
          "0.6388888888888888"),
         ("h1-not-its-records", report_text(
             h1=[dict(H1_ENTRY, result=dict(H1_ENTRY["result"], t=9.99)),
                 *REPORT["h1"][1:]]),
-         "h1[0].result.t 9.99 is not its records' 1.889822365046135"),
+         "h1[0].result.t is 9.99, not the recomputed 1.889822365046135"),
         ("h1-entry-missing", report_text(h1=REPORT["h1"][:-1]),
-         "h1 has 5 entries, not its records' 6"),
+         "h1 has 5 entries, not the recomputed 6"),
         ("h2-not-its-records", report_text(h2=dict(
             REPORT["h2"], result=dict(REPORT["h2"]["result"], p=1e-4))),
-         "h2.result.p 0.0001 is not its records' 0.038574816342987005"),
+         "h2.result.p is 0.0001, not the recomputed 0.038574816342987005"),
     ]
 
     @pytest.mark.parametrize("text, message", [row[1:] for row in BAD_REPORTS],
@@ -1408,6 +1422,16 @@ def json_leaves(doc, path=()):
         yield path, doc
 
 
+def write_changed(file, doc, path, value) -> None:
+    """Write the JSON document ``doc`` to ``file`` with its value at
+    ``path`` replaced by ``value``."""
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    file.write_text(json.dumps(doc))
+
+
 def field_type(root, path):
     """The annotation of the value at ``path`` in a document of type
     ``root``, such as a report or a config."""
@@ -1508,12 +1532,8 @@ class TestReportFile:
         path, old = data.draw(st.sampled_from(list(json_leaves(doc))))
         value = data.draw(JSON_VALUES.filter(
             lambda v: type(v) is not type(old)))
-        parent = doc
-        for step in path[:-1]:
-            parent = parent[step]
-        parent[path[-1]] = value
         report = tmp_path / "report.json"
-        report.write_text(json.dumps(doc))
+        write_changed(report, doc, path, value)
         fits = fits_annotation(value, field_type(ExperimentReport, path))
         code = cli_main(["stats", "--report", str(report)])
         err = capsys.readouterr().err
@@ -1522,3 +1542,32 @@ class TestReportFile:
         assert code == 1 or code == 0 and fits, (path, value, err)
         if code == 1:
             assert err.startswith(f"error: {report}: ")
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_changed_derived_number_exits_1_naming_it(self, small_run,
+                                                      tmp_path, capsys, data):
+        """A run's report with one stored number that its records and config
+        derive changed (a record's seed, accuracy or defined fp_pct, or any
+        number of its aggregates, H1 or H2) exits 1 naming that number."""
+        with open(os.path.join(small_run.config.out_dir, "report.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        derived = [(path, value) for path, value in json_leaves(doc)
+                   if type(value) in (int, float) and (
+                       path[0] in ("aggregates", "h1", "h2")
+                       or path[0] == "records"
+                       and path[2] in ("seed", "accuracy", "fp_pct"))]
+        path, old = data.draw(st.sampled_from(derived))
+        numbers = st.integers() if type(old) is int else st.floats(
+            allow_nan=False, allow_infinity=False)
+        new = data.draw(numbers.filter(lambda v: v != old))
+        report = tmp_path / "report.json"
+        write_changed(report, doc, path, new)
+        name = path[0] + "".join(f"[{step}]" if type(step) is int
+                                 else f".{step}" for step in path[1:])
+        assert cli_main(["stats", "--report", str(report)]) == 1
+        assert capsys.readouterr() == ("", f"error: {report}: {name} is "
+                                           f"{new!r}, not the recomputed "
+                                           f"{old!r}\n")
