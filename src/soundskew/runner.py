@@ -47,18 +47,10 @@ class ConfigError(ValueError):
     """Raised for invalid experiment configuration."""
 
 
-# Each scalar type, named alone and in a list.  A bool is not a number, and a
-# float is finite (NaN fails every comparison, an overlong integer overflows).
-_SCALARS = {str: ("a string", "strings"), int: ("an integer", "integers"),
-            float: ("a finite number", "finite numbers")}
+# Each scalar type by name.  A bool is not a number, and a float is finite
+# (NaN fails every comparison, an overlong integer overflows).
+_SCALARS = {str: "a string", int: "an integer", float: "a finite number"}
 _type_hints = functools.cache(typing.get_type_hints)    # once per dataclass
-
-
-def _fits(tp, raw) -> bool:
-    if tp is float:
-        return isinstance(raw, (int, float)) and not isinstance(raw, bool) \
-            and abs(raw) <= sys.float_info.max
-    return isinstance(raw, tp) and not isinstance(raw, bool)
 
 
 def read_json(path: str):
@@ -74,25 +66,25 @@ def read_json(path: str):
 
 def decode(tp, raw, where: str):
     """Read the decoded JSON value ``raw`` as type ``tp``: a dataclass from an
-    object of its fields, ``tuple[X, ...]`` or ``list[X]`` from a list, ``X |
-    None`` from null or an X.  A wrong value, or one that the dataclass's own
-    checks reject, raises ConfigError naming ``where``, the file and the path
-    to the value."""
+    object of its fields, ``tuple[X, ...]`` or ``list[X]`` from a list read
+    item by item, ``X | None`` from null or an X.  A wrong value, or one that
+    the dataclass's own checks reject, raises ConfigError naming ``where``,
+    the file and the path to the value: ``[i]`` for an item, ``: name`` for a
+    field and ``['key']`` for a dict key."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:                       # X | None
         return None if raw is None else decode(args[0], raw, where)
     if tp in _SCALARS:
-        if _fits(tp, raw):
+        if isinstance(raw, (int, float) if tp is float else tp) \
+                and not isinstance(raw, bool) \
+                and (tp is not float or abs(raw) <= sys.float_info.max):
             return raw
-        expected = _SCALARS[tp][0]
+        expected = _SCALARS[tp]
     elif origin in (tuple, list):
-        item = args[0]
-        if isinstance(raw, list) and (
-                item not in _SCALARS or all(_fits(item, v) for v in raw)):
-            return origin(decode(item, v, f"{where}[{i}]")
+        if isinstance(raw, list):
+            return origin(decode(args[0], v, f"{where}[{i}]")
                           for i, v in enumerate(raw))
-        expected = "a list of " + (
-            _SCALARS[item][1] if item in _SCALARS else "objects")
+        expected = "a list"
     elif not isinstance(raw, dict):
         expected = "an object"
     elif origin is dict:
@@ -279,9 +271,9 @@ def read_report(path: str) -> ExperimentReport:
                                        fit_seed(config.seed, *key))
         except metrics.MetricsError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        difference = _first_difference(f"records[{i}]", record, derived)
+        difference = _first_difference(where, record, derived)
         if difference:
-            raise ConfigError(f"{path}: {difference}")
+            raise ConfigError(difference)
     if not languages:
         raise ConfigError(f"{path}: languages must be non-empty")
     if len(set(languages)) < len(languages):
@@ -311,17 +303,19 @@ def read_report(path: str) -> ExperimentReport:
             ("aggregates", _aggregate(report.records)),
             ("h1", hypothesis_h1(report.records, config)),
             ("h2", hypothesis_h2(report.records, config))):
-        difference = _first_difference(name, getattr(report, name), derived)
+        difference = _first_difference(f"{path}: {name}",
+                                       getattr(report, name), derived)
         if difference:
-            raise ConfigError(f"{path}: {difference}")
+            raise ConfigError(difference)
     return report
 
 
 def _first_difference(where: str, stored, derived) -> str | None:
     """The first field, item by item, where the decoded ``stored`` is not
-    its recomputation ``derived``, as a message naming it; None if none."""
+    its recomputation ``derived``, as a message naming it below ``where`` as
+    ``decode`` names a value; None if none."""
     if dataclasses.is_dataclass(stored) and type(stored) is type(derived):
-        pairs = [(f"{where}.{f.name}", getattr(stored, f.name),
+        pairs = [(f"{where}: {f.name}", getattr(stored, f.name),
                   getattr(derived, f.name))
                  for f in dataclasses.fields(stored)]
     elif isinstance(stored, list) and isinstance(derived, list):
@@ -611,29 +605,25 @@ def make_out_dir(path: str) -> None:
         raise
 
 
-def _report_json(report: ExperimentReport):
-    """``report.json``'s text in blocks of 1,024 encoder chunks: one write
-    per block, not per chunk, and only a block's text held at a time."""
-    chunks = json.JSONEncoder(indent=1, sort_keys=True, allow_nan=False
-                              ).iterencode(dataclasses.asdict(report))
-    for block in iter(lambda: list(itertools.islice(chunks, 1024)), []):
-        yield "".join(block)
-    yield "\n"
-
-
 def emit_report(report: ExperimentReport) -> list[str]:
     """Write the config's formats into its out_dir; returns written paths.
 
     Each requested file is written whole or not at all.  Each is rendered
     into a temporary file beside its final name, ``report.json`` streamed
-    a block at a time rather than held as one text; only when every one is
+    by ``json.dump`` rather than held as one text; only when every one is
     written does each temporary replace its final name.  An exception
     removes the temporaries, so a render or write fault (a non-finite
     float in ``report.json``, a full disk) replaces no earlier file."""
+    def write_json(fh) -> None:
+        json.dump(dataclasses.asdict(report), fh, indent=1, sort_keys=True,
+                  allow_nan=False)
+        fh.write("\n")
+
     outputs = (
-        ("tsv", "records.tsv", lambda: (records_tsv(report.records),)),
-        ("json", "report.json", lambda: _report_json(report)),
-        ("md", "report.md", lambda: (report_markdown(report),)))
+        ("tsv", "records.tsv",
+         lambda fh: fh.write(records_tsv(report.records))),
+        ("json", "report.json", write_json),
+        ("md", "report.md", lambda fh: fh.write(report_markdown(report))))
     make_out_dir(report.config.out_dir)
     staged = []                                     # (temporary, final path)
     try:
@@ -642,7 +632,7 @@ def emit_report(report: ExperimentReport) -> list[str]:
                 path = os.path.join(report.config.out_dir, name)
                 staged.append((f"{path}.{os.getpid()}.tmp", path))
                 with open(staged[-1][0], "w", encoding="utf-8") as fh:
-                    fh.writelines(render())
+                    render(fh)
         for temporary, path in staged:
             os.replace(temporary, path)
     except BaseException:

@@ -109,8 +109,6 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
 
 def two_sided_t_p(t: float, df: int) -> float:
     """Two-sided tail of the t distribution on df: F(1, df)'s tail at t²."""
-    if df < 1:
-        raise StatsError(f"df must be >= 1, got {df}")
     return f_upper_p(t * t, 1, df)
 
 
@@ -119,7 +117,8 @@ def f_upper_p(F: float, df1: int, df2: int) -> float:
     if F < 0:
         raise StatsError(f"F must be >= 0, got {F}")
     if df1 < 1 or df2 < 1:
-        raise StatsError("degrees of freedom must be >= 1")
+        raise StatsError(f"degrees of freedom must be >= 1, got {df1}, "
+                         f"{df2}")
     x = df2 / (df2 + df1 * F)
     return reg_inc_beta(df2 / 2.0, df1 / 2.0, x)
 

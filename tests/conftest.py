@@ -11,7 +11,15 @@ import pytest
 from scipy import integrate
 
 from soundskew.boost import MODEL_FORMAT_VERSION, predict_prob
-from soundskew.corpus import CORPUS_COLUMNS, INVENTORY_COLUMNS, load_corpus
+from soundskew.corpus import (
+    ATTRIBUTE_NAMES,
+    CORPUS_COLUMNS,
+    INVENTORY_COLUMNS,
+    Corpus,
+    CorpusError,
+    load_corpus,
+    load_inventories,
+)
 from soundskew.labeling import HIGH, LOW, OMITTED
 from soundskew.metrics import ConfusionMatrix
 
@@ -202,3 +210,110 @@ def sorted_median_labels(values) -> dict:
     med = s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
     return {sid: LOW if v < med else HIGH if v > med else OMITTED
             for sid, v in values}
+
+
+def oracle_counts(transcriptions, inventory) -> np.ndarray:
+    """The per-name counting loop that the one-call featurize replaced."""
+    counts = np.zeros((len(transcriptions), len(inventory)), dtype=np.int64)
+    for row, tokens in enumerate(transcriptions):
+        for token in tokens:
+            counts[row, inventory.index[token]] += 1
+    return counts
+
+
+def oracle_load_corpus(corpus_path, inventory_path):
+    """The earlier per-row loader, kept as a reference for the streaming one.
+
+    Each row becomes Python objects (its id in a list and a set, its
+    language, its token strings and a list of attribute floats) before the
+    columns and matrices are built.  It leaves out only the int16 bound on
+    a count, which the CLI tests cover.
+    """
+    def parse_attributes(cells, entry_id):
+        values = []
+        for cell, attr in zip(cells, ATTRIBUTE_NAMES):
+            cell = cell.strip()
+            try:
+                values.append(float(cell) if cell else math.nan)
+            except ValueError:
+                raise CorpusError(f"attribute column {attr.lower()!r} is not "
+                                  f"numeric: {cell!r}") from None
+            if cell and not 0 <= values[-1] < math.inf:
+                raise CorpusError(
+                    f"entry {entry_id!r}: attribute {attr} = {values[-1]!r} "
+                    "must be finite and non-negative")
+        return values
+
+    inventories = load_inventories(inventory_path)
+    ids, languages, attributes = [], [], []
+    transcriptions = {language: [] for language in inventories}
+    seen_ids = set()
+    with open(corpus_path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+
+        def read():
+            """The rows, with a CSV error (a NUL before Python 3.11, a field
+            over the size limit) refused as the streaming loader refuses
+            it."""
+            try:
+                yield from reader
+            except csv.Error as exc:
+                raise CorpusError(f"{corpus_path}: line {reader.line_num}: "
+                                  f"{exc}") from None
+
+        rows = read()
+        header = next(rows, None)
+        if header is None:
+            raise CorpusError(f"{corpus_path}: empty file, expected header "
+                              f"{','.join(CORPUS_COLUMNS)}")
+        if [h.strip() for h in header] != list(CORPUS_COLUMNS):
+            raise CorpusError(f"{corpus_path}: bad header {header!r}, "
+                              f"expected {list(CORPUS_COLUMNS)!r}")
+        for row_no, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != len(CORPUS_COLUMNS):
+                raise CorpusError(
+                    f"{corpus_path}: row {row_no}: expected "
+                    f"{len(CORPUS_COLUMNS)} columns, got {len(row)}")
+            entry_id, language = row[0].strip(), row[1].strip()
+            if not entry_id:
+                raise CorpusError(f"{corpus_path}: row {row_no}: empty id")
+            if entry_id in seen_ids:
+                raise CorpusError(
+                    f"{corpus_path}: row {row_no}: duplicate id {entry_id!r}")
+            seen_ids.add(entry_id)
+            if language not in inventories:
+                raise CorpusError(
+                    f"{corpus_path}: row {row_no}: unknown language "
+                    f"{language!r}")
+            tokens = row[3].split()
+            for token in tokens:
+                if token not in inventories[language].index:
+                    raise CorpusError(
+                        f"{corpus_path}: row {row_no}: token {token!r} not in "
+                        f"the {language!r} inventory")
+            try:
+                if not tokens:
+                    raise CorpusError(
+                        f"entry {entry_id!r} has an empty transcription")
+                attributes.append(parse_attributes(row[4:], entry_id))
+            except CorpusError as exc:
+                raise CorpusError(
+                    f"{corpus_path}: row {row_no}: {exc}") from None
+            ids.append(entry_id)
+            languages.append(language)
+            transcriptions[language].append(tokens)
+    language_column = np.array(languages, dtype=str)
+    length = np.zeros(len(ids), dtype=np.int64)
+    counts = {}
+    for language, inventory in inventories.items():
+        matrix = oracle_counts(transcriptions[language], inventory)
+        length[language_column == language] = \
+            matrix[:, ~np.array(inventory.is_tone)].sum(axis=1)
+        counts[language] = matrix.astype(np.int16)
+    return Corpus(
+        ids=np.array(ids, dtype=str), language=language_column,
+        attributes=np.array(attributes, dtype=float).reshape(
+            len(ids), len(ATTRIBUTE_NAMES)),
+        length=length, counts=counts), inventories

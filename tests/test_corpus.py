@@ -1,10 +1,8 @@
-import csv
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from soundskew import corpus as corpus_mod
 from soundskew.corpus import (
@@ -12,7 +10,6 @@ from soundskew.corpus import (
     CHUNK_ROWS,
     CORPUS_COLUMNS,
     INVENTORY_COLUMNS,
-    Corpus,
     CorpusError,
     TokenInventory,
     featurize,
@@ -20,7 +17,13 @@ from soundskew.corpus import (
     load_inventories,
     name_length,
 )
-from tests.conftest import CORPUS_CSV, INVENTORY_CSV, csv_rows
+from tests.conftest import (
+    CORPUS_CSV,
+    INVENTORY_CSV,
+    csv_rows,
+    oracle_counts,
+    oracle_load_corpus,
+)
 
 TOY_INVENTORY = [
     "xx,a,0", "xx,i,0", "xx,k,0", "xx,p,0", "xx,T:4,1",
@@ -49,101 +52,6 @@ def featurize_names(names, inventory) -> np.ndarray:
     name after another, and each name's token count."""
     return featurize([inventory.index[t] for name in names for t in name],
                      [len(name) for name in names], inventory)
-
-
-def oracle_counts(transcriptions, inventory) -> np.ndarray:
-    """The per-name counting loop that the one-call featurize replaced."""
-    counts = np.zeros((len(transcriptions), len(inventory)), dtype=np.int64)
-    for row, tokens in enumerate(transcriptions):
-        for token in tokens:
-            counts[row, inventory.index[token]] += 1
-    return counts
-
-
-def oracle_load_corpus(corpus_path, inventory_path):
-    """The earlier per-row loader, kept as a reference for the streaming one.
-
-    Each row becomes Python objects (its id in a list and a set, its
-    language, its token strings and a list of attribute floats) before the
-    columns and matrices are built.  It leaves out only the int16 bound on
-    a count, which the CLI tests cover.
-    """
-    def parse_attributes(cells, entry_id):
-        values = []
-        for cell, attr in zip(cells, ATTRIBUTE_NAMES):
-            cell = cell.strip()
-            try:
-                values.append(float(cell) if cell else math.nan)
-            except ValueError:
-                raise CorpusError(f"attribute column {attr.lower()!r} is not "
-                                  f"numeric: {cell!r}") from None
-            if cell and not 0 <= values[-1] < math.inf:
-                raise CorpusError(
-                    f"entry {entry_id!r}: attribute {attr} = {values[-1]!r} "
-                    "must be finite and non-negative")
-        return values
-
-    inventories = load_inventories(inventory_path)
-    ids, languages, attributes = [], [], []
-    transcriptions = {language: [] for language in inventories}
-    seen_ids = set()
-    with open(corpus_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CorpusError(f"{corpus_path}: empty file, expected header "
-                              f"{','.join(CORPUS_COLUMNS)}")
-        if [h.strip() for h in header] != list(CORPUS_COLUMNS):
-            raise CorpusError(f"{corpus_path}: bad header {header!r}, "
-                              f"expected {list(CORPUS_COLUMNS)!r}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CORPUS_COLUMNS):
-                raise CorpusError(
-                    f"{corpus_path}: row {row_no}: expected "
-                    f"{len(CORPUS_COLUMNS)} columns, got {len(row)}")
-            entry_id, language = row[0].strip(), row[1].strip()
-            if not entry_id:
-                raise CorpusError(f"{corpus_path}: row {row_no}: empty id")
-            if entry_id in seen_ids:
-                raise CorpusError(
-                    f"{corpus_path}: row {row_no}: duplicate id {entry_id!r}")
-            seen_ids.add(entry_id)
-            if language not in inventories:
-                raise CorpusError(
-                    f"{corpus_path}: row {row_no}: unknown language "
-                    f"{language!r}")
-            tokens = row[3].split()
-            for token in tokens:
-                if token not in inventories[language].index:
-                    raise CorpusError(
-                        f"{corpus_path}: row {row_no}: token {token!r} not in "
-                        f"the {language!r} inventory")
-            try:
-                if not tokens:
-                    raise CorpusError(
-                        f"entry {entry_id!r} has an empty transcription")
-                attributes.append(parse_attributes(row[4:], entry_id))
-            except CorpusError as exc:
-                raise CorpusError(
-                    f"{corpus_path}: row {row_no}: {exc}") from None
-            ids.append(entry_id)
-            languages.append(language)
-            transcriptions[language].append(tokens)
-    language_column = np.array(languages, dtype=str)
-    length = np.zeros(len(ids), dtype=np.int64)
-    counts = {}
-    for language, inventory in inventories.items():
-        matrix = oracle_counts(transcriptions[language], inventory)
-        length[language_column == language] = \
-            matrix[:, ~np.array(inventory.is_tone)].sum(axis=1)
-        counts[language] = matrix.astype(np.int16)
-    return Corpus(
-        ids=np.array(ids, dtype=str), language=language_column,
-        attributes=np.array(attributes, dtype=float).reshape(
-            len(ids), len(ATTRIBUTE_NAMES)),
-        length=length, counts=counts), inventories
 
 
 def transcriptions_by_language(corpus_path) -> dict[str, list[list[str]]]:
@@ -361,6 +269,10 @@ class TestLoaderOracle:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(files=corpus_files())
+    # CSV errors: Python 3.10 refuses a NUL, and every version a field over
+    # the size limit
+    @example(files=(["n1,xx,nm,k\x00a,1,2,3,4"], TOY_INVENTORY))
+    @example(files=([f"n1,xx,{'n' * 140_000},k a,1,2,3,4"], TOY_INVENTORY))
     def test_matches_per_row_loader(self, write_corpus, files):
         paths = write_corpus(*files)
         assert loaded_columns(load_corpus, paths) \

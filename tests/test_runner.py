@@ -40,6 +40,7 @@ from tests.conftest import (
     child_env,
     csv_rows,
     normal_equation_ols,
+    oracle_load_corpus,
 )
 
 FAST_BOOST = BoostParams(rounds=20, max_depth=3)
@@ -796,6 +797,8 @@ class TestCli:
         ("no-config", '{"version": 1, "records": []}',
          f"{INIT} 7 required positional arguments: 'config', {MISSING}"),
         ("version", '{"version": 99}', "unsupported report version 99"),
+        ("version-true", report_text(version=True),
+         "version must be an integer, got True"),
         ("version-only", '{"version": 1}',
          f"{INIT} 8 required positional arguments: 'config', 'records', "
          f"{MISSING}"),
@@ -809,20 +812,23 @@ class TestCli:
          "records[0]: fp_pct must be a finite number, got '0.5'"),
         ("record-list", report_text(records=[[1]]),
          "records[0] must be an object, got [1]"),
+        ("config-combat-int-item",
+         report_text(config=dict(CONFIG_KEYS, combat_set=[1])),
+         "config: combat_set[0] must be a string, got 1"),
         # a record must hold what its own counts give (fp_pct None, 1.0),
         # and the seed that its key gives under the config's seed
         ("fp-pct-not-its-counts",
          report_text(records=[dict(RECORD, fp_pct=0.5)]),
-         "records[0].fp_pct is 0.5, not the recomputed None"),
+         "records[0]: fp_pct is 0.5, not the recomputed None"),
         ("accuracy-not-its-counts",
          report_text(records=[dict(RECORD, accuracy=0.5)]),
-         "records[0].accuracy is 0.5, not the recomputed 1.0"),
+         "records[0]: accuracy is 0.5, not the recomputed 1.0"),
         ("record-seed-not-its-fit",
          report_text(records=[dict(RECORDS[0], seed=1), *RECORDS[1:]]),
-         "records[0].seed is 1, not the recomputed 5152993916967272132"),
+         "records[0]: seed is 1, not the recomputed 5152993916967272132"),
         ("config-seed-not-its-records",
          report_text(config=dict(CONFIG_KEYS, seed=1)),
-         "records[0].seed is 5152993916967272132, not the recomputed "
+         "records[0]: seed is 5152993916967272132, not the recomputed "
          "3543620084394565531"),
         # a record that H1 and H2 would count twice, or that the run has no
         # group or fold for
@@ -877,7 +883,7 @@ class TestCli:
         ("timestamp-number", report_text(timestamp=5),
          "timestamp must be a string, got 5"),
         ("languages-int", report_text(languages=7),
-         "languages must be a list of strings, got 7"),
+         "languages must be a list, got 7"),
         ("aggregate-count-string", report_text(
             aggregates=[dict(AGGREGATE, n_iterations="three")]),
          "aggregates[0]: n_iterations must be an integer, got 'three'"),
@@ -895,17 +901,17 @@ class TestCli:
         ("aggregate-not-its-records", report_text(
             aggregates=[dict(AGGREGATE, mean_fp_pct=0.99),
                         *REPORT["aggregates"][1:]]),
-         "aggregates[0].mean_fp_pct is 0.99, not the recomputed "
+         "aggregates[0]: mean_fp_pct is 0.99, not the recomputed "
          "0.6388888888888888"),
         ("h1-not-its-records", report_text(
             h1=[dict(H1_ENTRY, result=dict(H1_ENTRY["result"], t=9.99)),
                 *REPORT["h1"][1:]]),
-         "h1[0].result.t is 9.99, not the recomputed 1.889822365046135"),
+         "h1[0]: result: t is 9.99, not the recomputed 1.889822365046135"),
         ("h1-entry-missing", report_text(h1=REPORT["h1"][:-1]),
          "h1 has 5 entries, not the recomputed 6"),
         ("h2-not-its-records", report_text(h2=dict(
             REPORT["h2"], result=dict(REPORT["h2"]["result"], p=1e-4))),
-         "h2.result.p is 0.0001, not the recomputed 0.038574816342987005"),
+         "h2: result: p is 0.0001, not the recomputed 0.038574816342987005"),
     ]
 
     @pytest.mark.parametrize("text, message", [row[1:] for row in BAD_REPORTS],
@@ -1144,13 +1150,13 @@ class TestCli:
         ("threat-list", {"threat_direction": ["Attack"]},
          "threat_direction must be an object, got ['Attack']"),
         ("languages-int", {"languages": 5},
-         "languages must be a list of strings, got 5"),
+         "languages must be a list, got 5"),
         ("languages-str", {"languages": "jpn"},
-         "languages must be a list of strings, got 'jpn'"),
+         "languages must be a list, got 'jpn'"),
         ("variables-null", {"variables": None},
-         "variables must be a list of strings, got None"),
+         "variables must be a list, got None"),
         ("combat-int-item", {"combat_set": ["Attack", 1]},
-         "combat_set must be a list of strings, got ['Attack', 1]"),
+         "combat_set[1] must be a string, got 1"),
         ("out-dir-int", {"out_dir": 5}, "out_dir must be a string, got 5"),
         ("rounds-float", {"boost_params": {"rounds": 2.5}},
          "boost_params: rounds must be an integer, got 2.5"),
@@ -1365,9 +1371,8 @@ class TestCli:
             [(f.name,) for f in dataclasses.fields(ExperimentConfig)]
             + [("boost_params", f.name)
                for f in dataclasses.fields(BoostParams)]))
-        tp = field_type(ExperimentConfig, path)
-        value = data.draw(JSON_VALUES.filter(
-            lambda v: not fits_annotation(v, tp)))
+        _, tp = decoded("", ExperimentConfig, path)
+        value = data.draw(JSON_VALUES.filter(lambda v: misfit(v, tp)))
         stumps = {"rounds": 1, "max_depth": 1}
         if len(path) == 1:
             overrides = {"boost_params": stumps, path[0]: value}
@@ -1375,7 +1380,8 @@ class TestCli:
             overrides = {"boost_params": {**stumps, path[1]: value}}
         config = self.write_config(tmp_path, **overrides)
         assert cli_main(["run", "--config", config]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {config}: ")
+        assert capsys.readouterr() == (
+            "", wrong_type_line(config, ExperimentConfig, path, value))
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1401,14 +1407,18 @@ class TestCli:
                              headers=[file[0] for file in files])
         config = self.write_config(tmp_path, corpus_path=paths[0],
                                    inventory_path=paths[1])
+        # A replaced cell may still be valid, and an inventory change can
+        # orphan a corpus row's token or leave jpn without an inventory.
+        try:
+            runner.resolve_languages(ExperimentConfig.from_json(config),
+                                     oracle_load_corpus(*paths)[0])
+        except (corpus.CorpusError, ConfigError) as exc:
+            refusal = f"error: {exc}\n"
+        else:
+            refusal = ""
         code = cli_main(["validate", "--config", config])
-        err = capsys.readouterr().err
-        # A replaced cell may still be valid.  A rejection names an input
-        # file: an inventory change can orphan a corpus row's token.
-        assert code in (0, 1)
-        if code == 1:
-            assert err.startswith((f"error: {paths[0]}: ",
-                                   f"error: {paths[1]}: "))
+        assert (code, capsys.readouterr().err) == (1 if refusal else 0,
+                                                   refusal)
 
 
 def json_leaves(doc, path=()):
@@ -1432,40 +1442,57 @@ def write_changed(file, doc, path, value) -> None:
     file.write_text(json.dumps(doc))
 
 
-def field_type(root, path):
-    """The annotation of the value at ``path`` in a document of type
-    ``root``, such as a report or a config."""
+def decoded(where, root, path):
+    """The name that ``decode`` gives the value at ``path`` in a document of
+    type ``root`` read as ``where`` (``[i]`` for an item, ``: name`` for a
+    field, ``['key']`` for a dict key), and the value's annotation."""
     tp = root
     for step in path:
         if typing.get_origin(tp) is types.UnionType:     # X | None
             tp = typing.get_args(tp)[0]
         if dataclasses.is_dataclass(tp):
-            tp = typing.get_type_hints(tp)[step]
-        else:                           # list[X], tuple[X, ...], dict[str, X]
-            tp = typing.get_args(tp)[-1 if isinstance(step, str) else 0]
-    return tp
+            where, tp = f"{where}: {step}", typing.get_type_hints(tp)[step]
+        elif isinstance(step, int):                 # list[X], tuple[X, ...]
+            where, tp = f"{where}[{step}]", typing.get_args(tp)[0]
+        else:                                       # dict[str, X]
+            where, tp = f"{where}[{step!r}]", typing.get_args(tp)[1]
+    return where, tp
 
 
-def fits_annotation(value, tp) -> bool:
-    """Whether a JSON value has the JSON type of annotation ``tp``: a bool is
-    not a number, a float is finite, and any object fits a dataclass."""
+def misfit(value, tp, path=()):
+    """(path, expected type, part) of the first part of a JSON value, in
+    ``decode``'s order, that lacks the JSON type of annotation ``tp``: a
+    bool is not a number, a float is finite, and any object fits a
+    dataclass.  None if the value fits."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:
-        return value is None or fits_annotation(value, args[0])
+        return None if value is None else misfit(value, args[0], path)
+    if tp in runner._SCALARS:       # decode's name for each scalar type
+        fits = type(value) in ((int, float) if tp is float else (tp,)) and (
+            tp is not float or abs(value) <= sys.float_info.max)
+        return None if fits else (path, runner._SCALARS[tp], value)
     if origin in (list, tuple):
-        return isinstance(value, list) \
-            and all(fits_annotation(v, args[0]) for v in value)
-    if origin is dict:
-        return isinstance(value, dict) \
-            and all(fits_annotation(v, args[1]) for v in value.values())
-    if dataclasses.is_dataclass(tp):
-        return isinstance(value, dict)
-    if isinstance(value, bool):
-        return False
-    if tp is float:
-        return isinstance(value, (int, float)) \
-            and abs(value) <= sys.float_info.max
-    return isinstance(value, tp)
+        if not isinstance(value, list):
+            return path, "a list", value
+        parts, item = enumerate(value), args[0]
+    elif not isinstance(value, dict):
+        return path, "an object", value
+    elif origin is dict:
+        parts, item = value.items(), args[1]
+    else:                                           # a dataclass
+        return None
+    return next(filter(None, (misfit(v, item, path + (key,))
+                              for key, v in parts)), None)
+
+
+def wrong_type_line(where, root, path, value) -> str:
+    """The line that the CLI prints for a document of type ``root`` read as
+    ``where`` that holds ``value``, which ``misfit`` finds wrong, at
+    ``path``."""
+    leaf, tp = decoded(where, root, path)
+    part, expected, bad = misfit(value, tp)
+    return f"error: {decoded(leaf, tp, part)[0]} must be {expected}, " \
+        f"got {bad!r}\n"
 
 
 @pytest.fixture(scope="module")
@@ -1529,19 +1556,17 @@ class TestReportFile:
         with open(os.path.join(small_run.config.out_dir, "report.json"),
                   encoding="utf-8") as fh:
             doc = json.load(fh)
-        path, old = data.draw(st.sampled_from(list(json_leaves(doc))))
-        value = data.draw(JSON_VALUES.filter(
-            lambda v: type(v) is not type(old)))
+        path, _ = data.draw(st.sampled_from(list(json_leaves(doc))))
+        _, tp = decoded("", ExperimentReport, path)
+        value = data.draw(JSON_VALUES.filter(lambda v: misfit(v, tp)))
         report = tmp_path / "report.json"
         write_changed(report, doc, path, value)
-        fits = fits_annotation(value, field_type(ExperimentReport, path))
-        code = cli_main(["stats", "--report", str(report)])
-        err = capsys.readouterr().err
-        # exit 0 only for a value of the field's type, which the dataclass's
-        # own checks may still reject
-        assert code == 1 or code == 0 and fits, (path, value, err)
-        if code == 1:
-            assert err.startswith(f"error: {report}: ")
+        assert cli_main(["stats", "--report", str(report)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {report}: unsupported report version {value!r}\n"
+            # True and 1.0 equal version 1, so decode refuses their type
+            if path == ("version",) and value != runner.REPORT_FORMAT_VERSION
+            else wrong_type_line(report, ExperimentReport, path, value)))
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1565,9 +1590,7 @@ class TestReportFile:
         new = data.draw(numbers.filter(lambda v: v != old))
         report = tmp_path / "report.json"
         write_changed(report, doc, path, new)
-        name = path[0] + "".join(f"[{step}]" if type(step) is int
-                                 else f".{step}" for step in path[1:])
+        name, _ = decoded(report, ExperimentReport, path)
         assert cli_main(["stats", "--report", str(report)]) == 1
-        assert capsys.readouterr() == ("", f"error: {report}: {name} is "
-                                           f"{new!r}, not the recomputed "
-                                           f"{old!r}\n")
+        assert capsys.readouterr() == ("", f"error: {name} is {new!r}, not "
+                                           f"the recomputed {old!r}\n")
